@@ -8,7 +8,8 @@ Commands:
     sweep     evaluate every matrix file in a directory or glob
 
 Exit codes: 0 success, 1 input error, 2 numerical fallback under --strict,
-3 budget exceeded.
+3 budget exceeded, 4 numerical failure (degenerate geometry or a solver that
+did not converge).
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import warnings
 import numpy as np
 
 from .encode import SlotConfig, bin_spikes, read_spike_file
-from .errors import BudgetExceededError, ConirepError, InputFormatError
+from .errors import (BudgetExceededError, ConirepError, DegenerateConeError, InputFormatError,
+                     IterationLimitError)
 from .evaluator import EvaluationResult, evaluate
 from .linalg import TOL_GEOM
 from .oracle import SAMPLE_BUDGET, convergence_study, ir_num
@@ -294,11 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analytical evaluation of a matrix file").set_defaults(func=cmd_evaluate)
     sub.add_parser("numeric", parents=[common],
                    help="midpoint quadrature estimate").set_defaults(func=cmd_numeric)
-    p_compare = sub.add_parser("compare", parents=[common],
-                               help="quadrature convergence against the analytical value")
-    p_compare.add_argument("--plot-data", action="store_true",
-                           help="emit the same CSV rows (for external plotting)")
-    p_compare.set_defaults(func=cmd_compare, n="8,16,32,64")
+    sub.add_parser("compare", parents=[common],
+                   help="quadrature convergence against the analytical value"
+                   ).set_defaults(func=cmd_compare, n="8,16,32,64")
     p_encode = sub.add_parser("encode", parents=[common],
                               help="bin a spike file into a matrix CSV")
     p_encode.add_argument("--slot-length", type=float, required=True,
@@ -323,6 +323,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (DegenerateConeError, IterationLimitError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except ConirepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

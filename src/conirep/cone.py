@@ -62,6 +62,7 @@ class Cone:
     rays: (k, m) unit rows, lexicographically sorted.
     ray_origins: per ray, the 0-based input columns pointing along it.
     facets: ray-index sets of the (m-1)-dimensional boundary elements.
+    normals: (len(facets), m) outward unit facet normals, in facet order.
     elements: dim -> ray-index sets, for dims 1..m-1 (filled by
         cone_sub_elements; facets appear again under dim m-1).
     cone_rank: rank of the ray span; the analytical pipeline needs rank m.
@@ -70,6 +71,7 @@ class Cone:
     rays: np.ndarray
     ray_origins: tuple[tuple[int, ...], ...]
     facets: tuple[frozenset[int], ...]
+    normals: np.ndarray
     elements: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     cone_rank: int = 0
 
@@ -138,7 +140,11 @@ def _extreme_filter(units, tol_geom: float):
 
 
 def _merge_coplanar(hull: ConvexHull, tol: float):
-    """Group hull simplices into maximal coplanar facets via the neighbor graph."""
+    """Group hull simplices into maximal coplanar facets via the neighbor graph.
+
+    Neighbouring simplices merge when their equations agree within `tol`
+    entrywise; each group keeps the equation of its lowest-numbered simplex.
+    """
     eqs = hull.equations
     nsimp = len(hull.simplices)
     parent = list(range(nsimp))
@@ -149,31 +155,30 @@ def _merge_coplanar(hull: ConvexHull, tol: float):
             a = parent[a]
         return a
 
-    for i in range(nsimp):
-        for j in hull.neighbors[i]:
-            j = int(j)
-            if j > i and np.all(np.abs(eqs[i] - eqs[j]) < tol):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    close = np.all(np.abs(eqs[:, None, :] - eqs[hull.neighbors]) < tol, axis=2)
+    for i, k in zip(*np.nonzero(close)):
+        ri, rj = find(int(i)), find(int(hull.neighbors[i, k]))
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(nsimp):
         groups.setdefault(find(i), []).append(i)
     merged = []
     for g in groups.values():
-        verts = set()
-        for s in g:
-            verts.update(int(v) for v in hull.simplices[s])
+        verts = set(hull.simplices[g].ravel().tolist())
         merged.append((verts, eqs[g[0]]))
     return merged
 
 
-def ray_lattice_facets(rays: np.ndarray, tol_geom: float = TOL_GEOM):
-    """Facet ray-index sets of the full-dimensional pointed cone over `rays`.
+def cone_halfspaces(rays: np.ndarray, tol_geom: float = TOL_GEOM):
+    """Facets and outward unit normals of the full-dimensional pointed cone over `rays`.
 
     Works on any extreme ray set (entries of any sign); used both for the
-    input cone and for adjacent cones. The hull of {0} union rays is built
-    and only facets through the origin are kept, merged where coplanar.
+    input cone and for adjacent cones. The hull of {0} union rays is built;
+    its facets through the origin, merged where coplanar, are the cone's
+    facets, and their Qhull equations give the normals. Returns (facets,
+    normals): ray-index sets sorted by their indices, and a matching
+    (facets, m) array, so the cone is {x : normals @ x <= 0}.
     """
     m = rays.shape[1]
     pts = np.vstack([np.zeros(m), rays])
@@ -181,13 +186,14 @@ def ray_lattice_facets(rays: np.ndarray, tol_geom: float = TOL_GEOM):
         hull = ConvexHull(pts)
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
-    facets = []
+    found = []
     for verts, eq in _merge_coplanar(hull, tol_geom):
         if 0 in verts and abs(eq[-1]) < tol_geom:
-            facets.append(frozenset(v - 1 for v in verts if v != 0))
-    if not facets:
+            found.append((sorted(v - 1 for v in verts if v != 0), eq[:-1]))
+    if not found:
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
-    return tuple(sorted(facets, key=sorted))
+    found.sort(key=lambda f: f[0])
+    return tuple(frozenset(f) for f, _ in found), np.array([n for _, n in found])
 
 
 def sub_elements_of(facets, rays: np.ndarray, tol_geom: float = TOL_GEOM):
@@ -238,9 +244,11 @@ def coni_facets(C, tol_geom: float = TOL_GEOM) -> Cone:
     ray_origins = tuple(ray_origins[i] for i in order)
     rank = int(np.linalg.matrix_rank(rays, tol=tol_geom))
     facets: tuple[frozenset[int], ...] = ()
+    normals = np.zeros((0, sm.m))
     if rank == sm.m and sm.m >= 2:
-        facets = ray_lattice_facets(rays, tol_geom)
-    return Cone(rays=rays, ray_origins=ray_origins, facets=facets, cone_rank=rank)
+        facets, normals = cone_halfspaces(rays, tol_geom)
+    return Cone(rays=rays, ray_origins=ray_origins, facets=facets, normals=normals,
+                cone_rank=rank)
 
 
 def cone_sub_elements(cone: Cone, tol_geom: float = TOL_GEOM) -> Cone:
@@ -287,11 +295,11 @@ def facet_normal_outward(facet: frozenset, cone: Cone, tol_geom: float = TOL_GEO
     return n
 
 
-def adjacent_cone(element: frozenset, cone: Cone, tol_geom: float = TOL_GEOM) -> AdjacentCone:
-    """Element rays plus outward normals of the element's incident facets."""
+def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
+    """Element rays plus the outward normals of the element's incident facets."""
     element = frozenset(element)
-    facets = adjacent_facets(element, cone)
-    normals = np.array([facet_normal_outward(f, cone, tol_geom) for f in facets])
+    incident = set(adjacent_facets(element, cone))
+    normals = cone.normals[[i for i, f in enumerate(cone.facets) if f in incident]]
     return AdjacentCone(
         element=element,
         element_rays=cone.rays[sorted(element)],

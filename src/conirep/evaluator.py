@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (Cone, adjacent_cone, as_state_matrix, cone_contains, cone_sub_elements,
+from .cone import (TOL_MEMBER, Cone, adjacent_cone, as_state_matrix, cone_sub_elements,
                    coni_facets)
 from .errors import BudgetExceededError
 from .integrate import region_integral
@@ -114,7 +114,7 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
         return _fallback(sm, cone, extreme_cols, redundant_cols, zero_cols,
                          budget_samples, threads)
 
-    if not force_regions and _covers_hypercube(sm, cone):
+    if not force_regions and _covers_hypercube(cone):
         return EvaluationResult(
             ir=0.0, irn=0.0, output_volume=1.0, regions=(),
             extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
@@ -127,15 +127,14 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
     if n_elements > max_elements:
         raise BudgetExceededError(f"{n_elements} cone elements exceed the limit of {max_elements}")
 
-    diagnostics: list[str] = []
     records: list[RegionRecord] = []
     ir = 0.0
     covered = 0.0
     n_simplices = 0
     for dim in sorted(cone.elements):
         for elem in cone.elements[dim]:
-            adj = adjacent_cone(elem, cone, tol_geom)
-            region = build_region(adj, tol_geom, diagnostics)
+            adj = adjacent_cone(elem, cone)
+            region = build_region(adj, tol_geom)
             n_simplices += len(region.simplices)
             if n_simplices > max_simplices:
                 raise BudgetExceededError(
@@ -159,17 +158,17 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
         redundant_columns=redundant_cols,
         zero_columns=zero_cols,
         method=METHOD_ANALYTICAL,
-        diagnostics=tuple(diagnostics),
+        diagnostics=(),
     )
 
 
-def _covers_hypercube(sm, cone: Cone) -> bool:
-    """Convexity shortcut: all 2^m cube vertices inside means the cube is."""
-    for corner in itertools.product((0.0, 1.0), repeat=sm.m):
-        v = np.array(corner)
-        if v.any() and not cone_contains(v, cone.rays):
-            return False
-    return True
+def _covers_hypercube(cone: Cone) -> bool:
+    """Convexity shortcut: all 2^m cube vertices inside means the cube is.
+
+    A vertex is inside when no outward facet normal leans towards it.
+    """
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=cone.dim)))
+    return bool(np.all(corners @ cone.normals.T < TOL_MEMBER))
 
 
 def _fallback(sm, cone: Cone, extreme_cols, redundant_cols, zero_cols,

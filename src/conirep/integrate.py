@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import gram_schmidt, simplex_volume
+from .linalg import gram_schmidt, simplex_volumes
 from .region import RegionPolytope
 
 
@@ -34,23 +34,32 @@ def squared_distance(point, basis: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def simplex_integral(vertices, basis: np.ndarray) -> float:
-    """Integral of squared_distance(., basis) over the simplex, exactly.
+def simplex_integrals(points, basis: np.ndarray) -> np.ndarray:
+    """Integrals of squared_distance(., basis) over a stack of simplices.
 
-    Zero-volume simplices give 0. The value is clamped at 0; roundoff can
-    otherwise produce a tiny negative for simplices lying in the span.
+    `points` is (s, m+1, m). Zero-volume simplices give 0. Each value is
+    clamped at 0; roundoff can otherwise produce a tiny negative for
+    simplices lying in the span.
     """
-    V = np.asarray(vertices, dtype=float)
-    m = V.shape[1]
-    vol = simplex_volume(V)
-    if vol == 0.0:
-        return 0.0
-    G = V @ V.T
-    if basis.size:
-        P = V @ basis
-        G = G - P @ P.T
-    pair_sum = float(G.sum() + np.trace(G)) / 2.0  # over l1 <= l2: the diagonal counts once
-    return max(vol / comb(m + 2, 2) * pair_sum, 0.0)
+    P = np.asarray(points, dtype=float)
+    m = P.shape[2]
+    vol = simplex_volumes(P)
+
+    def q(X):
+        val = np.einsum("...k,...k->...", X, X)
+        if basis.size:
+            c = X @ basis
+            val -= np.einsum("...k,...k->...", c, c)
+        return val
+
+    # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
+    pair_sum = (q(P.sum(axis=1)) + q(P).sum(axis=1)) / 2.0
+    return np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+
+
+def simplex_integral(vertices, basis: np.ndarray) -> float:
+    """Integral of squared_distance(., basis) over one simplex, exactly."""
+    return float(simplex_integrals(np.asarray(vertices, dtype=float)[None], basis)[0])
 
 
 def region_integral(region: RegionPolytope, element_rays) -> float:
@@ -58,14 +67,12 @@ def region_integral(region: RegionPolytope, element_rays) -> float:
 
     `element_rays` spans the cone element the region projects onto; an empty
     sequence means the apex and the distance is measured to the origin.
-    Summation follows the triangulation order for reproducibility.
     """
+    if not len(region.simplices):
+        return 0.0
     rays = np.asarray(element_rays, dtype=float)
     if rays.size:
         basis = gram_schmidt(rays)
     else:
         basis = np.zeros((region.vertices.shape[1], 0))
-    total = 0.0
-    for s in region.simplices:
-        total += simplex_integral(region.vertices[list(s)], basis)
-    return total
+    return float(simplex_integrals(region.vertices[region.simplices], basis).sum())

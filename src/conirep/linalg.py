@@ -77,13 +77,18 @@ def normal_vector(vectors) -> np.ndarray:
     return n / nrm
 
 
-def simplex_volume(vertices) -> float:
-    """Volume of the simplex on m+1 vertices in dimension m.
+def simplex_volumes(points) -> np.ndarray:
+    """Volumes of a stack of simplices, (s, m+1, m) vertices to (s,) volumes.
 
-    |det(v_2 - v_1, ..., v_{m+1} - v_1)| / m!; degenerate simplices give 0.
+    |det(v_2 - v_1, ..., v_{m+1} - v_1)| / m! each; degenerate simplices give 0.
     """
-    V = np.asarray(vertices, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1] + 1:
-        raise ValueError(f"expected m+1 vertices of dimension m, got shape {V.shape}")
-    m = V.shape[1]
-    return float(abs(np.linalg.det(V[1:] - V[0]))) / factorial(m)
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 3 or P.shape[1] != P.shape[2] + 1:
+        raise ValueError(f"expected simplices of m+1 vertices in dimension m, got shape {P.shape}")
+    m = P.shape[2]
+    return np.abs(np.linalg.det(P[:, 1:] - P[:, :1])) / factorial(m)
+
+
+def simplex_volume(vertices) -> float:
+    """Volume of the simplex on m+1 vertices in dimension m."""
+    return float(simplex_volumes(np.asarray(vertices, dtype=float)[None])[0])

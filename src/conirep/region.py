@@ -1,184 +1,138 @@
 """Regions: adjacent cone clipped to the unit hypercube, then triangulated.
 
-A region's vertices come from three sources: the origin (the cone apex is a
-cube vertex), cube vertices that lie inside the adjacent cone, and the
-points where a j-dimensional face of the adjacent cone crosses an
-(m-j)-dimensional face of the cube. Intersections of complementary
-dimensions are generically single points, found by solving one square
-linear system each.
+A region is the polytope {x : n . x <= 0 for each outward facet normal n of
+the adjacent cone, 0 <= x <= 1}. Qhull intersects these halfspaces around an
+interior point found by least-distance programming. The origin, the apex of
+every adjacent cone, is a vertex of every region, so coning the facets of
+the region's hull to the origin triangulates it; only facets on the cube's
+far faces x_j = 1 miss the origin, so only they give simplices.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
-from .cone import AdjacentCone, cone_contains, ray_lattice_facets, sub_elements_of, _merge_coplanar
+from .cone import AdjacentCone, cone_halfspaces
 from .errors import DegenerateConeError
-from .linalg import TOL_GEOM, gram_schmidt, simplex_volume
+# gram_schmidt is not used here; bench/tracer.py counts calls through this name
+from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
 from .nnls import nnls
 
-# Coordinate dedup tolerance for candidate vertices (absolute, unit box scale).
+# Coordinate dedup tolerance for region vertices (absolute, unit box scale).
 TOL_DEDUP = 1e-9
-# Intersection systems with a worse condition estimate are tangent, not
-# transversal; they carry no m-volume and are skipped.
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class RegionPolytope:
-    """V-representation of one region plus its fan triangulation."""
+    """V-representation of one region plus its triangulation.
+
+    vertices: (k, m), the origin first. simplices: (s, m+1) vertex indices.
+    """
 
     element: frozenset[int]
     vertices: np.ndarray
-    simplices: tuple[tuple[int, ...], ...]
+    simplices: np.ndarray
     volume: float
 
 
-def adjacent_lattice(adj: AdjacentCone, tol_geom: float = TOL_GEOM):
-    """Element lattice (dims 1..m-1) of the adjacent cone's generator set.
+def _interior_point(G: np.ndarray, tol_geom: float):
+    """A point x with G @ x >= 1 row-wise, or None when the rows admit none.
 
-    Adjacent cones of a pointed full-dimensional cone are themselves pointed
-    and full-dimensional, and their generators are extreme by construction,
-    so the same facet machinery applies directly.
+    Least-distance programming by NNLS (Lawson & Hanson 1974, ch. 23): the
+    residual of min ||E u - f||, u >= 0, with E = [G^T; 1^T] and f = e_{m+1},
+    is zero exactly when the system is infeasible. Otherwise the rows with
+    u > 0 hold with equality at the least-norm solution, which is the
+    least-norm solution of those equations. Solving them directly keeps the
+    point of a thin region accurate; reading it off the residual, as
+    -r[:m] / r[m], cancels digits and can miss the region altogether.
     """
-    gens = adj.generators
-    facets = ray_lattice_facets(gens, tol_geom)
-    return sub_elements_of(facets, gens, tol_geom)
+    m = G.shape[1]
+    E = np.vstack([G.T, np.ones(G.shape[0])])
+    f = np.zeros(m + 1)
+    f[m] = 1.0
+    u, rnorm = nnls(E, f)
+    if rnorm <= tol_geom:
+        return None
+    active = u > 0.0
+    return np.linalg.lstsq(G[active], np.ones(int(active.sum())), rcond=None)[0]
 
 
-def hypercube_intersect(adj: AdjacentCone, lattice=None, tol_geom: float = TOL_GEOM,
-                        diagnostics: list | None = None) -> np.ndarray:
-    """Vertices of (adjacent cone) intersect [0,1]^m, deduplicated.
+def hypercube_intersect(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> np.ndarray:
+    """Vertices of (adjacent cone) intersect [0,1]^m, deduplicated, origin first.
 
-    Returns an empty (0, m) array when the generators do not span the full
-    space (the region is degenerate and contributes nothing). Ill-conditioned
-    intersection systems are counted in `diagnostics` when a list is given.
+    Returns an empty (0, m) array when the region has no interior: the
+    generators do not span the space, or the cone meets the positive orthant
+    only on its boundary. Qhull failures propagate as QhullError.
     """
     gens = adj.generators
     m = gens.shape[1]
     if np.linalg.matrix_rank(gens, tol=tol_geom) < m:
         return np.zeros((0, m))
-    if lattice is None:
-        lattice = adjacent_lattice(adj, tol_geom)
-
-    candidates: list[np.ndarray] = [np.zeros(m)]
-    for corner in itertools.product((0.0, 1.0), repeat=m):
-        v = np.array(corner)
-        if v.any() and cone_contains(v, gens):
-            candidates.append(v)
-
-    skipped = 0
-    for j in range(1, m):
-        for elem in lattice.get(j, ()):
-            rows = sorted(elem)
-            elem_rays = gens[rows]
-            basis = gram_schmidt(elem_rays, tol_geom)
-            if basis.shape[1] != j:
-                continue
-            for fixed in itertools.combinations(range(m), j):
-                A = basis[list(fixed), :]
-                if np.linalg.cond(A) > COND_LIMIT:
-                    skipped += 1
-                    continue
-                solve = np.linalg.solve
-                for vals in itertools.product((0.0, 1.0), repeat=j):
-                    x = basis @ solve(A, np.array(vals))
-                    if x.min() < -tol_geom or x.max() > 1.0 + tol_geom:
-                        continue
-                    if not _in_element(x, elem_rays, tol_geom):
-                        continue
-                    candidates.append(np.clip(x, 0.0, 1.0))
-    if skipped and diagnostics is not None:
-        diagnostics.append(f"skipped {skipped} near-tangent intersection systems")
-
-    unique: list[np.ndarray] = []
-    for p in candidates:
-        if not any(np.all(np.abs(p - q) <= TOL_DEDUP) for q in unique):
-            unique.append(p)
-    return np.array(unique)
-
-
-def _in_element(x: np.ndarray, elem_rays: np.ndarray, tol_geom: float) -> bool:
-    """Does a point of the element's span lie in the element cone itself?"""
-    k = elem_rays.shape[0]
-    lam = np.linalg.lstsq(elem_rays.T, x, rcond=None)[0]
-    if lam.min() >= -1e-7:
-        return True
-    if k == np.linalg.matrix_rank(elem_rays, tol=tol_geom):
-        return False  # independent rays: the combination is unique
-    return cone_contains(x, elem_rays)
+    _, normals = cone_halfspaces(gens, tol_geom)
+    eye = np.eye(m)
+    # strictly inside the cone and the orthant; x >= 1, so x / (2 max x) is
+    # inside the cube too
+    x = _interior_point(np.vstack([-normals, eye]), tol_geom)
+    if x is None:
+        return np.zeros((0, m))
+    halfspaces = np.vstack([
+        np.hstack([normals, np.zeros((len(normals), 1))]),  # n . x <= 0
+        np.hstack([-eye, np.zeros((m, 1))]),  # x >= 0
+        np.hstack([eye, -np.ones((m, 1))]),  # x <= 1
+    ])
+    hs = HalfspaceIntersection(halfspaces, x / (2.0 * x.max()))
+    pts = np.vstack([np.zeros(m), np.clip(hs.intersections, 0.0, 1.0)])
+    pairs = cKDTree(pts).query_pairs(TOL_DEDUP, p=np.inf, output_type="ndarray")
+    keep = np.ones(len(pts), dtype=bool)
+    keep[pairs[:, 1]] = False  # pairs are (i, j) with i < j: the first copy wins
+    return pts[keep]
 
 
 def polytope_facets(vertices: np.ndarray, tol_geom: float = TOL_GEOM):
-    """Convex-hull facets of a vertex set, coplanar facets merged.
+    """Simplicial facets of the joggled convex hull of a vertex set.
 
-    Returns tuples of vertex indices, one per maximal facet; empty for
-    degenerate inputs (fewer than m+1 points or a rank-deficient span).
+    Returns (facets, planes): an (f, m) array of vertex indices and the
+    facets' (f, m+1) hyperplanes n . x + b = 0 with unit outward n. Qhull's
+    default triangulation (option Qt) can overlap simplices on merged
+    facets; joggling (QJ) gives simplicial facets that tile the boundary.
+    Both arrays are empty for fewer than m+1 points or a rank-deficient span.
     """
     V = np.asarray(vertices, dtype=float)
     m = V.shape[1]
     if V.shape[0] < m + 1 or np.linalg.matrix_rank(V - V[0], tol=tol_geom) < m:
-        return ()
-    try:
-        hull = ConvexHull(V)
-    except QhullError:
-        return ()
-    facets = []
-    for verts, _eq in _merge_coplanar(hull, tol_geom):
-        facets.append(tuple(sorted(verts)))
-    return tuple(sorted(facets))
+        return np.zeros((0, m), dtype=int), np.zeros((0, m + 1))
+    hull = ConvexHull(V, qhull_options="QJ")
+    return hull.simplices, hull.equations
 
 
-def triangulate_polytope(facets, vertices: np.ndarray):
-    """Fan triangulation from the lexicographically smallest vertex.
+def triangulate_polytope(facets, vertices: np.ndarray,
+                         tol_geom: float = TOL_GEOM) -> np.ndarray:
+    """Fan triangulation from vertex 0 over the facets that miss it.
 
-    Facets not containing the apex are (recursively) fan-triangulated in
-    their own span and joined to the apex; simplex volumes add up to the
-    polytope volume. Returns tuples of vertex indices, m+1 entries each.
+    `facets` is the (facets, planes) pair from polytope_facets. Facets whose
+    plane passes through vertex 0 would give flat simplices and are left
+    out; the rest, each joined to vertex 0, tile the polytope. Returns an
+    (s, m+1) array of vertex indices, each row starting with 0.
     """
-    V = np.asarray(vertices, dtype=float)
-    if not facets:
-        return ()
-    hull_verts = sorted({i for f in facets for i in f})
-    apex = min(hull_verts, key=lambda i: tuple(V[i]))
-    simplices = []
-    for facet in facets:
-        if apex in facet:
-            continue
-        for sub in _triangulate_facet(V, facet):
-            simplices.append((apex, *sub))
-    return tuple(simplices)
+    indices, planes = facets
+    apex = np.asarray(vertices, dtype=float)[0]
+    away = planes[:, :-1] @ apex + planes[:, -1] < -tol_geom
+    return np.column_stack([np.zeros(int(away.sum()), dtype=int), indices[away]])
 
 
-def _triangulate_facet(V: np.ndarray, facet):
-    """Fan-triangulate one facet inside its own affine span."""
-    idx = list(facet)
-    pts = V[idx]
-    origin = pts[0]
-    basis = gram_schmidt(pts[1:] - origin)
-    d = basis.shape[1]
-    proj = (pts - origin) @ basis
-    if d == 1:
-        order = np.argsort(proj[:, 0])
-        return [(idx[order[0]], idx[order[-1]])]
-    sub_facets = polytope_facets(proj)
-    if not sub_facets:
-        return []
-    return [tuple(idx[i] for i in s) for s in triangulate_polytope(sub_facets, proj)]
-
-
-def build_region(adj: AdjacentCone, tol_geom: float = TOL_GEOM,
-                 diagnostics: list | None = None) -> RegionPolytope:
+def build_region(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> RegionPolytope:
     """Intersect, hull, and triangulate one adjacent cone against the cube."""
-    verts = hypercube_intersect(adj, tol_geom=tol_geom, diagnostics=diagnostics)
-    facets = polytope_facets(verts, tol_geom) if len(verts) else ()
-    if not facets:
-        return RegionPolytope(adj.element, verts, (), 0.0)
-    simplices = triangulate_polytope(facets, verts)
-    volume = 0.0
-    for s in simplices:
-        volume += simplex_volume(verts[list(s)])
-    return RegionPolytope(adj.element, verts, simplices, float(volume))
+    try:
+        verts = hypercube_intersect(adj, tol_geom)
+        facets = polytope_facets(verts, tol_geom)
+    except QhullError as exc:
+        raise DegenerateConeError(
+            f"region of element {sorted(adj.element)}: {exc}") from exc
+    if not len(facets[0]):
+        empty = np.zeros((0, verts.shape[1] + 1), dtype=int)
+        return RegionPolytope(adj.element, verts, empty, 0.0)
+    simplices = triangulate_polytope(facets, verts, tol_geom)
+    volume = float(simplex_volumes(verts[simplices]).sum())
+    return RegionPolytope(adj.element, verts, simplices, volume)

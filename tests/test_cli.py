@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conirep.cli import main, read_matrix, write_matrix
-from conirep.errors import InputFormatError
+from conirep.errors import DegenerateConeError, InputFormatError, IterationLimitError
 from conirep.oracle import ir_num
 
 from conftest import TILTED
@@ -125,6 +125,19 @@ def test_strict_flags_fallback(capsys, tmp_path):
 def test_budget_exit_code(capsys, tilted_csv):
     code, _ = run(capsys, ["numeric", "--input", tilted_csv, "--n", "1000"])
     assert code == 3
+
+
+@pytest.mark.parametrize("error", [DegenerateConeError, IterationLimitError])
+def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr("conirep.evaluator.build_region", fail)
+    code = main(["evaluate", "--input", tilted_csv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "numerical failure: forced failure" in captured.err
 
 
 def test_numeric_matches_library(capsys, tilted_csv):

@@ -1,8 +1,12 @@
 """Tests for the top-level evaluation dispatch and its invariants."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from conirep.cone import coni_facets, facet_normal_outward
 from conirep.errors import BudgetExceededError
 from conirep.evaluator import evaluate, output_volume, region_report
 from conirep.oracle import ir_num
@@ -149,3 +153,75 @@ def test_invariances_spot_checks():
         extra = np.hstack([C, rng.uniform(0.0, 3.0, size=(3, 1))])
         assert evaluate(extra).ir <= base.ir + 1e-9
         done += 1
+
+
+def roadmap_m6_matrix():
+    """The 6 x 8 matrix that once raised 'expected m+1 vertices ... (6, 6)'."""
+    rng = np.random.default_rng(7)
+    for shape in [(2, 4), (3, 4), (3, 6), (4, 5), (4, 8), (5, 6), (5, 10)]:
+        for _ in range(3):
+            rng.uniform(0.0, 3.0, size=shape)
+    return rng.uniform(0.0, 3.0, size=(6, 8))
+
+
+@pytest.mark.parametrize("C, n_grid", [
+    (np.random.default_rng(10).uniform(0.0, 3.0, (5, 6)), 16),
+    (roadmap_m6_matrix(), 8),
+], ids=["m5-seed10", "m6-seed7"])
+def test_short_of_vertices_regressions(C, n_grid):
+    # both crashed in the old recursive facet fan with a simplex short of
+    # vertices; the midpoint rule is within m / (12 N^2) of the exact value
+    res = evaluate(C)
+    m = C.shape[0]
+    assert res.method == "analytical"
+    assert abs(res.ir - ir_num(C, n_grid).ir_num) <= m / (12.0 * n_grid ** 2)
+
+
+def cone_in_cube_volume(C):
+    """vol(cone(C) in [0,1]^m) from the cone's own facet halfspaces.
+
+    Independent of the region pipeline: cofactor facet normals, and Qhull's
+    own volume of the intersection vertices.
+    """
+    cone = coni_facets(C)
+    m = cone.dim
+    normals = np.array([facet_normal_outward(f, cone) for f in cone.facets])
+    eye = np.eye(m)
+    halfspaces = np.vstack([
+        np.hstack([normals, np.zeros((len(normals), 1))]),
+        np.hstack([-eye, np.zeros((m, 1))]),
+        np.hstack([eye, -np.ones((m, 1))]),
+    ])
+    # a positive combination of all rays is interior to the cone, and every
+    # coordinate is positive because the rays are nonnegative and span R^m
+    inner = cone.rays.sum(axis=0)
+    hs = HalfspaceIntersection(halfspaces, inner / (2.0 * inner.max()))
+    return ConvexHull(hs.intersections).volume
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_partition_identity(m):
+    rng = np.random.default_rng(900 + m)
+    done = 0
+    while done < (4 if m < 5 else 2):
+        C = random_activity(rng, m, int(rng.integers(m + 1, 2 * m + 1)))
+        res = evaluate(C)
+        if res.method != "analytical":
+            continue
+        inside = cone_in_cube_volume(C)
+        covered = math.fsum(r.volume for r in res.regions)
+        assert covered + inside == pytest.approx(1.0, abs=1e-12)
+        assert res.output_volume == pytest.approx(inside, abs=1e-12)
+        done += 1
+
+
+def test_thin_region_of_a_wide_matrix():
+    # the region of ray 10 is a wedge about 1e-8 thick; an interior point
+    # read off the least-distance residual fell outside it and Qhull refused
+    rng = np.random.default_rng([309, 2, 3, 300])
+    C = [rng.uniform(0.0, 3.0, size=(3, 300)) for _ in range(6)][-1]
+    res = evaluate(C)
+    thin = [r for r in res.regions if r.element == (10,)]
+    assert thin[0].volume == pytest.approx(9.0441752e-12, rel=1e-6)
+    covered = math.fsum(r.volume for r in res.regions)
+    assert covered + cone_in_cube_volume(C) == pytest.approx(1.0, abs=1e-12)

@@ -8,31 +8,20 @@ C's columns and integrates the squared distance polynomial exactly over
 each region; an independent midpoint-quadrature oracle based on NNLS
 cross-checks it.
 """
-from .cone import (AdjacentCone, Cone, StateMatrix, adjacent_cone, adjacent_facets,
-                   as_state_matrix, cone_contains, cone_sub_elements, coni_facets,
-                   facet_normal_outward)
 from .encode import SlotConfig, SpikeTrain, bin_spikes, read_spike_file
 from .errors import (AllZeroMatrixError, BudgetExceededError, ConirepError,
                      DegenerateConeError, InputFormatError, IterationLimitError)
 from .evaluator import (EvaluationResult, RegionRecord, evaluate, output_volume,
                         region_report)
-from .integrate import region_integral, simplex_integral, squared_distance
-from .linalg import gram_schmidt, normal_vector, simplex_volume
-from .nnls import nnls, nnls_batch
-from .oracle import QuadratureResult, convergence_study, ir_num, residual_sq
-from .region import (RegionPolytope, build_region, hypercube_intersect, polytope_facets,
-                     triangulate_polytope)
+from .integrate import simplex_integral
+from .oracle import QuadratureResult, convergence_study, ir_num
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacentCone", "AllZeroMatrixError", "BudgetExceededError", "Cone", "ConirepError",
-    "DegenerateConeError", "EvaluationResult", "InputFormatError", "IterationLimitError",
-    "QuadratureResult", "RegionPolytope", "RegionRecord", "SlotConfig", "SpikeTrain",
-    "StateMatrix", "adjacent_cone", "adjacent_facets", "as_state_matrix", "bin_spikes",
-    "build_region", "cone_contains", "cone_sub_elements", "coni_facets", "convergence_study",
-    "evaluate", "facet_normal_outward", "gram_schmidt", "hypercube_intersect", "ir_num",
-    "nnls", "nnls_batch", "normal_vector", "output_volume", "polytope_facets",
-    "read_spike_file", "region_integral", "region_report", "residual_sq",
-    "simplex_integral", "simplex_volume", "squared_distance", "triangulate_polytope",
+    "AllZeroMatrixError", "BudgetExceededError", "ConirepError", "DegenerateConeError",
+    "EvaluationResult", "InputFormatError", "IterationLimitError", "QuadratureResult",
+    "RegionRecord", "SlotConfig", "SpikeTrain", "bin_spikes", "convergence_study",
+    "evaluate", "ir_num", "output_volume", "read_spike_file", "region_report",
+    "simplex_integral",
 ]

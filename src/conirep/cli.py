@@ -7,6 +7,9 @@ Commands:
     encode    bin a spike file into a matrix CSV
     sweep     evaluate every matrix file in a directory or glob
 
+Each command takes only the flags its cmd_* function reads (see
+`conirep <command> --help`); any other flag is a usage error.
+
 Exit codes: 0 success, 1 input error, 2 numerical fallback under --strict,
 3 budget exceeded, 4 numerical failure (degenerate geometry or a solver that
 did not converge).
@@ -26,7 +29,6 @@ from .encode import SlotConfig, bin_spikes, read_spike_file
 from .errors import (BudgetExceededError, ConirepError, DegenerateConeError, InputFormatError,
                      IterationLimitError)
 from .evaluator import EvaluationResult, evaluate
-from .linalg import TOL_GEOM
 from .oracle import SAMPLE_BUDGET, convergence_study, ir_num
 
 SCHEMA_VERSION = 1
@@ -159,8 +161,7 @@ def _parse_ns(text: str):
 
 def cmd_evaluate(args) -> int:
     matrix = read_matrix(args.input)
-    result = evaluate(matrix, tol_geom=args.tol_geom, budget_samples=args.budget_samples,
-                      threads=_resolve_threads(args))
+    result = evaluate(matrix, budget_samples=args.budget_samples, threads=_resolve_threads(args))
     report = result_to_report(result)
     _emit(_format_report(report, args.format), args.output)
     if args.strict and result.method == "numerical-fallback":
@@ -197,8 +198,7 @@ def cmd_numeric(args) -> int:
 
 def cmd_compare(args) -> int:
     matrix = read_matrix(args.input)
-    result = evaluate(matrix, tol_geom=args.tol_geom, budget_samples=args.budget_samples,
-                      threads=_resolve_threads(args))
+    result = evaluate(matrix, budget_samples=args.budget_samples, threads=_resolve_threads(args))
     rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
                              budget=args.budget_samples, threads=_resolve_threads(args))
     lines = ["n,ir_num,abs_error"]
@@ -248,8 +248,8 @@ def cmd_sweep(args) -> int:
     rows = []
     fallback_used = False
     for path in paths:
-        result = evaluate(read_matrix(path), tol_geom=args.tol_geom,
-                          budget_samples=args.budget_samples, threads=threads)
+        result = evaluate(read_matrix(path), budget_samples=args.budget_samples,
+                          threads=threads)
         fallback_used |= result.method == "numerical-fallback"
         rows.append((path, result))
     if args.format == "json":
@@ -274,39 +274,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate how well a nonnegative activity matrix supports "
                     "a nonnegative-weighted readout.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="input file (matrix CSV or spike file)")
-    common.add_argument("--output", default=None, help="output file; stdout when omitted")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--n", default="32",
-                        help="grid resolution; comma-separated list for compare")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for quadrature (env CONIREP_THREADS)")
-    common.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded, byte-stable output")
-    common.add_argument("--strict", action="store_true",
+    # flag groups shared by several commands; each command takes only the
+    # groups whose flags its cmd_* function reads
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, help="input file (matrix CSV or spike file)")
+    files.add_argument("--output", default=None, help="output file; stdout when omitted")
+    compute = argparse.ArgumentParser(add_help=False)
+    compute.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    compute.add_argument("--threads", type=int, default=None,
+                         help="worker threads for quadrature (env CONIREP_THREADS)")
+    compute.add_argument("--deterministic", action="store_true",
+                         help="force single-threaded, byte-stable output")
+    compute.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
+                         help="max total quadrature samples")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true",
                         help="exit 2 when a numerical fallback is used")
-    common.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
-                        help="max total quadrature samples")
-    common.add_argument("--tol-geom", type=float, default=TOL_GEOM,
-                        help="geometric comparison tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("evaluate", parents=[common],
+    sub.add_parser("evaluate", parents=[files, compute, strict],
                    help="analytical evaluation of a matrix file").set_defaults(func=cmd_evaluate)
-    sub.add_parser("numeric", parents=[common],
-                   help="midpoint quadrature estimate").set_defaults(func=cmd_numeric)
-    sub.add_parser("compare", parents=[common],
-                   help="quadrature convergence against the analytical value"
-                   ).set_defaults(func=cmd_compare, n="8,16,32,64")
-    p_encode = sub.add_parser("encode", parents=[common],
+    p_numeric = sub.add_parser("numeric", parents=[files, compute],
+                               help="midpoint quadrature estimate")
+    p_numeric.add_argument("--n", default="32", help="grid resolution")
+    p_numeric.set_defaults(func=cmd_numeric)
+    p_compare = sub.add_parser("compare", parents=[files, compute, strict],
+                               help="quadrature convergence against the analytical value")
+    p_compare.add_argument("--n", default="8,16,32,64",
+                           help="comma-separated grid resolutions")
+    p_compare.set_defaults(func=cmd_compare)
+    p_encode = sub.add_parser("encode", parents=[files],
                               help="bin a spike file into a matrix CSV")
     p_encode.add_argument("--slot-length", type=float, required=True,
                           help="slot duration in seconds")
     p_encode.add_argument("--slots", type=int, required=True,
                           help="number of time slots (matrix rows)")
     p_encode.set_defaults(func=cmd_encode)
-    sub.add_parser("sweep", parents=[common],
+    sub.add_parser("sweep", parents=[files, compute, strict],
                    help="evaluate every matrix file in a directory or glob"
                    ).set_defaults(func=cmd_sweep)
     return parser

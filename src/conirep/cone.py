@@ -124,7 +124,7 @@ def _unit_dedup(columns: np.ndarray):
     return units, origins
 
 
-def _extreme_filter(units, tol_geom: float):
+def _extreme_filter(units):
     """Indices of the rays not expressible as conical combinations of the rest."""
     k = len(units)
     if k == 1:
@@ -134,15 +134,15 @@ def _extreme_filter(units, tol_geom: float):
     for i in range(k):
         others = np.delete(U, i, axis=1)
         _, rnorm = nnls(others, U[:, i])
-        if rnorm >= tol_geom:
+        if rnorm >= TOL_GEOM:
             keep.append(i)
     return keep
 
 
-def _merge_coplanar(hull: ConvexHull, tol: float):
+def _merge_coplanar(hull: ConvexHull):
     """Group hull simplices into maximal coplanar facets via the neighbor graph.
 
-    Neighbouring simplices merge when their equations agree within `tol`
+    Neighbouring simplices merge when their equations agree within TOL_GEOM
     entrywise; each group keeps the equation of its lowest-numbered simplex.
     """
     eqs = hull.equations
@@ -155,7 +155,7 @@ def _merge_coplanar(hull: ConvexHull, tol: float):
             a = parent[a]
         return a
 
-    close = np.all(np.abs(eqs[:, None, :] - eqs[hull.neighbors]) < tol, axis=2)
+    close = np.all(np.abs(eqs[:, None, :] - eqs[hull.neighbors]) < TOL_GEOM, axis=2)
     for i, k in zip(*np.nonzero(close)):
         ri, rj = find(int(i)), find(int(hull.neighbors[i, k]))
         if ri != rj:
@@ -170,7 +170,7 @@ def _merge_coplanar(hull: ConvexHull, tol: float):
     return merged
 
 
-def cone_halfspaces(rays: np.ndarray, tol_geom: float = TOL_GEOM):
+def cone_halfspaces(rays: np.ndarray):
     """Facets and outward unit normals of the full-dimensional pointed cone over `rays`.
 
     Works on any extreme ray set (entries of any sign); used both for the
@@ -187,8 +187,8 @@ def cone_halfspaces(rays: np.ndarray, tol_geom: float = TOL_GEOM):
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
     found = []
-    for verts, eq in _merge_coplanar(hull, tol_geom):
-        if 0 in verts and abs(eq[-1]) < tol_geom:
+    for verts, eq in _merge_coplanar(hull):
+        if 0 in verts and abs(eq[-1]) < TOL_GEOM:
             found.append((sorted(v - 1 for v in verts if v != 0), eq[:-1]))
     if not found:
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
@@ -196,7 +196,7 @@ def cone_halfspaces(rays: np.ndarray, tol_geom: float = TOL_GEOM):
     return tuple(frozenset(f) for f, _ in found), np.array([n for _, n in found])
 
 
-def sub_elements_of(facets, rays: np.ndarray, tol_geom: float = TOL_GEOM):
+def sub_elements_of(facets, rays: np.ndarray):
     """Boundary elements of dims 1..m-1: closure of facets under intersection.
 
     Every proper face of a pointed cone is an intersection of facets, and the
@@ -218,13 +218,13 @@ def sub_elements_of(facets, rays: np.ndarray, tol_geom: float = TOL_GEOM):
         frontier = new
     by_dim: dict[int, list[frozenset[int]]] = {}
     for face in all_faces:
-        r = np.linalg.matrix_rank(rays[sorted(face)], tol=tol_geom)
+        r = np.linalg.matrix_rank(rays[sorted(face)], tol=TOL_GEOM)
         if 1 <= r <= m - 1:
             by_dim.setdefault(int(r), []).append(face)
     return {d: tuple(sorted(faces, key=sorted)) for d, faces in sorted(by_dim.items())}
 
 
-def coni_facets(C, tol_geom: float = TOL_GEOM) -> Cone:
+def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
     Zero columns are dropped, collinear columns merged, and non-extreme
@@ -236,26 +236,26 @@ def coni_facets(C, tol_geom: float = TOL_GEOM) -> Cone:
     units, origins = _unit_dedup(sm.entries)
     if not units:
         raise AllZeroMatrixError("matrix has no nonzero column")
-    keep = _extreme_filter(units, tol_geom)
+    keep = _extreme_filter(units)
     rays = np.array([units[i] for i in keep])
     ray_origins = [tuple(origins[i]) for i in keep]
     order = np.lexsort(rays.T[::-1])
     rays = rays[order]
     ray_origins = tuple(ray_origins[i] for i in order)
-    rank = int(np.linalg.matrix_rank(rays, tol=tol_geom))
+    rank = int(np.linalg.matrix_rank(rays, tol=TOL_GEOM))
     facets: tuple[frozenset[int], ...] = ()
     normals = np.zeros((0, sm.m))
     if rank == sm.m and sm.m >= 2:
-        facets, normals = cone_halfspaces(rays, tol_geom)
+        facets, normals = cone_halfspaces(rays)
     return Cone(rays=rays, ray_origins=ray_origins, facets=facets, normals=normals,
                 cone_rank=rank)
 
 
-def cone_sub_elements(cone: Cone, tol_geom: float = TOL_GEOM) -> Cone:
+def cone_sub_elements(cone: Cone) -> Cone:
     """Return the cone with its element lattice (dims 1..m-1) populated."""
     if not cone.facets:
         raise DegenerateConeError("cone has no facets; build with coni_facets first")
-    elements = sub_elements_of(cone.facets, cone.rays, tol_geom)
+    elements = sub_elements_of(cone.facets, cone.rays)
     return replace(cone, elements=elements)
 
 
@@ -270,7 +270,7 @@ def adjacent_facets(element: frozenset, cone: Cone):
     return tuple(f for f in cone.facets if element <= f)
 
 
-def facet_normal_outward(facet: frozenset, cone: Cone, tol_geom: float = TOL_GEOM) -> np.ndarray:
+def facet_normal_outward(facet: frozenset, cone: Cone) -> np.ndarray:
     """Unit normal of a facet, oriented away from the cone.
 
     Orthogonal to every facet ray; nonpositive dot product with every other
@@ -285,12 +285,12 @@ def facet_normal_outward(facet: frozenset, cone: Cone, tol_geom: float = TOL_GEO
     n = normal_vector(basis.T)
     dots = cone.rays @ n
     pivot = int(np.argmax(np.abs(dots)))
-    if abs(dots[pivot]) <= tol_geom:
+    if abs(dots[pivot]) <= TOL_GEOM:
         raise DegenerateConeError("all rays lie in the facet span; cone is rank-deficient")
     if dots[pivot] > 0:
         n = -n
         dots = -dots
-    if np.any(dots > tol_geom):
+    if np.any(dots > TOL_GEOM):
         raise DegenerateConeError("facet normal cannot be oriented away from all rays")
     return n
 

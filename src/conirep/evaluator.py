@@ -17,7 +17,6 @@ from .cone import (TOL_MEMBER, Cone, adjacent_cone, as_state_matrix, cone_sub_el
                    coni_facets)
 from .errors import BudgetExceededError
 from .integrate import region_integral
-from .linalg import TOL_GEOM
 from .oracle import SAMPLE_BUDGET, ir_num
 from .region import build_region
 
@@ -54,12 +53,9 @@ class EvaluationResult:
     diagnostics: tuple[str, ...]
 
 
-def evaluate(C, tol_geom: float = TOL_GEOM, budget_samples: int = SAMPLE_BUDGET,
-             threads: int = 1, max_elements: int = MAX_ELEMENTS,
-             max_simplices: int = MAX_SIMPLICES) -> EvaluationResult:
+def evaluate(C, budget_samples: int = SAMPLE_BUDGET, threads: int = 1) -> EvaluationResult:
     """Mean squared readout error of C over all targets in the unit hypercube."""
-    return _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
-                     force_regions=False)
+    return _evaluate(C, budget_samples, threads, force_regions=False)
 
 
 def output_volume(C, **kwargs) -> float:
@@ -67,20 +63,17 @@ def output_volume(C, **kwargs) -> float:
     return evaluate(C, **kwargs).output_volume
 
 
-def region_report(C, tol_geom: float = TOL_GEOM, budget_samples: int = SAMPLE_BUDGET,
-                  threads: int = 1, max_elements: int = MAX_ELEMENTS,
-                  max_simplices: int = MAX_SIMPLICES) -> tuple[RegionRecord, ...]:
+def region_report(C, budget_samples: int = SAMPLE_BUDGET,
+                  threads: int = 1) -> tuple[RegionRecord, ...]:
     """Per-element region rows, forcing the full pipeline where it applies.
 
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
-    return _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
-                     force_regions=True).regions
+    return _evaluate(C, budget_samples, threads, force_regions=True).regions
 
 
-def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
-              force_regions) -> EvaluationResult:
+def _evaluate(C, budget_samples, threads, force_regions) -> EvaluationResult:
     sm = as_state_matrix(C)
     m, n = sm.m, sm.n
     if m > MAX_DIM:
@@ -106,7 +99,7 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
             diagnostics=("m = 1: any positive column spans the whole interval",),
         )
 
-    cone = coni_facets(sm, tol_geom)
+    cone = coni_facets(sm)
     extreme_cols = tuple(sorted(j + 1 for cols in cone.ray_origins for j in cols))
     redundant_cols = tuple(sorted(set(range(1, n + 1)) - set(extreme_cols) - set(zero_cols)))
 
@@ -122,10 +115,10 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
             diagnostics=("cone contains every hypercube vertex: full coverage",),
         )
 
-    cone = cone_sub_elements(cone, tol_geom)
+    cone = cone_sub_elements(cone)
     n_elements = sum(len(v) for v in cone.elements.values())
-    if n_elements > max_elements:
-        raise BudgetExceededError(f"{n_elements} cone elements exceed the limit of {max_elements}")
+    if n_elements > MAX_ELEMENTS:
+        raise BudgetExceededError(f"{n_elements} cone elements exceed the limit of {MAX_ELEMENTS}")
 
     records: list[RegionRecord] = []
     ir = 0.0
@@ -134,11 +127,11 @@ def _evaluate(C, tol_geom, budget_samples, threads, max_elements, max_simplices,
     for dim in sorted(cone.elements):
         for elem in cone.elements[dim]:
             adj = adjacent_cone(elem, cone)
-            region = build_region(adj, tol_geom)
+            region = build_region(adj)
             n_simplices += len(region.simplices)
-            if n_simplices > max_simplices:
+            if n_simplices > MAX_SIMPLICES:
                 raise BudgetExceededError(
-                    f"{n_simplices} simplices exceed the limit of {max_simplices}")
+                    f"{n_simplices} simplices exceed the limit of {MAX_SIMPLICES}")
             integral = region_integral(region, adj.element_rays)
             records.append(RegionRecord(
                 element=tuple(i + 1 for i in sorted(elem)),
@@ -176,11 +169,14 @@ def _fallback(sm, cone: Cone, extreme_cols, redundant_cols, zero_cols,
     """Quadrature route for cones that do not span the full space.
 
     Such a cone has measure zero in R^m, so the output volume is exactly 0.
-    The grid resolution honors a floor of 16 points per axis even if that
-    overruns the sample budget; the overrun is reported, not fatal.
+    The grid resolution is the largest N with N^m within the sample budget,
+    with a floor of 16 points per axis even if that overruns the budget; the
+    overrun is reported, not fatal.
     """
     m = sm.m
-    n_axis = max(16, int(budget_samples ** (1.0 / m)))
+    # rounding the float m-th root gives the integer root or one more
+    root = round(max(budget_samples, 1) ** (1.0 / m))
+    n_axis = max(16, root - (root ** m > budget_samples))
     diagnostics = [f"cone rank {cone.cone_rank} < {m}: numerical fallback at N = {n_axis}"]
     total = n_axis ** m
     if total > budget_samples:

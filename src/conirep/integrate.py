@@ -34,16 +34,16 @@ def squared_distance(point, basis: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def simplex_integrals(points, basis: np.ndarray) -> np.ndarray:
+def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Integrals of squared_distance(., basis) over a stack of simplices.
 
-    `points` is (s, m+1, m). Zero-volume simplices give 0. Each value is
+    `points` is (s, m+1, m) and `vol` their (s,) volumes, from
+    linalg.simplex_volumes. Zero-volume simplices give 0. Each value is
     clamped at 0; roundoff can otherwise produce a tiny negative for
     simplices lying in the span.
     """
     P = np.asarray(points, dtype=float)
     m = P.shape[2]
-    vol = simplex_volumes(P)
 
     def q(X):
         val = np.einsum("...k,...k->...", X, X)
@@ -59,7 +59,8 @@ def simplex_integrals(points, basis: np.ndarray) -> np.ndarray:
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of squared_distance(., basis) over one simplex, exactly."""
-    return float(simplex_integrals(np.asarray(vertices, dtype=float)[None], basis)[0])
+    P = np.asarray(vertices, dtype=float)[None]
+    return float(simplex_integrals(P, simplex_volumes(P), basis)[0])
 
 
 def region_integral(region: RegionPolytope, element_rays) -> float:
@@ -75,4 +76,5 @@ def region_integral(region: RegionPolytope, element_rays) -> float:
         basis = gram_schmidt(rays)
     else:
         basis = np.zeros((region.vertices.shape[1], 0))
-    return float(simplex_integrals(region.vertices[region.simplices], basis).sum())
+    points = region.vertices[region.simplices]
+    return float(simplex_integrals(points, region.volumes, basis).sum())

@@ -12,20 +12,18 @@ import numpy as np
 
 # Relative threshold below which a vector counts as linearly dependent.
 TOL_RANK = 1e-9
-# Allowed deviation from exact orthonormality.
-TOL_ORTHO = 1e-10
 # Generic geometric comparison tolerance (dot products, signs, coordinates).
 TOL_GEOM = 1e-9
 
 
-def gram_schmidt(rays, tol_rank: float = TOL_RANK) -> np.ndarray:
+def gram_schmidt(rays) -> np.ndarray:
     """Orthonormal basis of span(rays) as an (m, k) column matrix.
 
     Linearly dependent inputs are dropped: a ray whose residual after
-    projection onto the earlier columns has norm below ``tol_rank`` (relative
+    projection onto the earlier columns has norm below ``TOL_RANK`` (relative
     to the ray's own norm) contributes no column. The result has exactly
     rank-many columns. Re-orthogonalization keeps the columns orthonormal to
-    well below TOL_ORTHO in double precision.
+    near machine precision.
     """
     rays = [np.asarray(r, dtype=float) for r in rays]
     if not rays:
@@ -42,7 +40,7 @@ def gram_schmidt(rays, tol_rank: float = TOL_RANK) -> np.ndarray:
         for _ in range(2):
             for q in cols:
                 v -= (q @ v) * q
-        if np.linalg.norm(v) > tol_rank * max(scale, 1.0):
+        if np.linalg.norm(v) > TOL_RANK * max(scale, 1.0):
             cols.append(v / np.linalg.norm(v))
     if not cols:
         return np.zeros((m, 0))

@@ -18,11 +18,11 @@ from .errors import IterationLimitError
 TOL_KKT = 1e-10
 
 
-def _kkt_tol(G: np.ndarray, tol_kkt: float) -> float:
-    return tol_kkt * (1.0 + float(np.abs(G).max(initial=0.0)))
+def _kkt_tol(G: np.ndarray) -> float:
+    return TOL_KKT * (1.0 + float(np.abs(G).max(initial=0.0)))
 
 
-def nnls(A, b, tol_kkt: float = TOL_KKT, max_iter: int | None = None):
+def nnls(A, b, max_iter: int | None = None):
     """Minimize ||A x - b||_2 subject to x >= 0.
 
     Returns ``(x, rnorm)`` with ``rnorm = ||A x - b||_2``. The entering
@@ -40,7 +40,7 @@ def nnls(A, b, tol_kkt: float = TOL_KKT, max_iter: int | None = None):
         max_iter = max(10 * n, 30)
     G = A.T @ A
     h = A.T @ b
-    tol = _kkt_tol(G, tol_kkt)
+    tol = _kkt_tol(G)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -80,7 +80,7 @@ def nnls(A, b, tol_kkt: float = TOL_KKT, max_iter: int | None = None):
     return x, float(np.linalg.norm(b - A @ x))
 
 
-def nnls_batch(A, points, tol_kkt: float = TOL_KKT, max_iter: int | None = None):
+def nnls_batch(A, points):
     """Solve min ||A x - p||_2, x >= 0 for every column p of ``points``.
 
     Returns ``(X, rsq)``: X has one solution per column and rsq holds the
@@ -97,11 +97,10 @@ def nnls_batch(A, points, tol_kkt: float = TOL_KKT, max_iter: int | None = None)
         raise ValueError(f"incompatible shapes {A.shape} and {pts.shape}")
     m, n = A.shape
     p = pts.shape[1]
-    if max_iter is None:
-        max_iter = max(10 * n, 30)
+    max_iter = max(10 * n, 30)
     G = A.T @ A
     H = A.T @ pts
-    tol = _kkt_tol(G, tol_kkt)
+    tol = _kkt_tol(G)
 
     X = np.zeros((n, p))
     passive = np.zeros((n, p), dtype=bool)
@@ -153,7 +152,7 @@ def nnls_batch(A, points, tol_kkt: float = TOL_KKT, max_iter: int | None = None)
     Wf = H - G @ X
     bad = (passive & (np.abs(Wf) > 10 * tol)) | (~passive & (Wf > 10 * tol))
     for j in np.flatnonzero(bad.any(axis=0)):
-        X[:, j] = nnls(A, pts[:, j], tol_kkt=tol_kkt)[0]
+        X[:, j] = nnls(A, pts[:, j])[0]
     R = A @ X - pts
     return X, np.einsum("ij,ij->j", R, R)
 

@@ -15,10 +15,9 @@ import numpy as np
 
 from .cone import as_state_matrix
 from .errors import BudgetExceededError
-from .nnls import TOL_KKT, nnls, nnls_batch
+from .nnls import nnls_batch
 
-__all__ = ["QuadratureResult", "nnls", "residual_sq", "ir_num", "convergence_study",
-           "SAMPLE_BUDGET"]
+__all__ = ["QuadratureResult", "residual_sq", "ir_num", "convergence_study", "SAMPLE_BUDGET"]
 
 # Default ceiling on the total number of grid samples per call.
 SAMPLE_BUDGET = 10_000_000
@@ -58,8 +57,7 @@ def _grid_chunk(m: int, n: int, start: int, stop: int) -> np.ndarray:
     return pts
 
 
-def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1,
-           tol_kkt: float = TOL_KKT) -> QuadratureResult:
+def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> QuadratureResult:
     """Average squared NNLS residual over the N^m midpoint grid.
 
     Deterministic: the grid order is fixed and per-chunk sums are reduced in
@@ -80,7 +78,7 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1,
     def chunk_sum(bounds):
         start, stop = bounds
         pts = _grid_chunk(m, n, start, stop)
-        _, rsq = nnls_batch(A, pts, tol_kkt=tol_kkt)
+        _, rsq = nnls_batch(A, pts)
         return float(rsq.sum())
 
     if threads > 1 and len(ranges) > 1:

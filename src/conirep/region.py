@@ -29,15 +29,20 @@ class RegionPolytope:
     """V-representation of one region plus its triangulation.
 
     vertices: (k, m), the origin first. simplices: (s, m+1) vertex indices.
+    volumes: (s,) simplex volumes, kept for the integration.
     """
 
     element: frozenset[int]
     vertices: np.ndarray
     simplices: np.ndarray
-    volume: float
+    volumes: np.ndarray
+
+    @property
+    def volume(self) -> float:
+        return float(self.volumes.sum())
 
 
-def _interior_point(G: np.ndarray, tol_geom: float):
+def _interior_point(G: np.ndarray):
     """A point x with G @ x >= 1 row-wise, or None when the rows admit none.
 
     Least-distance programming by NNLS (Lawson & Hanson 1974, ch. 23): the
@@ -53,13 +58,13 @@ def _interior_point(G: np.ndarray, tol_geom: float):
     f = np.zeros(m + 1)
     f[m] = 1.0
     u, rnorm = nnls(E, f)
-    if rnorm <= tol_geom:
+    if rnorm <= TOL_GEOM:
         return None
     active = u > 0.0
     return np.linalg.lstsq(G[active], np.ones(int(active.sum())), rcond=None)[0]
 
 
-def hypercube_intersect(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> np.ndarray:
+def hypercube_intersect(adj: AdjacentCone) -> np.ndarray:
     """Vertices of (adjacent cone) intersect [0,1]^m, deduplicated, origin first.
 
     Returns an empty (0, m) array when the region has no interior: the
@@ -68,13 +73,13 @@ def hypercube_intersect(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> np.nda
     """
     gens = adj.generators
     m = gens.shape[1]
-    if np.linalg.matrix_rank(gens, tol=tol_geom) < m:
+    if np.linalg.matrix_rank(gens, tol=TOL_GEOM) < m:
         return np.zeros((0, m))
-    _, normals = cone_halfspaces(gens, tol_geom)
+    _, normals = cone_halfspaces(gens)
     eye = np.eye(m)
     # strictly inside the cone and the orthant; x >= 1, so x / (2 max x) is
     # inside the cube too
-    x = _interior_point(np.vstack([-normals, eye]), tol_geom)
+    x = _interior_point(np.vstack([-normals, eye]))
     if x is None:
         return np.zeros((0, m))
     halfspaces = np.vstack([
@@ -90,7 +95,7 @@ def hypercube_intersect(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> np.nda
     return pts[keep]
 
 
-def polytope_facets(vertices: np.ndarray, tol_geom: float = TOL_GEOM):
+def polytope_facets(vertices: np.ndarray):
     """Simplicial facets of the joggled convex hull of a vertex set.
 
     Returns (facets, planes): an (f, m) array of vertex indices and the
@@ -101,14 +106,13 @@ def polytope_facets(vertices: np.ndarray, tol_geom: float = TOL_GEOM):
     """
     V = np.asarray(vertices, dtype=float)
     m = V.shape[1]
-    if V.shape[0] < m + 1 or np.linalg.matrix_rank(V - V[0], tol=tol_geom) < m:
+    if V.shape[0] < m + 1 or np.linalg.matrix_rank(V - V[0], tol=TOL_GEOM) < m:
         return np.zeros((0, m), dtype=int), np.zeros((0, m + 1))
     hull = ConvexHull(V, qhull_options="QJ")
     return hull.simplices, hull.equations
 
 
-def triangulate_polytope(facets, vertices: np.ndarray,
-                         tol_geom: float = TOL_GEOM) -> np.ndarray:
+def triangulate_polytope(facets, vertices: np.ndarray) -> np.ndarray:
     """Fan triangulation from vertex 0 over the facets that miss it.
 
     `facets` is the (facets, planes) pair from polytope_facets. Facets whose
@@ -118,21 +122,20 @@ def triangulate_polytope(facets, vertices: np.ndarray,
     """
     indices, planes = facets
     apex = np.asarray(vertices, dtype=float)[0]
-    away = planes[:, :-1] @ apex + planes[:, -1] < -tol_geom
+    away = planes[:, :-1] @ apex + planes[:, -1] < -TOL_GEOM
     return np.column_stack([np.zeros(int(away.sum()), dtype=int), indices[away]])
 
 
-def build_region(adj: AdjacentCone, tol_geom: float = TOL_GEOM) -> RegionPolytope:
+def build_region(adj: AdjacentCone) -> RegionPolytope:
     """Intersect, hull, and triangulate one adjacent cone against the cube."""
     try:
-        verts = hypercube_intersect(adj, tol_geom)
-        facets = polytope_facets(verts, tol_geom)
+        verts = hypercube_intersect(adj)
+        facets = polytope_facets(verts)
     except QhullError as exc:
         raise DegenerateConeError(
             f"region of element {sorted(adj.element)}: {exc}") from exc
     if not len(facets[0]):
         empty = np.zeros((0, verts.shape[1] + 1), dtype=int)
-        return RegionPolytope(adj.element, verts, empty, 0.0)
-    simplices = triangulate_polytope(facets, verts, tol_geom)
-    volume = float(simplex_volumes(verts[simplices]).sum())
-    return RegionPolytope(adj.element, verts, simplices, volume)
+        return RegionPolytope(adj.element, verts, empty, np.zeros(0))
+    simplices = triangulate_polytope(facets, verts)
+    return RegionPolytope(adj.element, verts, simplices, simplex_volumes(verts[simplices]))

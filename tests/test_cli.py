@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conirep.cli import main, read_matrix, write_matrix
+from conirep.cli import build_parser, main, read_matrix, write_matrix
 from conirep.errors import DegenerateConeError, InputFormatError, IterationLimitError
 from conirep.oracle import ir_num
 
@@ -108,6 +108,24 @@ def test_usage_errors_exit_one(capsys):
     assert main(["evaluate", "--bogus"]) == 1
     assert main(["numeric"]) == 1
     capsys.readouterr()
+
+
+ENCODE = "encode --slot-length 1 --slots 2"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--n 8"),
+    ("numeric", "--strict"),
+    (ENCODE, "--format csv"),
+    (ENCODE, "--threads 2"),
+    ("sweep", "--n 8"),
+    *[(c, "--tol-geom 1e-9") for c in ("evaluate", "numeric", "compare", ENCODE, "sweep")],
+])
+def test_unread_flags_are_rejected(capsys, command, flag):
+    assert main(f"{command} --input unused.csv {flag}".split()) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    args = build_parser().parse_args(["compare", "--input", "unused.csv"])
+    assert args.n == "8,16,32,64"
 
 
 def test_strict_flags_fallback(capsys, tmp_path):

@@ -105,13 +105,25 @@ def test_fallback_reports_budget_overrun():
     assert any("overrun" in d for d in res.diagnostics)
 
 
-def test_dimension_and_element_budgets(tilted):
+def test_fallback_grid_is_the_exact_integer_root():
+    # 30^3 is an exact cube; a float cube root reads 29.999..., one short
+    C = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
+    res = evaluate(C, budget_samples=30**3)
+    assert res.diagnostics == ("cone rank 2 < 3: numerical fallback at N = 30",)
+    assert "N = 29" in evaluate(C, budget_samples=30**3 - 1).diagnostics[0]
+
+
+def test_dimension_and_element_budgets(tilted, monkeypatch):
     with pytest.raises(BudgetExceededError):
         evaluate(np.zeros((11, 1)))
-    with pytest.raises(BudgetExceededError):
-        evaluate(tilted, max_elements=1)
-    with pytest.raises(BudgetExceededError):
-        evaluate(tilted, max_simplices=1)
+    with monkeypatch.context() as mp:
+        mp.setattr("conirep.evaluator.MAX_ELEMENTS", 1)
+        with pytest.raises(BudgetExceededError, match="elements"):
+            evaluate(tilted)
+    with monkeypatch.context() as mp:
+        mp.setattr("conirep.evaluator.MAX_SIMPLICES", 1)
+        with pytest.raises(BudgetExceededError, match="simplices"):
+            evaluate(tilted)
 
 
 def test_input_validation():

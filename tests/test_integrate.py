@@ -7,7 +7,7 @@ import pytest
 import sympy as sp
 
 from conirep.integrate import region_integral, simplex_integral, squared_distance
-from conirep.linalg import gram_schmidt
+from conirep.linalg import gram_schmidt, simplex_volumes
 from conirep.region import RegionPolytope, polytope_facets, triangulate_polytope
 
 SQ2 = 1 / math.sqrt(2)
@@ -113,13 +113,14 @@ def test_region_integral_unit_cube_against_origin():
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
     simplices = triangulate_polytope(polytope_facets(cube), cube)
-    region = RegionPolytope(element=frozenset(), vertices=cube,
-                            simplices=simplices, volume=1.0)
+    region = RegionPolytope(element=frozenset(), vertices=cube, simplices=simplices,
+                            volumes=simplex_volumes(cube[simplices]))
+    assert region.volume == pytest.approx(1.0, abs=1e-15)
     # integral of |x|^2 over the unit cube is m/3
     assert region_integral(region, EMPTY3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_integral_empty_region():
     region = RegionPolytope(element=frozenset({0}),
-                            vertices=np.zeros((0, 2)), simplices=(), volume=0.0)
+                            vertices=np.zeros((0, 2)), simplices=(), volumes=np.zeros(0))
     assert region_integral(region, np.array([[1.0, 0.0]])) == 0.0

@@ -55,18 +55,18 @@ def test_wedge_diagonal_region_build():
 
 def test_interior_point_least_distance():
     # x >= 1 componentwise: the least-norm solution is the all-ones corner
-    np.testing.assert_allclose(_interior_point(np.eye(3), 1e-9), np.ones(3), atol=1e-12)
+    np.testing.assert_allclose(_interior_point(np.eye(3)), np.ones(3), atol=1e-12)
     # x1 + x2 >= 1 alone: the closest point to the origin is (1/2, 1/2)
-    np.testing.assert_allclose(_interior_point(np.array([[1.0, 1.0]]), 1e-9),
+    np.testing.assert_allclose(_interior_point(np.array([[1.0, 1.0]])),
                                [0.5, 0.5], atol=1e-12)
     rng = np.random.default_rng(61)
     for _ in range(20):
         G = rng.standard_normal((6, 3))
-        x = _interior_point(G, 1e-9)
+        x = _interior_point(G)
         if x is not None:
             assert np.all(G @ x >= 1.0 - 1e-9)
     # x1 >= 1 and -x1 >= 1 cannot both hold
-    assert _interior_point(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1e-9) is None
+    assert _interior_point(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
 
 
 def test_region_vertices_stay_in_cube_and_cone():

@@ -3,10 +3,13 @@
 Two entry points: :func:`nnls` solves a single problem and is the reference
 implementation used by all geometric predicates; :func:`nnls_batch` advances
 many right-hand sides in lockstep against one matrix, grouping points that
-share an active-set pattern into a single linear solve. The batch variant
-exists because quadrature grids need 10^5..10^7 solves per call; both return
-identical optima (up to solver roundoff) and the batch path re-runs any point
-that fails its KKT verification through the scalar solver.
+share an active-set pattern into a single linear solve (Van Benthem &
+Keenan, 2004). Points are grouped by a packed passive-set key in stable
+order, so no solve depends on how many patterns there are or on the order
+the groups are visited in. The batch variant exists because quadrature grids
+need 10^5..10^7 solves per call; both return identical optima (up to solver
+roundoff) and the batch path re-runs any point that fails its KKT
+verification through the scalar solver.
 """
 from __future__ import annotations
 
@@ -95,7 +98,7 @@ def nnls_batch(A, points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != A.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {pts.shape}")
-    m, n = A.shape
+    n = A.shape[1]
     p = pts.shape[1]
     max_iter = max(10 * n, 30)
     G = A.T @ A
@@ -108,7 +111,8 @@ def nnls_batch(A, points):
     for _ in range(max_iter):
         if live.size == 0:
             break
-        W = H[:, live] - G @ X[:, live]
+        W = H[:, live]
+        W -= G @ X[:, live]
         W[passive[:, live]] = -np.inf
         t = np.argmax(W, axis=0)
         wmax = W[t, np.arange(live.size)]
@@ -118,6 +122,7 @@ def nnls_batch(A, points):
         if entered.size == 0:
             break
         passive[t[growing], entered] = True
+        del W  # n x p; free it before the solves, where memory peaks
 
         pending = entered
         while pending.size:
@@ -158,14 +163,22 @@ def nnls_batch(A, points):
 
 
 def _solve_patterns(G, H, passive, pending):
-    """Least-squares coefficients on each point's passive set, zero elsewhere."""
+    """Least-squares coefficients on each point's passive set, zero elsewhere.
+
+    Points are grouped by a packed passive-set key in stable order, so each
+    group solves its columns in ascending order whatever the number of
+    patterns or the order the groups are visited in.
+    """
     n = G.shape[0]
     Z = np.zeros((n, pending.size))
     pats = passive[:, pending]
-    uniq, inv = np.unique(pats.T, axis=0, return_inverse=True)
-    for k in range(uniq.shape[0]):
-        rows = np.flatnonzero(uniq[k])
-        cols = np.flatnonzero(inv == k)
+    key = np.packbits(pats.T, axis=1, bitorder="little")
+    words = np.pad(key, ((0, 0), (0, -key.shape[1] % 8))).view(np.uint64)
+    order = np.lexsort(words.T)
+    words = words[order]
+    cuts = np.flatnonzero((words[1:] != words[:-1]).any(axis=1)) + 1
+    for cols in np.split(order, cuts):
+        rows = np.flatnonzero(pats[:, cols[0]])
         if rows.size == 0:
             continue
         sub = G[np.ix_(rows, rows)]

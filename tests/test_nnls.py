@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
 from conirep.errors import IterationLimitError
-from conirep.nnls import nnls, nnls_batch
+from conirep.nnls import _solve_patterns, nnls, nnls_batch
 
 
 def test_exact_fit():
@@ -72,6 +75,90 @@ def test_batch_matches_scalar():
             assert rsq[i] == pytest.approx(rnorm**2, abs=1e-10)
             assert ((a @ xb[:, i] - pts[:, i]) ** 2).sum() == pytest.approx(
                 rsq[i], abs=1e-10)
+
+
+def _solve_patterns_by_row_sort(G, H, passive, pending):
+    """Reference grouping: np.unique over the boolean pattern rows."""
+    Z = np.zeros((G.shape[0], pending.size))
+    pats = passive[:, pending]
+    uniq, inv = np.unique(pats.T, axis=0, return_inverse=True)
+    for k in range(uniq.shape[0]):
+        rows = np.flatnonzero(uniq[k])
+        cols = np.flatnonzero(inv.ravel() == k)
+        if rows.size == 0:
+            continue
+        sub = G[np.ix_(rows, rows)]
+        rhs = H[np.ix_(rows, pending[cols])]
+        try:
+            sol = np.linalg.solve(sub, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        Z[np.ix_(rows, cols)] = sol
+    return Z
+
+
+# pattern lengths on either side of the key's byte (8) and word (64) boundaries
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_pattern_key_across_byte_and_word_boundaries(n):
+    rng = np.random.default_rng(43 + n)
+    a = rng.uniform(0.0, 2.0, size=(n + 2, n))
+    pts = rng.uniform(0.0, 1.0, size=(n + 2, 400))
+    G, H = a.T @ a, a.T @ pts
+    pending = np.sort(rng.choice(pts.shape[1], size=300, replace=False))
+    base = rng.random(n) < 0.5
+    pools = [rng.random((n, 12)) < 0.5]
+    # two patterns one bit apart sort next to each other, so a key that
+    # misses the byte or word holding that bit merges their groups
+    for bit in sorted({0, 7, 8, 63, 64, n - 1} & set(range(n))):
+        other = base.copy()
+        other[bit] ^= True
+        pools.append(np.stack([base, other, np.zeros(n, dtype=bool)], axis=1))
+    for pool in pools:
+        passive = pool[:, rng.integers(0, pool.shape[1], size=pts.shape[1])]
+        np.testing.assert_array_equal(_solve_patterns(G, H, passive, pending),
+                                      _solve_patterns_by_row_sort(G, H, passive, pending))
+
+    small = rng.uniform(0.0, 2.0, size=(4, n))
+    b = rng.uniform(0.0, 1.0, size=(4, 40))
+    xb, rsq = nnls_batch(small, b)
+    assert xb.min() >= 0.0
+    for i in range(b.shape[1]):
+        assert rsq[i] == pytest.approx(nnls(small, b[:, i])[1] ** 2, abs=1e-10)
+
+
+@st.composite
+def _nonnegative_problems(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 70))
+    p = draw(st.integers(1, 12))
+    entries = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    return (draw(arrays(float, (m, n), elements=entries)),
+            draw(arrays(float, (m, p), elements=entries)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_nonnegative_problems())
+def test_batch_matches_scalar_property(problem):
+    a, pts = problem
+    xb, rsq = nnls_batch(a, pts)
+    assert xb.min() >= 0.0
+    for i in range(pts.shape[1]):
+        _, rnorm = nnls(a, pts[:, i])
+        assert rsq[i] == pytest.approx(rnorm**2, abs=1e-10)
+
+
+# Found by a wider random search of the property above. The exact optimum is
+# (1, 1, 1e8) with zero residual; the scalar solver's lstsq step returns
+# 1 + 1e-8 for the second coefficient, so its gradient fails the KKT check.
+@pytest.mark.xfail(raises=IterationLimitError, strict=True,
+                   reason="scalar nnls raises on columns whose scales differ by 1e8")
+def test_scalar_matches_batch_on_badly_scaled_columns():
+    a = np.array([[1.0, 0.0, 1e-20], [1e-20, 1.0, 0.0], [1e-20, 0.0, 1e-8]])
+    b = np.ones(3)
+    _, rsq = nnls_batch(a, b[:, None])
+    assert rsq[0] == pytest.approx(0.0, abs=1e-20)
+    _, rnorm = nnls(a, b)
+    assert rnorm**2 == pytest.approx(rsq[0], abs=1e-10)
 
 
 def test_batch_deterministic_and_chunking_stable():

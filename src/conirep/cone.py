@@ -1,11 +1,14 @@
 """Conical hull geometry: extreme rays, facet lattice, adjacent cones.
 
-The cone of a nonnegative matrix is pointed (it lives in the positive
-orthant), so its boundary structure can be read off the convex hull of the
-origin together with the unit ray directions: the cone's facets are exactly
-the hull facets incident to the origin. Extremality of the rays themselves
-is decided by NNLS fits, not by hull vertex status; a non-extreme direction
-can still be a vertex of that point set.
+Every nonzero column of a nonnegative matrix lies in the positive orthant,
+so its unit ray u has a positive coordinate sum, and p = u / sum(u) lies on
+the slice {sum(x) = 1} of the orthant. A ray is extreme exactly when its p
+is a vertex of the convex hull of all the p's, so one hull of that slice
+names the candidate extreme rays, and an NNLS fit against all the other
+rays confirms each one. (Vertex status on {0} together with the unit rays
+says nothing: every unit ray lies on the sphere, so all of them are
+vertices.) The cone is pointed, so its facets are exactly the facets
+through the origin of the convex hull of the origin and the extreme rays.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from .nnls import nnls
 TOL_MEMBER = 1e-8
 # Unit rays with a mutual dot product above this merge into one ray.
 DEDUP_DOT = 1.0 - 1e-12
+# Gram-matrix columns formed at a time by the dedup, so memory stays O(n).
+DEDUP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -104,39 +109,58 @@ class AdjacentCone:
 def _unit_dedup(columns: np.ndarray):
     """Unit directions of the nonzero columns, merged when collinear.
 
-    Returns (units, origins): units is a list of unit vectors, origins the
-    0-based column indices behind each one.
+    Each column joins the first earlier representative whose unit has a dot
+    product above DEDUP_DOT with its own, read from a Gram matrix formed
+    DEDUP_BLOCK columns at a time; only columns with such an earlier twin go
+    through the greedy pass. Returns (units, origins): units is a (k, m)
+    array of unit rows, origins the 0-based column indices behind each one.
     """
-    units: list[np.ndarray] = []
-    origins: list[list[int]] = []
-    for j in range(columns.shape[1]):
-        col = columns[:, j]
-        if not col.any():
-            continue
-        u = col / np.linalg.norm(col)
-        for k, v in enumerate(units):
-            if u @ v > DEDUP_DOT:
-                origins[k].append(j)
-                break
-        else:
-            units.append(u)
-            origins.append([j])
-    return units, origins
+    nonzero = np.flatnonzero(columns.any(axis=0))
+    # per column: norm(axis=0) rounds differently in the last bit
+    units = np.array([col / np.linalg.norm(col) for col in columns.T[nonzero]])
+    k = nonzero.size
+    rep = np.ones(k, dtype=bool)
+    origins = [[j] for j in nonzero.tolist()]
+    for s in range(0, k, DEDUP_BLOCK):
+        cols = np.arange(s, min(s + DEDUP_BLOCK, k))
+        # close[i, c]: column i comes before cols[c] and is within DEDUP_DOT of it
+        close = (units @ units[cols].T > DEDUP_DOT) & (np.arange(k)[:, None] < cols)
+        for c in np.flatnonzero(close.any(axis=0)):
+            hits = np.flatnonzero(close[:, c] & rep)
+            if hits.size:
+                rep[cols[c]] = False
+                origins[hits[0]] += origins[cols[c]]
+    return units[rep], [o for o, r in zip(origins, rep) if r]
 
 
-def _extreme_filter(units):
-    """Indices of the rays not expressible as conical combinations of the rest."""
-    k = len(units)
+def _extreme_filter(units: np.ndarray):
+    """Indices of the unit rows not expressible as conical combinations of the rest.
+
+    A ray is extreme exactly when its point p = u / sum(u) on the slice
+    {sum(x) = 1} is a vertex of the hull of all the p's, so the hull names
+    the candidates: at m = 2 the two ends of the segment, at m >= 3 Qhull's
+    vertices of the slice (dropping the last coordinate is affine on it).
+    Every ray is a candidate when there are too few to span the slice or
+    Qhull finds it flat, as for a rank-deficient cone. A candidate is kept
+    when an NNLS fit by all the other rays leaves a residual of at least
+    TOL_GEOM; the rest are inside the hull and are dropped without a fit.
+    """
+    k, m = units.shape
     if k == 1:
         return [0]
-    keep = []
-    U = np.stack(units, axis=1)
-    for i in range(k):
-        others = np.delete(U, i, axis=1)
-        _, rnorm = nnls(others, U[:, i])
-        if rnorm >= TOL_GEOM:
-            keep.append(i)
-    return keep
+    U = units.T
+    P = U / U.sum(axis=0)
+    if m == 2:
+        candidates = {int(np.argmin(P[0])), int(np.argmax(P[0]))}
+    elif k > m:
+        try:
+            candidates = ConvexHull(P[:-1].T).vertices
+        except QhullError:
+            candidates = range(k)
+    else:
+        candidates = range(k)
+    return [i for i in sorted(candidates)
+            if nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
 
 
 def _merge_coplanar(hull: ConvexHull):
@@ -228,16 +252,16 @@ def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
     Zero columns are dropped, collinear columns merged, and non-extreme
-    directions discarded (an NNLS fit by the remaining rays reconstructs
-    them, so they add nothing to the hull). Rays come back unit-normalized
-    and lexicographically sorted for deterministic downstream iteration.
+    directions discarded (they add nothing to the hull; see _extreme_filter).
+    Rays come back unit-normalized and lexicographically sorted for
+    deterministic downstream iteration.
     """
     sm = as_state_matrix(C)
     units, origins = _unit_dedup(sm.entries)
-    if not units:
+    if not origins:
         raise AllZeroMatrixError("matrix has no nonzero column")
     keep = _extreme_filter(units)
-    rays = np.array([units[i] for i in keep])
+    rays = units[keep]
     ray_origins = [tuple(origins[i]) for i in keep]
     order = np.lexsort(rays.T[::-1])
     rays = rays[order]

@@ -79,7 +79,7 @@ def _evaluate(C, budget_samples, threads, force_regions) -> EvaluationResult:
     if m > MAX_DIM:
         raise BudgetExceededError(f"m = {m} exceeds the supported maximum of {MAX_DIM}")
 
-    zero_cols = tuple(j + 1 for j in range(n) if not sm.entries[:, j].any())
+    zero_cols = tuple((np.flatnonzero(~sm.entries.any(axis=0)) + 1).tolist())
     if len(zero_cols) == n:
         ir = m / 3.0
         apex = RegionRecord(element=(), dim=0, volume=1.0, integral=ir)

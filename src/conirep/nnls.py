@@ -33,6 +33,8 @@ def nnls(A, b, max_iter: int | None = None):
     smallest index; the iteration count is capped at 10 n before
     IterationLimitError is raised. On exit the KKT conditions are verified:
     gradient >= -tol on the zero set and |gradient| <= tol on the support.
+    A point that fails them gets one step of iterative refinement on its
+    support, and IterationLimitError is raised if it still fails.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -76,11 +78,21 @@ def nnls(A, b, max_iter: int | None = None):
             passive[drop] = False
             x[drop] = 0.0
 
-    g = G @ x - h
-    support = x > 0.0
-    if np.any(g[~support] < -10 * tol) or np.any(np.abs(g[support]) > 10 * tol):
-        raise IterationLimitError("nnls terminated at a non-KKT point")
+    if not _is_kkt(G @ x - h, x, tol):
+        # one step of iterative refinement on the support: lstsq loses the
+        # last digits of the small-scale coefficients when column scales
+        # differ by about 1e8
+        idx = np.flatnonzero(x > 0.0)
+        x[idx] += np.linalg.lstsq(A[:, idx], b - A[:, idx] @ x[idx], rcond=None)[0]
+        if x.min() < 0.0 or not _is_kkt(G @ x - h, x, tol):
+            raise IterationLimitError("nnls terminated at a non-KKT point")
     return x, float(np.linalg.norm(b - A @ x))
+
+
+def _is_kkt(g: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Gradient >= -10 tol off the support and |gradient| <= 10 tol on it."""
+    support = x > 0.0
+    return not (np.any(g[~support] < -10 * tol) or np.any(np.abs(g[support]) > 10 * tol))
 
 
 def nnls_batch(A, points):

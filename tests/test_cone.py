@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
+from scipy.spatial import ConvexHull
 
+import conirep.cone
 from conirep.cone import (
+    DEDUP_DOT,
     StateMatrix,
+    _unit_dedup,
     adjacent_cone,
     adjacent_facets,
     cone_contains,
@@ -16,6 +23,8 @@ from conirep.cone import (
     facet_normal_outward,
 )
 from conirep.errors import AllZeroMatrixError
+from conirep.linalg import TOL_GEOM
+from conirep.nnls import nnls
 
 from conftest import TILTED, WEDGE, random_activity
 
@@ -207,3 +216,101 @@ def test_adjacent_cones_tile_the_complement():
                 assert hits == 0
             else:
                 assert hits == 1
+
+
+def _unit_dedup_by_loop(columns):
+    """Reference dedup: one dot product per (column, representative) pair."""
+    units, origins = [], []
+    for j in range(columns.shape[1]):
+        col = columns[:, j]
+        if not col.any():
+            continue
+        u = col / np.linalg.norm(col)
+        for k, v in enumerate(units):
+            if u @ v > DEDUP_DOT:
+                origins[k].append(j)
+                break
+        else:
+            units.append(u)
+            origins.append([j])
+    return units, origins
+
+
+def _origins_by_fitting_every_unit(C):
+    """Reference filter: fit every unit against all the others, no hull."""
+    units, origins = _unit_dedup_by_loop(np.asarray(C, dtype=float))
+    U = np.stack(units, axis=1)
+    keep = [i for i in range(len(units))
+            if len(units) == 1 or nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
+    return sorted(tuple(origins[i]) for i in keep)
+
+
+def _rotated(u, w, angle):
+    """Unit vector at `angle` from unit u, turned towards the unit w orthogonal to it."""
+    return math.cos(angle) * u + math.sin(angle) * w
+
+
+def test_unit_dedup_matches_greedy_loop():
+    rng = np.random.default_rng(67)
+    u = np.ones(3) / math.sqrt(3)
+    w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    # DEDUP_DOT = cos(angle) at angle = sqrt(2e-12), about 1.41e-6
+    near = [_rotated(u, w, a) for a in (0.0, 1.0e-6, 1.8e-6, 2.0e-6, 2.4e-6, 3.0e-6)]
+    for trial in range(10):
+        dirs = rng.uniform(0.0, 1.0, size=(3, 5))
+        cols = [d * rng.uniform(0.1, 10.0) for d in dirs.T for _ in range(rng.integers(1, 4))]
+        cols += [v * rng.uniform(0.5, 2.0) for v in near]
+        cols += [np.zeros(3)] * 3
+        C = np.stack(cols, axis=1)[:, rng.permutation(len(cols))]
+        units, origins = _unit_dedup(C)
+        ref_units, ref_origins = _unit_dedup_by_loop(C)
+        assert origins == ref_origins
+        np.testing.assert_array_equal(units, np.array(ref_units))
+        assert sorted(coni_facets(C).ray_origins) == _origins_by_fitting_every_unit(C)
+    # a chain of twins: b merges into a, c is too far from a to join it, and
+    # b is no representative, so c starts its own ray
+    C = np.stack([_rotated(u, w, a) for a in (0.0, 1.0e-6, 2.0e-6)], axis=1)
+    assert _unit_dedup(C)[1] == _unit_dedup_by_loop(C)[1] == [[0, 1], [2]]
+
+
+@st.composite
+def _activity_matrices(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 40))
+    small_ints = st.integers(0, 3).map(float)
+    kind = draw(st.sampled_from(["integer", "uniform", "rank-deficient"]))
+    if kind == "integer":
+        # duplicate and coplanar columns: points on the slice hull's edges
+        C = draw(arrays(float, (m, n), elements=small_ints))
+    elif kind == "uniform":
+        seed = draw(st.integers(0, 2**32 - 1))
+        C = np.random.default_rng(seed).uniform(0.0, 3.0, size=(m, n))
+    else:
+        r = draw(st.integers(1, m - 1))
+        C = (draw(arrays(float, (m, r), elements=small_ints))
+             @ draw(arrays(float, (r, n), elements=small_ints)))
+    if not C.any():
+        C[0, 0] = 1.0
+    return C
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_activity_matrices())
+def test_extreme_filter_matches_fitting_every_unit(C):
+    assert sorted(coni_facets(C).ray_origins) == _origins_by_fitting_every_unit(C)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_filter_fits_only_slice_hull_vertices(seed, monkeypatch):
+    C = np.random.default_rng([71, seed]).uniform(0.0, 3.0, size=(3, 300))
+    expected = _origins_by_fitting_every_unit(C)
+    vertices = ConvexHull((C / C.sum(axis=0))[:-1].T).vertices.size
+    calls = []
+
+    def counting_nnls(A, b):
+        calls.append(1)
+        return nnls(A, b)
+
+    monkeypatch.setattr(conirep.cone, "nnls", counting_nnls)
+    assert sorted(coni_facets(C).ray_origins) == expected
+    assert 0 < len(calls) <= vertices

@@ -135,20 +135,6 @@ def _format_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_threads(args) -> int:
-    if args.deterministic:
-        return 1
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CONIREP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputFormatError(f"CONIREP_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
 def _parse_ns(text: str):
     try:
         ns = [int(tok) for tok in text.split(",")]
@@ -161,7 +147,7 @@ def _parse_ns(text: str):
 
 def cmd_evaluate(args) -> int:
     matrix = read_matrix(args.input)
-    result = evaluate(matrix, budget_samples=args.budget_samples, threads=_resolve_threads(args))
+    result = evaluate(matrix, budget_samples=args.budget_samples)
     report = result_to_report(result)
     _emit(_format_report(report, args.format), args.output)
     if args.strict and result.method == "numerical-fallback":
@@ -175,7 +161,7 @@ def cmd_numeric(args) -> int:
     ns = _parse_ns(args.n)
     if len(ns) != 1:
         raise InputFormatError("numeric expects a single --n value")
-    q = ir_num(matrix, ns[0], budget=args.budget_samples, threads=_resolve_threads(args))
+    q = ir_num(matrix, ns[0], budget=args.budget_samples)
     report = {
         "schema_version": SCHEMA_VERSION,
         "ir_num": q.ir_num,
@@ -198,9 +184,9 @@ def cmd_numeric(args) -> int:
 
 def cmd_compare(args) -> int:
     matrix = read_matrix(args.input)
-    result = evaluate(matrix, budget_samples=args.budget_samples, threads=_resolve_threads(args))
+    result = evaluate(matrix, budget_samples=args.budget_samples)
     rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
-                             budget=args.budget_samples, threads=_resolve_threads(args))
+                             budget=args.budget_samples)
     lines = ["n,ir_num,abs_error"]
     for n, value, err in rows:
         lines.append(f"{n},{value!r},{err!r}")
@@ -244,12 +230,10 @@ def cmd_sweep(args) -> int:
         paths = sorted(glob.glob(args.input))
     if not paths:
         raise InputFormatError(f"no matrix files match {args.input!r}")
-    threads = _resolve_threads(args)
     rows = []
     fallback_used = False
     for path in paths:
-        result = evaluate(read_matrix(path), budget_samples=args.budget_samples,
-                          threads=threads)
+        result = evaluate(read_matrix(path), budget_samples=args.budget_samples)
         fallback_used |= result.method == "numerical-fallback"
         rows.append((path, result))
     if args.format == "json":
@@ -281,10 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--output", default=None, help="output file; stdout when omitted")
     compute = argparse.ArgumentParser(add_help=False)
     compute.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    compute.add_argument("--threads", type=int, default=None,
-                         help="worker threads for quadrature (env CONIREP_THREADS)")
-    compute.add_argument("--deterministic", action="store_true",
-                         help="force single-threaded, byte-stable output")
     compute.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
                          help="max total quadrature samples")
     strict = argparse.ArgumentParser(add_help=False)

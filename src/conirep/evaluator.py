@@ -53,9 +53,9 @@ class EvaluationResult:
     diagnostics: tuple[str, ...]
 
 
-def evaluate(C, budget_samples: int = SAMPLE_BUDGET, threads: int = 1) -> EvaluationResult:
+def evaluate(C, budget_samples: int = SAMPLE_BUDGET) -> EvaluationResult:
     """Mean squared readout error of C over all targets in the unit hypercube."""
-    return _evaluate(C, budget_samples, threads, force_regions=False)
+    return _evaluate(C, budget_samples, force_regions=False)
 
 
 def output_volume(C, **kwargs) -> float:
@@ -63,17 +63,16 @@ def output_volume(C, **kwargs) -> float:
     return evaluate(C, **kwargs).output_volume
 
 
-def region_report(C, budget_samples: int = SAMPLE_BUDGET,
-                  threads: int = 1) -> tuple[RegionRecord, ...]:
+def region_report(C, budget_samples: int = SAMPLE_BUDGET) -> tuple[RegionRecord, ...]:
     """Per-element region rows, forcing the full pipeline where it applies.
 
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
-    return _evaluate(C, budget_samples, threads, force_regions=True).regions
+    return _evaluate(C, budget_samples, force_regions=True).regions
 
 
-def _evaluate(C, budget_samples, threads, force_regions) -> EvaluationResult:
+def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
     sm = as_state_matrix(C)
     m, n = sm.m, sm.n
     if m > MAX_DIM:
@@ -104,8 +103,7 @@ def _evaluate(C, budget_samples, threads, force_regions) -> EvaluationResult:
     redundant_cols = tuple(sorted(set(range(1, n + 1)) - set(extreme_cols) - set(zero_cols)))
 
     if cone.cone_rank < m:
-        return _fallback(sm, cone, extreme_cols, redundant_cols, zero_cols,
-                         budget_samples, threads)
+        return _fallback(sm, cone, extreme_cols, redundant_cols, zero_cols, budget_samples)
 
     if not force_regions and _covers_hypercube(cone):
         return EvaluationResult(
@@ -165,7 +163,7 @@ def _covers_hypercube(cone: Cone) -> bool:
 
 
 def _fallback(sm, cone: Cone, extreme_cols, redundant_cols, zero_cols,
-              budget_samples, threads) -> EvaluationResult:
+              budget_samples) -> EvaluationResult:
     """Quadrature route for cones that do not span the full space.
 
     Such a cone has measure zero in R^m, so the output volume is exactly 0.
@@ -181,7 +179,7 @@ def _fallback(sm, cone: Cone, extreme_cols, redundant_cols, zero_cols,
     total = n_axis ** m
     if total > budget_samples:
         diagnostics.append(f"minimum resolution overruns the sample budget: {total} samples")
-    q = ir_num(sm.entries, n_axis, budget=max(budget_samples, total), threads=threads)
+    q = ir_num(sm.entries, n_axis, budget=max(budget_samples, total))
     return EvaluationResult(
         ir=q.ir_num, irn=q.irn_num, output_volume=0.0, regions=(),
         extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,

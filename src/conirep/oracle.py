@@ -97,8 +97,7 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     )
 
 
-def convergence_study(C, ns, ir_exact: float | None = None, budget: int = SAMPLE_BUDGET,
-                      threads: int = 1):
+def convergence_study(C, ns, ir_exact: float | None = None, budget: int = SAMPLE_BUDGET):
     """Rows (n, ir_num, abs_error) for each grid resolution in `ns`.
 
     `ir_exact` defaults to the analytical value of the matrix, so the error
@@ -110,6 +109,6 @@ def convergence_study(C, ns, ir_exact: float | None = None, budget: int = SAMPLE
         ir_exact = evaluate(C).ir
     rows = []
     for n in ns:
-        q = ir_num(C, int(n), budget=budget, threads=threads)
+        q = ir_num(C, int(n), budget=budget)
         rows.append((int(n), q.ir_num, abs(q.ir_num - ir_exact)))
     return rows

@@ -120,6 +120,8 @@ ENCODE = "encode --slot-length 1 --slots 2"
     (ENCODE, "--threads 2"),
     ("sweep", "--n 8"),
     *[(c, "--tol-geom 1e-9") for c in ("evaluate", "numeric", "compare", ENCODE, "sweep")],
+    *[(c, flag) for c in ("evaluate", "numeric", "compare", "sweep")
+      for flag in ("--threads 2", "--deterministic")],
 ])
 def test_unread_flags_are_rejected(capsys, command, flag):
     assert main(f"{command} --input unused.csv {flag}".split()) == 1
@@ -233,21 +235,8 @@ def test_sweep_directory(capsys, tmp_path):
 
 
 def test_byte_identical_reruns(capsys, tilted_csv):
-    _, first = run(capsys, ["evaluate", "--input", tilted_csv, "--deterministic"])
-    _, second = run(capsys, ["evaluate", "--input", tilted_csv, "--deterministic"])
+    code, first = run(capsys, ["evaluate", "--input", tilted_csv])
+    assert code == 0
+    code, second = run(capsys, ["evaluate", "--input", tilted_csv])
+    assert code == 0
     assert first == second
-
-
-def test_threads_do_not_change_output(capsys, tilted_csv, monkeypatch):
-    _, single = run(capsys, ["numeric", "--input", tilted_csv, "--n", "24",
-                             "--threads", "1", "--format", "csv"])
-    _, multi = run(capsys, ["numeric", "--input", tilted_csv, "--n", "24",
-                            "--threads", "4", "--format", "csv"])
-    assert single == multi
-    monkeypatch.setenv("CONIREP_THREADS", "3")
-    _, env_run = run(capsys, ["numeric", "--input", tilted_csv, "--n", "24",
-                              "--format", "csv"])
-    assert env_run == single
-    monkeypatch.setenv("CONIREP_THREADS", "zebra")
-    code, _ = run(capsys, ["numeric", "--input", tilted_csv, "--n", "24"])
-    assert code == 1

@@ -21,21 +21,8 @@ from .linalg import gram_schmidt, simplex_volumes
 from .region import RegionPolytope
 
 
-def squared_distance(point, basis: np.ndarray) -> float:
-    """Squared Euclidean distance from a point to span(basis columns).
-
-    An empty basis (m, 0) means the span is the origin, giving |point|^2.
-    """
-    d = np.asarray(point, dtype=float)
-    val = float(d @ d)
-    if basis.size:
-        c = basis.T @ d
-        val -= float(c @ c)
-    return max(val, 0.0)
-
-
 def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Integrals of squared_distance(., basis) over a stack of simplices.
+    """Integrals of the squared distance to span(basis) over a stack of simplices.
 
     `points` is (s, m+1, m) and `vol` their (s,) volumes, from
     linalg.simplex_volumes. Zero-volume simplices give 0. Each value is
@@ -58,7 +45,7 @@ def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
-    """Integral of squared_distance(., basis) over one simplex, exactly."""
+    """Integral of the squared distance to span(basis) over one simplex, exactly."""
     P = np.asarray(vertices, dtype=float)[None]
     return float(simplex_integrals(P, simplex_volumes(P), basis)[0])
 

@@ -17,7 +17,7 @@ from .cone import as_state_matrix
 from .errors import BudgetExceededError
 from .nnls import nnls_batch
 
-__all__ = ["QuadratureResult", "residual_sq", "ir_num", "convergence_study", "SAMPLE_BUDGET"]
+__all__ = ["QuadratureResult", "ir_num", "convergence_study", "SAMPLE_BUDGET"]
 
 # Default ceiling on the total number of grid samples per call.
 SAMPLE_BUDGET = 10_000_000
@@ -34,13 +34,6 @@ class QuadratureResult:
     n: int
     total_samples: int
     elapsed_s: float
-
-
-def residual_sq(C, w, target) -> float:
-    """Squared l2 norm of target - C w."""
-    C = as_state_matrix(C).entries
-    r = np.asarray(target, dtype=float) - C @ np.asarray(w, dtype=float)
-    return float(r @ r)
 
 
 def _grid_chunk(m: int, n: int, start: int, stop: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conirep.integrate import region_integral, simplex_integral, squared_distance
+from conirep.integrate import region_integral, simplex_integral
 from conirep.linalg import gram_schmidt, simplex_volumes
 from conirep.region import RegionPolytope, polytope_facets, triangulate_polytope
 
@@ -30,13 +30,6 @@ def symbolic_integral(verts, basis):
     for k in range(m - 1, -1, -1):
         expr = sp.integrate(expr, (us[k], 0, sp.Integer(1) - sum(us[:k])))
     return float(expr) * abs(float(np.linalg.det(verts[1:] - verts[0])))
-
-
-def test_squared_distance_examples():
-    assert squared_distance([1.0, 1.0, 0.0], EMPTY3) == pytest.approx(2.0)
-    basis = np.array([[SQ2], [SQ2]])
-    assert squared_distance([1.0, 0.0], basis) == pytest.approx(0.5, abs=1e-15)
-    assert squared_distance([2.0, 2.0], basis) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_corner_triangle_against_origin():

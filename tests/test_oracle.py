@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conirep.errors import BudgetExceededError
-from conirep.oracle import convergence_study, ir_num, residual_sq
+from conirep.oracle import convergence_study, ir_num
 
 from conftest import WEDGE
 
@@ -14,11 +14,6 @@ def wedge_midpoint_value(n):
     # wedge cone {0 <= y <= x}; summing the arithmetic series gives
     # 1/24 - 1/(24 n^2), derived by hand and verified at small n below
     return 1.0 / 24.0 - 1.0 / (24.0 * n * n)
-
-
-def test_residual_sq():
-    assert residual_sq(np.eye(2), [0.25, 0.5], [0.25, 0.5]) == pytest.approx(0.0)
-    assert residual_sq(np.eye(2), [0.0, 0.0], [0.3, 0.4]) == pytest.approx(0.25)
 
 
 def test_zero_matrix_one_dimension():

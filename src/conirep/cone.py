@@ -163,61 +163,30 @@ def _extreme_filter(units: np.ndarray):
             if nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
 
 
-def _merge_coplanar(hull: ConvexHull):
-    """Group hull simplices into maximal coplanar facets via the neighbor graph.
-
-    Neighbouring simplices merge when their equations agree within TOL_GEOM
-    entrywise; each group keeps the equation of its lowest-numbered simplex.
-    """
-    eqs = hull.equations
-    nsimp = len(hull.simplices)
-    parent = list(range(nsimp))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    close = np.all(np.abs(eqs[:, None, :] - eqs[hull.neighbors]) < TOL_GEOM, axis=2)
-    for i, k in zip(*np.nonzero(close)):
-        ri, rj = find(int(i)), find(int(hull.neighbors[i, k]))
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(nsimp):
-        groups.setdefault(find(i), []).append(i)
-    merged = []
-    for g in groups.values():
-        verts = set(hull.simplices[g].ravel().tolist())
-        merged.append((verts, eqs[g[0]]))
-    return merged
-
-
 def cone_halfspaces(rays: np.ndarray):
     """Facets and outward unit normals of the full-dimensional pointed cone over `rays`.
 
     Works on any extreme ray set (entries of any sign); used both for the
     input cone and for adjacent cones. The hull of {0} union rays is built;
-    its facets through the origin, merged where coplanar, are the cone's
-    facets, and their Qhull equations give the normals. Returns (facets,
-    normals): ray-index sets sorted by their indices, and a matching
-    (facets, m) array, so the cone is {x : normals @ x <= 0}.
+    each of its equations through the origin is the plane of a facet, and
+    the facet is the set of rays on that plane. The first equation for a
+    ray set gives its normal. Returns (facets, normals): ray-index sets
+    sorted by their indices, and a matching (facets, m) array, so the cone
+    is {x : normals @ x <= 0}.
     """
     m = rays.shape[1]
-    pts = np.vstack([np.zeros(m), rays])
     try:
-        hull = ConvexHull(pts)
+        hull = ConvexHull(np.vstack([np.zeros(m), rays]))
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
-    found = []
-    for verts, eq in _merge_coplanar(hull):
-        if 0 in verts and abs(eq[-1]) < TOL_GEOM:
-            found.append((sorted(v - 1 for v in verts if v != 0), eq[:-1]))
+    planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
+    found: dict[tuple[int, ...], np.ndarray] = {}
+    for normal, on in zip(planes, np.abs(planes @ rays.T) < TOL_GEOM):
+        found.setdefault(tuple(np.flatnonzero(on).tolist()), normal)
     if not found:
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
-    found.sort(key=lambda f: f[0])
-    return tuple(frozenset(f) for f, _ in found), np.array([n for _, n in found])
+    facets = sorted(found)
+    return tuple(frozenset(f) for f in facets), np.array([found[f] for f in facets])
 
 
 def sub_elements_of(facets, rays: np.ndarray):

@@ -116,8 +116,11 @@ def _unit_dedup(columns: np.ndarray):
     array of unit rows, origins the 0-based column indices behind each one.
     """
     nonzero = np.flatnonzero(columns.any(axis=0))
+    # scaled to a largest entry of 1 first, so the norm's squares neither
+    # underflow nor overflow
+    scaled = columns[:, nonzero] / columns[:, nonzero].max(axis=0)
     # per column: norm(axis=0) rounds differently in the last bit
-    units = np.array([col / np.linalg.norm(col) for col in columns.T[nonzero]])
+    units = np.array([col / np.linalg.norm(col) for col in scaled.T])
     k = nonzero.size
     rep = np.ones(k, dtype=bool)
     origins = [[j] for j in nonzero.tolist()]

@@ -225,7 +225,8 @@ def _unit_dedup_by_loop(columns):
         col = columns[:, j]
         if not col.any():
             continue
-        u = col / np.linalg.norm(col)
+        u = col / col.max()
+        u = u / np.linalg.norm(u)
         for k, v in enumerate(units):
             if u @ v > DEDUP_DOT:
                 origins[k].append(j)

@@ -167,6 +167,37 @@ def test_invariances_spot_checks():
         done += 1
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("scales", ["tiny", "huge", "spread"])
+def test_column_scale_invariance_at_extreme_scales(m, scales):
+    # unit rays of columns near 1e-200 or 1e200 must not under- or overflow
+    rng = np.random.default_rng(40 + m)
+    C = random_activity(rng, m, m + 2)
+    d = {"tiny": np.full(m + 2, 1e-200), "huge": np.full(m + 2, 1e200),
+         "spread": np.logspace(-200, 200, m + 2)}[scales]
+    base, scaled = evaluate(C), evaluate(C * d)
+    assert scaled.ir == pytest.approx(base.ir, rel=1e-12)
+    assert scaled.output_volume == pytest.approx(base.output_volume, abs=1e-12)
+    assert scaled.extreme_ray_columns == base.extreme_ray_columns
+    assert scaled.redundant_columns == base.redundant_columns
+
+
+def test_square_pyramid_with_a_four_ray_facet():
+    # apex (0, 0, 0, 1) over the unit square in the first two coordinates,
+    # plus an interior ray lifted off it: five facets, one holding four rays
+    C = np.array([[0.0, 1.0, 1.0, 0.0, 0.5],
+                  [0.0, 0.0, 1.0, 1.0, 0.5],
+                  [0.0, 0.0, 0.0, 0.0, 1.0],
+                  [1.0, 1.0, 1.0, 1.0, 1.0]])
+    facets = coni_facets(C).facets
+    assert sorted(len(f) for f in facets) == [3, 3, 3, 3, 4]
+    res = evaluate(C)
+    assert res.method == "analytical"
+    assert res.ir == pytest.approx(0.1634262091817647, abs=1e-12)
+    assert res.output_volume == pytest.approx(1.0 / 12.0, abs=1e-12)
+    assert abs(res.ir - ir_num(C, 24).ir_num) <= 4 / (12.0 * 24 ** 2)
+
+
 def roadmap_m6_matrix():
     """The 6 x 8 matrix that once raised 'expected m+1 vertices ... (6, 6)'."""
     rng = np.random.default_rng(7)

@@ -50,6 +50,20 @@ def test_column_scaling_leaves_value():
     assert b == pytest.approx(a, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_extreme_column_scales_leave_value(scale):
+    # A^T A of columns near 1e-200 underflows unless the columns are rescaled
+    C = np.array([[1.0, 0.0], [1.0, 1.0]])
+    ref = ir_num(C, 64).ir_num
+    assert ir_num(C * [scale, 1.0], 64).ir_num == pytest.approx(ref, rel=1e-12)
+
+
+def test_column_scales_spread_over_400_decades_leave_value():
+    C = np.random.default_rng(98).uniform(0.0, 3.0, size=(3, 5))
+    spread = C * np.logspace(-200, 200, 5)
+    assert ir_num(spread, 12).ir_num == pytest.approx(ir_num(C, 12).ir_num, rel=1e-12)
+
+
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError):
         ir_num(np.eye(3), 100, budget=10_000)

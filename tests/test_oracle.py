@@ -48,20 +48,9 @@ def test_column_scaling_leaves_value():
     a = ir_num(C, 12).ir_num
     b = ir_num(C @ D, 12).ir_num
     assert b == pytest.approx(a, abs=1e-12)
-
-
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_extreme_column_scales_leave_value(scale):
     # A^T A of columns near 1e-200 underflows unless the columns are rescaled
-    C = np.array([[1.0, 0.0], [1.0, 1.0]])
-    ref = ir_num(C, 64).ir_num
-    assert ir_num(C * [scale, 1.0], 64).ir_num == pytest.approx(ref, rel=1e-12)
-
-
-def test_column_scales_spread_over_400_decades_leave_value():
-    C = np.random.default_rng(98).uniform(0.0, 3.0, size=(3, 5))
-    spread = C * np.logspace(-200, 200, 5)
-    assert ir_num(spread, 12).ir_num == pytest.approx(ir_num(C, 12).ir_num, rel=1e-12)
+    for d in ([1e-200] * 4, [1e200] * 4, np.logspace(-200, 200, 4)):
+        assert ir_num(C * d, 12).ir_num == pytest.approx(a, rel=1e-12)
 
 
 def test_budget_enforced():

@@ -118,7 +118,8 @@ def _unit_dedup(columns: np.ndarray):
     nonzero = np.flatnonzero(columns.any(axis=0))
     # scaled to a largest entry of 1 first, so the norm's squares neither
     # underflow nor overflow
-    scaled = columns[:, nonzero] / columns[:, nonzero].max(axis=0)
+    scaled = columns[:, nonzero]
+    scaled = scaled / scaled.max(axis=0)
     # per column: norm(axis=0) rounds differently in the last bit
     units = np.array([col / np.linalg.norm(col) for col in scaled.T])
     k = nonzero.size

@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputFormatError, ValueError) as exc:
+    except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

@@ -18,10 +18,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import AllZeroMatrixError, DegenerateConeError
-from .linalg import TOL_GEOM, gram_schmidt, normal_vector
+# gram_schmidt is not used here; bench/tracer.py counts calls through this name
+from .linalg import TOL_GEOM, gram_schmidt  # noqa: F401
 from .nnls import nnls
 
-# NNLS residual below which a point counts as inside a cone.
+# Margin below which a point counts as inside a cone.
 TOL_MEMBER = 1e-8
 # Unit rays with a mutual dot product above this merge into one ray.
 DEDUP_DOT = 1.0 - 1e-12
@@ -99,10 +100,6 @@ class AdjacentCone:
 
     @property
     def generators(self) -> np.ndarray:
-        if self.element_rays.size == 0:
-            return self.normals
-        if self.normals.size == 0:
-            return self.element_rays
         return np.vstack([self.element_rays, self.normals])
 
 
@@ -256,56 +253,11 @@ def cone_sub_elements(cone: Cone) -> Cone:
     return replace(cone, elements=elements)
 
 
-def adjacent_facets(element: frozenset, cone: Cone):
-    """All facets whose ray set contains the element; a facet yields itself."""
-    element = frozenset(element)
-    if element in cone.facets:
-        return (element,)
-    dims = cone.elements or {}
-    if not any(element in elems for elems in dims.values()):
-        raise ValueError(f"element {sorted(element)} is not in the cone lattice")
-    return tuple(f for f in cone.facets if element <= f)
-
-
-def facet_normal_outward(facet: frozenset, cone: Cone) -> np.ndarray:
-    """Unit normal of a facet, oriented away from the cone.
-
-    Orthogonal to every facet ray; nonpositive dot product with every other
-    ray. If no ray leaves the facet's span the orientation is undecidable,
-    which means the cone is rank-deficient.
-    """
-    idx = sorted(facet)
-    basis = gram_schmidt(cone.rays[idx])
-    m = cone.dim
-    if basis.shape[1] != m - 1:
-        raise DegenerateConeError(f"facet {idx} does not span dimension {m - 1}")
-    n = normal_vector(basis.T)
-    dots = cone.rays @ n
-    pivot = int(np.argmax(np.abs(dots)))
-    if abs(dots[pivot]) <= TOL_GEOM:
-        raise DegenerateConeError("all rays lie in the facet span; cone is rank-deficient")
-    if dots[pivot] > 0:
-        n = -n
-        dots = -dots
-    if np.any(dots > TOL_GEOM):
-        raise DegenerateConeError("facet normal cannot be oriented away from all rays")
-    return n
-
-
 def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
     """Element rays plus the outward normals of the element's incident facets."""
     element = frozenset(element)
-    incident = set(adjacent_facets(element, cone))
-    normals = cone.normals[[i for i, f in enumerate(cone.facets) if f in incident]]
     return AdjacentCone(
         element=element,
         element_rays=cone.rays[sorted(element)],
-        normals=normals,
+        normals=cone.normals[[element <= f for f in cone.facets]],
     )
-
-
-def cone_contains(point, generators, tol_member: float = TOL_MEMBER) -> bool:
-    """True when the point is a conical combination of the generator rows."""
-    G = np.asarray(generators, dtype=float)
-    _, rnorm = nnls(G.T, np.asarray(point, dtype=float))
-    return rnorm < tol_member

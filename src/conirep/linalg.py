@@ -47,34 +47,6 @@ def gram_schmidt(rays) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def normal_vector(vectors) -> np.ndarray:
-    """Unit vector orthogonal to m-1 independent vectors in dimension m.
-
-    Computed by cofactor expansion of the determinant along the missing row,
-    so it generalizes the cross product. The orientation is arbitrary;
-    callers fix the sign. Raises ValueError when the inputs do not span an
-    (m-1)-dimensional subspace.
-    """
-    A = np.asarray(vectors, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] - 1:
-        raise ValueError(f"expected m-1 vectors of dimension m, got shape {A.shape}")
-    m = A.shape[1]
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("normal_vector input contains a zero vector")
-    A = A / norms[:, None]
-    n = np.empty(m)
-    sign = 1.0
-    for i in range(m):
-        n[i] = sign * np.linalg.det(np.delete(A, i, axis=1))
-        sign = -sign
-    nrm = np.linalg.norm(n)
-    # for unit inputs the cofactor norm equals the spanned (m-1)-volume
-    if nrm <= TOL_RANK:
-        raise ValueError("normal_vector inputs are rank-deficient")
-    return n / nrm
-
-
 def simplex_volumes(points) -> np.ndarray:
     """Volumes of a stack of simplices, (s, m+1, m) vertices to (s,) volumes.
 
@@ -85,8 +57,3 @@ def simplex_volumes(points) -> np.ndarray:
         raise ValueError(f"expected simplices of m+1 vertices in dimension m, got shape {P.shape}")
     m = P.shape[2]
     return np.abs(np.linalg.det(P[:, 1:] - P[:, :1])) / factorial(m)
-
-
-def simplex_volume(vertices) -> float:
-    """Volume of the simplex on m+1 vertices in dimension m."""
-    return float(simplex_volumes(np.asarray(vertices, dtype=float)[None])[0])

@@ -19,20 +19,28 @@ from .errors import IterationLimitError
 
 # Gradient tolerance for KKT optimality checks, scaled by the problem size.
 TOL_KKT = 1e-10
+# Active-set iterations allowed per column, counting at least three columns,
+# before IterationLimitError is raised.
+MAX_ITER_PER_COLUMN = 10
 
 
 def _kkt_tol(G: np.ndarray) -> float:
     return TOL_KKT * (1.0 + float(np.abs(G).max(initial=0.0)))
 
 
-def nnls(A, b, max_iter: int | None = None):
+def _max_iter(n: int) -> int:
+    return MAX_ITER_PER_COLUMN * max(n, 3)
+
+
+def nnls(A, b):
     """Minimize ||A x - b||_2 subject to x >= 0.
 
     Returns ``(x, rnorm)`` with ``rnorm = ||A x - b||_2``. The entering
     variable is the most negative gradient component, ties broken by the
-    smallest index; the iteration count is capped at 10 n before
-    IterationLimitError is raised. On exit the KKT conditions are verified:
-    gradient >= -tol on the zero set and |gradient| <= tol on the support.
+    smallest index; the iteration count is capped at MAX_ITER_PER_COLUMN
+    times max(n, 3) before IterationLimitError is raised. On exit the KKT
+    conditions are verified: gradient >= -tol on the zero set and
+    |gradient| <= tol on the support.
     A point that fails them gets one step of iterative refinement on its
     support, and IterationLimitError is raised if it still fails.
     """
@@ -40,9 +48,8 @@ def nnls(A, b, max_iter: int | None = None):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = max(10 * n, 30)
+    n = A.shape[1]
+    max_iter = _max_iter(n)
     G = A.T @ A
     h = A.T @ b
     tol = _kkt_tol(G)
@@ -112,7 +119,7 @@ def nnls_batch(A, points):
         raise ValueError(f"incompatible shapes {A.shape} and {pts.shape}")
     n = A.shape[1]
     p = pts.shape[1]
-    max_iter = max(10 * n, 30)
+    max_iter = _max_iter(n)
     G = A.T @ A
     H = A.T @ pts
     tol = _kkt_tol(G)

@@ -104,6 +104,20 @@ def test_evaluate_missing_file(capsys):
     assert code == 1
 
 
+def test_encode_missing_file(capsys, tmp_path):
+    code = main(["encode", "--input", str(tmp_path / "absent.txt"),
+                 "--slot-length", "0.1", "--slots", "5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evaluate_unwritable_output(capsys, wedge_csv, tmp_path):
+    code = main(["evaluate", "--input", wedge_csv,
+                 "--output", str(tmp_path / "absent" / "out.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["evaluate", "--bogus"]) == 1
     assert main(["numeric"]) == 1

@@ -16,17 +16,15 @@ from conirep.cone import (
     StateMatrix,
     _unit_dedup,
     adjacent_cone,
-    adjacent_facets,
-    cone_contains,
     cone_sub_elements,
     coni_facets,
-    facet_normal_outward,
 )
 from conirep.errors import AllZeroMatrixError
 from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import TILTED, WEDGE, random_activity
+from reference import cone_contains, facet_normal_outward
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -141,14 +139,14 @@ def test_column_scaling_keeps_the_cone():
 
 def test_adjacent_facets_lookup(tilted):
     cone = cone_sub_elements(coni_facets(tilted))
-    for facet in cone.facets:
-        assert adjacent_facets(facet, cone) == (facet,)
+    for i, facet in enumerate(cone.facets):
+        np.testing.assert_array_equal(adjacent_cone(facet, cone).normals,
+                                      cone.normals[[i]])
     for edge in cone.elements[1]:
-        incident = adjacent_facets(edge, cone)
+        incident = [i for i, f in enumerate(cone.facets) if edge <= f]
         assert len(incident) == 2
-        assert all(edge <= f for f in incident)
-    with pytest.raises(ValueError):
-        adjacent_facets(frozenset({0, 1, 2}), cone)
+        np.testing.assert_array_equal(adjacent_cone(edge, cone).normals,
+                                      cone.normals[incident])
 
 
 def test_wedge_outward_normals(wedge):

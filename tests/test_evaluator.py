@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from conirep.cone import coni_facets, facet_normal_outward
+from conirep.cone import coni_facets
 from conirep.errors import BudgetExceededError
 from conirep.evaluator import evaluate, output_volume, region_report
 from conirep.oracle import ir_num
 
 from conftest import random_activity
+from reference import facet_normal_outward
 
 
 def test_zero_matrix_closed_form():
@@ -165,6 +169,33 @@ def test_invariances_spot_checks():
         extra = np.hstack([C, rng.uniform(0.0, 3.0, size=(3, 1))])
         assert evaluate(extra).ir <= base.ir + 1e-9
         done += 1
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_invariances_at_m4_and_m5(m, data):
+    n = data.draw(st.integers(m + 1, m + 3))
+    C = random_activity(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, n)
+    base = evaluate(C)
+    assume(base.method == "analytical")
+
+    def draw_array(size, low, high):
+        return data.draw(arrays(float, size, elements=st.floats(low, high,
+                                                                allow_subnormal=False)))
+
+    scaled = C * draw_array(n, 0.25, 4.0)
+    assert evaluate(scaled).ir == pytest.approx(base.ir, abs=1e-9)
+
+    conic = np.hstack([C, C @ draw_array((n, 1), 0.0, 1.0)])
+    assert evaluate(conic).ir == pytest.approx(base.ir, abs=1e-9)
+
+    rp = data.draw(st.permutations(range(m)))
+    cp = data.draw(st.permutations(range(n)))
+    assert evaluate(C[rp][:, cp]).ir == pytest.approx(base.ir, abs=1e-9)
+
+    extra = np.hstack([C, draw_array((m, 1), 0.0, 3.0)])
+    assert evaluate(extra).ir <= base.ir + 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

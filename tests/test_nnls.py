@@ -196,10 +196,13 @@ def test_batch_deterministic_and_chunking_stable():
     np.testing.assert_allclose(whole, parts, atol=1e-14)
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr("conirep.nnls.MAX_ITER_PER_COLUMN", 0)
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(IterationLimitError):
-        nnls(a, np.array([1.0, 1.0]), max_iter=0)
+    with pytest.raises(IterationLimitError, match="^nnls did not converge in 0 "):
+        nnls(a, np.array([1.0, 1.0]))
+    with pytest.raises(IterationLimitError, match="^batch nnls did not converge in 0 "):
+        nnls_batch(a, np.ones((2, 3)))
 
 
 def test_scalar_deterministic():

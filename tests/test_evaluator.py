@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import coni_facets
@@ -146,6 +145,22 @@ def test_deterministic(tilted):
     assert a.regions == b.regions
 
 
+def _check_invariances(C, base, rng):
+    m, n = C.shape
+    scaled = C @ np.diag(rng.uniform(0.25, 4.0, size=n))
+    assert evaluate(scaled).ir == pytest.approx(base.ir, abs=1e-9)
+
+    conic = np.hstack([C, (C @ rng.uniform(0.0, 1.0, size=(n, 1)))])
+    assert evaluate(conic).ir == pytest.approx(base.ir, abs=1e-9)
+
+    rp = rng.permutation(m)
+    cp = rng.permutation(n)
+    assert evaluate(C[rp][:, cp]).ir == pytest.approx(base.ir, abs=1e-9)
+
+    extra = np.hstack([C, rng.uniform(0.0, 3.0, size=(m, 1))])
+    assert evaluate(extra).ir <= base.ir + 1e-9
+
+
 def test_invariances_spot_checks():
     rng = np.random.default_rng(101)
     done = 0
@@ -154,48 +169,19 @@ def test_invariances_spot_checks():
         base = evaluate(C)
         if base.method != "analytical":
             continue
-        n = C.shape[1]
-
-        scaled = C @ np.diag(rng.uniform(0.25, 4.0, size=n))
-        assert evaluate(scaled).ir == pytest.approx(base.ir, abs=1e-9)
-
-        conic = np.hstack([C, (C @ rng.uniform(0.0, 1.0, size=(n, 1)))])
-        assert evaluate(conic).ir == pytest.approx(base.ir, abs=1e-9)
-
-        rp = rng.permutation(3)
-        cp = rng.permutation(n)
-        assert evaluate(C[rp][:, cp]).ir == pytest.approx(base.ir, abs=1e-9)
-
-        extra = np.hstack([C, rng.uniform(0.0, 3.0, size=(3, 1))])
-        assert evaluate(extra).ir <= base.ir + 1e-9
+        _check_invariances(C, base, rng)
         done += 1
 
 
 @pytest.mark.parametrize("m", [4, 5])
 @settings(max_examples=10, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_invariances_at_m4_and_m5(m, data):
-    n = data.draw(st.integers(m + 1, m + 3))
-    C = random_activity(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m, n)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_invariances_at_m4_and_m5(m, seed):
+    rng = np.random.default_rng(seed)
+    C = random_activity(rng, m, rng.integers(m + 1, m + 4))
     base = evaluate(C)
     assume(base.method == "analytical")
-
-    def draw_array(size, low, high):
-        return data.draw(arrays(float, size, elements=st.floats(low, high,
-                                                                allow_subnormal=False)))
-
-    scaled = C * draw_array(n, 0.25, 4.0)
-    assert evaluate(scaled).ir == pytest.approx(base.ir, abs=1e-9)
-
-    conic = np.hstack([C, C @ draw_array((n, 1), 0.0, 1.0)])
-    assert evaluate(conic).ir == pytest.approx(base.ir, abs=1e-9)
-
-    rp = data.draw(st.permutations(range(m)))
-    cp = data.draw(st.permutations(range(n)))
-    assert evaluate(C[rp][:, cp]).ir == pytest.approx(base.ir, abs=1e-9)
-
-    extra = np.hstack([C, draw_array((m, 1), 0.0, 3.0)])
-    assert evaluate(extra).ir <= base.ir + 1e-9
+    _check_invariances(C, base, rng)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -107,7 +107,7 @@ def test_normal_vector_rejects_dependent_input():
 def test_simplex_volume_examples():
     tri = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     flat = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-    np.testing.assert_allclose(simplex_volumes([tri, flat]), [0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(simplex_volumes([tri, flat]), [0.5, 0.0], rtol=0, atol=1e-15)
     tet = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     assert simplex_volumes([tet])[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
 

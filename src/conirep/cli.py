@@ -11,8 +11,8 @@ Each command takes only the flags its cmd_* function reads (see
 `conirep <command> --help`); any other flag is a usage error.
 
 Exit codes: 0 success, 1 input error, 2 numerical fallback under --strict,
-3 budget exceeded, 4 numerical failure (degenerate geometry or a solver that
-did not converge).
+3 budget exceeded, 4 numerical failure (degenerate geometry, a solver that
+did not converge, or a failed linear-algebra routine).
 """
 from __future__ import annotations
 
@@ -301,15 +301,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    # before the ValueError clause: LinAlgError subclasses ValueError, but
+    # it is raised on valid input
+    except (DegenerateConeError, IterationLimitError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateConeError, IterationLimitError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 4
     except ConirepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

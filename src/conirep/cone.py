@@ -18,8 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import AllZeroMatrixError, DegenerateConeError
-# gram_schmidt is not used here; bench/tracer.py counts calls through this name
-from .linalg import TOL_GEOM, gram_schmidt  # noqa: F401
+from .linalg import TOL_GEOM, gram_schmidt
 from .nnls import nnls
 
 # Margin below which a point counts as inside a cone.
@@ -90,13 +89,21 @@ class Cone:
 class AdjacentCone:
     """Cone of points whose nearest point on the parent cone lies in `element`.
 
-    Generated by the element's own rays plus the outward normals of every
-    facet containing the element.
+    It is cone(E) + N(E): the element's own rays plus the normal cone N(E),
+    generated by the outward normals of every facet containing the element.
+    basis: (m, d) orthonormal basis of span(E). facet_normals: (f, m) outward
+    unit normals, one per facet of the adjacent cone itself, so the cone is
+    {x : facet_normals @ x <= 0}. interior: a point inside the adjacent cone
+    and the open positive orthant, or None when the element lies on a
+    coordinate face and the region may not reach into the orthant.
     """
 
     element: frozenset[int]
     element_rays: np.ndarray
     normals: np.ndarray
+    basis: np.ndarray
+    facet_normals: np.ndarray
+    interior: np.ndarray | None
 
     @property
     def generators(self) -> np.ndarray:
@@ -167,13 +174,12 @@ def _extreme_filter(units: np.ndarray):
 def cone_halfspaces(rays: np.ndarray):
     """Facets and outward unit normals of the full-dimensional pointed cone over `rays`.
 
-    Works on any extreme ray set (entries of any sign); used both for the
-    input cone and for adjacent cones. The hull of {0} union rays is built;
-    each of its equations through the origin is the plane of a facet, and
-    the facet is the set of rays on that plane. The first equation for a
-    ray set gives its normal. Returns (facets, normals): ray-index sets
-    sorted by their indices, and a matching (facets, m) array, so the cone
-    is {x : normals @ x <= 0}.
+    Works on any extreme ray set (entries of any sign). The hull of {0}
+    union rays is built; each of its equations through the origin is the
+    plane of a facet, and the facet is the set of rays on that plane. The
+    first equation for a ray set gives its normal. Returns (facets,
+    normals): ray-index sets sorted by their indices, and a matching
+    (facets, m) array, so the cone is {x : normals @ x <= 0}.
     """
     m = rays.shape[1]
     try:
@@ -254,10 +260,49 @@ def cone_sub_elements(cone: Cone) -> Cone:
 
 
 def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
-    """Element rays plus the outward normals of the element's incident facets."""
+    """Adjacent cone of a lattice element, its facets read off the lattice.
+
+    For an element E of dimension d with orthonormal basis Q, cone(E) + N(E)
+    has exactly one facet per (d-1)-face E' of E and one per (d+1)-face G
+    containing E, so no row is redundant:
+    - E' (the apex when d = 1): Q Q^T of the summed outward normals of the
+      parent facets that contain E' but not E. Each of them projects onto
+      the outward normal of E' within span(E).
+    - G (the whole cone when d = m-1): the part orthogonal to span(E) of the
+      summed rays of G outside E, which spans span(G) minus span(E).
+    With e the sum of E's rays and v the sum of its incident normals, e + s v
+    lies inside the adjacent cone for every s > 0, and inside the open
+    orthant for s = min(e_i / -v_i over v_i < 0) / 2 when e > 0. An element
+    with a coordinate of e at most TOL_GEOM lies on a coordinate face (up to
+    roundoff) and gets no point. The cone's lattice must be populated
+    (cone_sub_elements).
+    """
     element = frozenset(element)
+    rays = cone.rays[sorted(element)]
+    basis = gram_schmidt(rays)
+    d = next(k for k, faces in cone.elements.items() if element in faces)
+    m = cone.dim
+    incident = np.array([element <= f for f in cone.facets])
+    below = ([f for f in cone.elements[d - 1] if f < element] if d > 1
+             else [frozenset()])
+    above = ([f for f in cone.elements[d + 1] if element < f] if d < m - 1
+             else [frozenset(range(len(cone.rays)))])
+    leaving = np.array([[sub <= f for f in cone.facets] for sub in below]) & ~incident
+    outer = np.array([[i in sup and i not in element for i in range(len(cone.rays))]
+                      for sup in above])
+    rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
+                      (outer @ cone.rays) @ (np.eye(m) - basis @ basis.T)])
+    normals = cone.normals[incident]
+    e, v = rays.sum(axis=0), normals.sum(axis=0)
+    interior = None
+    if e.min() > TOL_GEOM:
+        down = v < 0.0
+        interior = e + 0.5 * np.min(e[down] / -v[down]) * v
     return AdjacentCone(
         element=element,
-        element_rays=cone.rays[sorted(element)],
-        normals=cone.normals[[element <= f for f in cone.facets]],
+        element_rays=rays,
+        normals=normals,
+        basis=basis,
+        facet_normals=rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        interior=interior,
     )

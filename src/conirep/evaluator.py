@@ -130,7 +130,7 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
             if n_simplices > MAX_SIMPLICES:
                 raise BudgetExceededError(
                     f"{n_simplices} simplices exceed the limit of {MAX_SIMPLICES}")
-            integral = region_integral(region, adj.element_rays)
+            integral = region_integral(region, adj.basis)
             records.append(RegionRecord(
                 element=tuple(i + 1 for i in sorted(elem)),
                 dim=dim,

@@ -17,7 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .linalg import gram_schmidt, simplex_volumes
+# gram_schmidt is not used here; bench/tracer.py counts calls through this name
+from .linalg import gram_schmidt, simplex_volumes  # noqa: F401
 from .region import RegionPolytope
 
 
@@ -50,18 +51,14 @@ def simplex_integral(vertices, basis: np.ndarray) -> float:
     return float(simplex_integrals(P, simplex_volumes(P), basis)[0])
 
 
-def region_integral(region: RegionPolytope, element_rays) -> float:
-    """Sum of simplex integrals of the squared distance to the element span.
+def region_integral(region: RegionPolytope, basis: np.ndarray) -> float:
+    """Sum of simplex integrals of the squared distance to span(basis).
 
-    `element_rays` spans the cone element the region projects onto; an empty
-    sequence means the apex and the distance is measured to the origin.
+    `basis` is the (m, d) orthonormal basis of the element span the region
+    projects onto (AdjacentCone.basis); with d = 0 the element is the apex
+    and the distance is measured to the origin.
     """
     if not len(region.simplices):
         return 0.0
-    rays = np.asarray(element_rays, dtype=float)
-    if rays.size:
-        basis = gram_schmidt(rays)
-    else:
-        basis = np.zeros((region.vertices.shape[1], 0))
     points = region.vertices[region.simplices]
     return float(simplex_integrals(points, region.volumes, basis).sum())

@@ -1,11 +1,14 @@
 """Regions: adjacent cone clipped to the unit hypercube, then triangulated.
 
 A region is the polytope {x : n . x <= 0 for each outward facet normal n of
-the adjacent cone, 0 <= x <= 1}. Qhull intersects these halfspaces around an
-interior point found by least-distance programming. The origin, the apex of
-every adjacent cone, is a vertex of every region, so coning the facets of
-the region's hull to the origin triangulates it; only facets on the cube's
-far faces x_j = 1 miss the origin, so only they give simplices.
+the adjacent cone, 0 <= x <= 1}. The adjacent cone brings its facet normals
+and, unless its element lies on a coordinate face, an interior point, both
+read off the cone lattice; for the rest, least-distance programming finds an
+interior point or shows that the region has none. Qhull intersects the
+halfspaces around that point. The origin, the apex of every adjacent cone,
+is a vertex of every region, so coning the facets of the region's hull to
+the origin triangulates it; only facets on the cube's far faces x_j = 1 miss
+the origin, so only they give simplices.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
 
-from .cone import AdjacentCone, cone_halfspaces
+from .cone import AdjacentCone
 from .errors import DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
 from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
@@ -67,21 +70,21 @@ def _interior_point(G: np.ndarray):
 def hypercube_intersect(adj: AdjacentCone) -> np.ndarray:
     """Vertices of (adjacent cone) intersect [0,1]^m, deduplicated, origin first.
 
-    Returns an empty (0, m) array when the region has no interior: the
-    generators do not span the space, or the cone meets the positive orthant
-    only on its boundary. Qhull failures propagate as QhullError.
+    The halfspaces are adj.facet_normals and the cube. The interior point is
+    adj.interior, or for an element on a coordinate face the least-distance
+    point strictly inside the cone and the orthant; either is scaled into
+    the cube. Returns an empty (0, m) array when the cone meets the positive
+    orthant only on its boundary. Qhull failures propagate as QhullError.
     """
-    gens = adj.generators
-    m = gens.shape[1]
-    if np.linalg.matrix_rank(gens, tol=TOL_GEOM) < m:
-        return np.zeros((0, m))
-    _, normals = cone_halfspaces(gens)
+    normals = adj.facet_normals
+    m = normals.shape[1]
     eye = np.eye(m)
-    # strictly inside the cone and the orthant; x >= 1, so x / (2 max x) is
-    # inside the cube too
-    x = _interior_point(np.vstack([-normals, eye]))
+    x = adj.interior
     if x is None:
-        return np.zeros((0, m))
+        # x >= 1 row-wise, so it is strictly inside the cone and the orthant
+        x = _interior_point(np.vstack([-normals, eye]))
+        if x is None:
+            return np.zeros((0, m))
     halfspaces = np.vstack([
         np.hstack([normals, np.zeros((len(normals), 1))]),  # n . x <= 0
         np.hstack([-eye, np.zeros((m, 1))]),  # x >= 0

@@ -14,6 +14,13 @@ TILTED = np.array([[2.0, 3.0, 0.0],
                    [3.0, 1.0, 0.0],
                    [1.0, 1.0, 1.0]])
 
+# Apex (0, 0, 0, 1) over the unit square in the first two coordinates, plus
+# an interior ray lifted off it: five facets, one holding four rays.
+SQUARE_PYRAMID = np.array([[0.0, 1.0, 1.0, 0.0, 0.5],
+                           [0.0, 0.0, 1.0, 1.0, 0.5],
+                           [0.0, 0.0, 0.0, 0.0, 1.0],
+                           [1.0, 1.0, 1.0, 1.0, 1.0]])
+
 
 @pytest.fixture
 def wedge():

@@ -174,6 +174,19 @@ def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
     assert "numerical failure: forced failure" in captured.err
 
 
+def test_linear_algebra_failure_exit_code(capsys, tilted_csv, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not read as an input error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr("conirep.cli.evaluate", fail)
+    code = main(["evaluate", "--input", tilted_csv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "numerical failure: forced failure" in captured.err
+
+
 def test_numeric_matches_library(capsys, tilted_csv):
     code, out = run(capsys, ["numeric", "--input", tilted_csv, "--n", "16",
                              "--format", "json"])

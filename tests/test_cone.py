@@ -16,6 +16,7 @@ from conirep.cone import (
     StateMatrix,
     _unit_dedup,
     adjacent_cone,
+    cone_halfspaces,
     cone_sub_elements,
     coni_facets,
 )
@@ -23,7 +24,7 @@ from conirep.errors import AllZeroMatrixError
 from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
-from conftest import TILTED, WEDGE, random_activity
+from conftest import SQUARE_PYRAMID, TILTED, WEDGE, random_activity
 from reference import cone_contains, facet_normal_outward
 
 SQ2 = 1 / math.sqrt(2)
@@ -184,6 +185,45 @@ def test_orthant_edge_adjacent_cone():
     gens = sorted(tuple(np.round(g, 9)) for g in adj.normals)
     assert gens == [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     assert adj.generators.shape == (3, 3)
+
+
+ROWS_CASES = [pytest.param(random_activity(np.random.default_rng([71, m, i]), m, m + 2),
+                           id=f"m{m}-{i}")
+              for m in (2, 3, 4, 5) for i in range(3)] + [
+    pytest.param(SQUARE_PYRAMID, id="square-pyramid"),
+    pytest.param(np.array([[0.0, 1.0, 2.0, 1.0],
+                           [1.0, 0.0, 1.0, 2.0],
+                           [2.0, 1.5, 0.0, 0.0]]), id="zeroed"),
+]
+
+
+@pytest.mark.parametrize("C", ROWS_CASES)
+def test_adjacent_cone_rows_match_its_hull(C):
+    # the lattice rows are the adjacent cone's own facets, none missing and
+    # none redundant: the unit normals of a hull of its generators
+    cone = cone_sub_elements(coni_facets(C))
+    points = 0
+    for elems in cone.elements.values():
+        for e in elems:
+            adj = adjacent_cone(e, cone)
+            rows = adj.facet_normals
+            _, hull = cone_halfspaces(adj.generators)
+            assert rows.shape == hull.shape
+            gap = np.abs(rows[:, None, :] - hull[None, :, :]).max(axis=2)
+            assert gap.min(axis=1).max() < 1e-9
+            assert gap.min(axis=0).max() < 1e-9
+            if adj.interior is None:
+                continue
+            points += 1
+            assert (rows @ adj.interior).max() < 0.0
+            x = adj.interior / (2.0 * adj.interior.max())
+            assert x.min() > 0.0 and x.max() < 1.0
+    total = sum(len(v) for v in cone.elements.values())
+    if np.all(C > 0):
+        assert points == total
+    else:
+        # elements on coordinate faces get no closed-form point
+        assert 0 < points < total
 
 
 def test_cone_contains_examples():

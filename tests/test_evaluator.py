@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from conirep.cone import coni_facets
+from conirep.cone import cone_sub_elements, coni_facets
 from conirep.errors import BudgetExceededError
 from conirep.evaluator import evaluate, output_volume, region_report
 from conirep.oracle import ir_num
 
-from conftest import random_activity
+from conftest import SQUARE_PYRAMID, random_activity
 from reference import facet_normal_outward
 
 
@@ -200,12 +200,7 @@ def test_column_scale_invariance_at_extreme_scales(m, scales):
 
 
 def test_square_pyramid_with_a_four_ray_facet():
-    # apex (0, 0, 0, 1) over the unit square in the first two coordinates,
-    # plus an interior ray lifted off it: five facets, one holding four rays
-    C = np.array([[0.0, 1.0, 1.0, 0.0, 0.5],
-                  [0.0, 0.0, 1.0, 1.0, 0.5],
-                  [0.0, 0.0, 0.0, 0.0, 1.0],
-                  [1.0, 1.0, 1.0, 1.0, 1.0]])
+    C = SQUARE_PYRAMID
     facets = coni_facets(C).facets
     assert sorted(len(f) for f in facets) == [3, 3, 3, 3, 4]
     res = evaluate(C)
@@ -259,20 +254,35 @@ def cone_in_cube_volume(C):
     return ConvexHull(hs.intersections).volume
 
 
+def on_a_coordinate_face(C):
+    """True when some lattice element's ray sum has a zero coordinate."""
+    cone = cone_sub_elements(coni_facets(C))
+    return any((cone.rays[sorted(e)].sum(axis=0) == 0.0).any()
+               for elems in cone.elements.values() for e in elems)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_partition_identity(m):
+    # from m = 3 on, also matrices with entries zeroed at random: their rays
+    # on coordinate faces give regions whose interior point comes from the
+    # least-distance NNLS, not from the lattice
     rng = np.random.default_rng(900 + m)
-    done = 0
-    while done < (4 if m < 5 else 2):
-        C = random_activity(rng, m, int(rng.integers(m + 1, 2 * m + 1)))
-        res = evaluate(C)
-        if res.method != "analytical":
-            continue
+    count = 4 if m < 5 else 2
+    on_face = False
+    for masked in [False] * count + [True] * (count if m >= 3 else 0):
+        while True:
+            C = random_activity(rng, m, int(rng.integers(m + 1, 2 * m + 1)))
+            if masked:
+                C[rng.random(C.shape) < 0.35] = 0.0
+            res = evaluate(C)
+            if res.method == "analytical":
+                break
         inside = cone_in_cube_volume(C)
         covered = math.fsum(r.volume for r in res.regions)
         assert covered + inside == pytest.approx(1.0, abs=1e-12)
         assert res.output_volume == pytest.approx(inside, abs=1e-12)
-        done += 1
+        on_face |= masked and on_a_coordinate_face(C)
+    assert on_face or m == 2
 
 
 def test_thin_region_of_a_wide_matrix():

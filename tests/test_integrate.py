@@ -116,4 +116,4 @@ def test_region_integral_unit_cube_against_origin():
 def test_region_integral_empty_region():
     region = RegionPolytope(element=frozenset({0}),
                             vertices=np.zeros((0, 2)), simplices=(), volumes=np.zeros(0))
-    assert region_integral(region, np.array([[1.0, 0.0]])) == 0.0
+    assert region_integral(region, np.array([[1.0], [0.0]])) == 0.0

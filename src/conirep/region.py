@@ -4,27 +4,26 @@ A region is the polytope {x : n . x <= 0 for each outward facet normal n of
 the adjacent cone, 0 <= x <= 1}. The adjacent cone brings its facet normals
 and, unless its element lies on a coordinate face, an interior point, both
 read off the cone lattice; for the rest, least-distance programming finds an
-interior point or shows that the region has none. Qhull intersects the
-halfspaces around that point. The origin, the apex of every adjacent cone,
-is a vertex of every region, so coning the facets of the region's hull to
-the origin triangulates it; only facets on the cube's far faces x_j = 1 miss
-the origin, so only they give simplices.
+interior point or shows that the region has none. One Qhull halfspace
+intersection around that point gives the vertices and, for each vertex, the
+halfspaces through it; that incidence is the whole face lattice, one vertex
+bitmask per facet. A pulling triangulation walks it from the origin, the
+apex of every adjacent cone and vertex 0 of every region. The origin lies on
+every facet but the cube's far faces x_j = 1, so only those give simplices
+at the top level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError, cKDTree
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .cone import AdjacentCone
 from .errors import DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
 from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
 from .nnls import nnls
-
-# Coordinate dedup tolerance for region vertices (absolute, unit box scale).
-TOL_DEDUP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,38 @@ def _interior_point(G: np.ndarray):
     if rnorm <= TOL_GEOM:
         return None
     active = u > 0.0
-    return np.linalg.lstsq(G[active], np.ones(int(active.sum())), rcond=None)[0]
+    x = np.linalg.lstsq(G[active], np.ones(int(active.sum())), rcond=None)[0]
+    # a residual just above TOL_GEOM can leave a point that breaks the rows
+    # it must meet: the system is all but infeasible, the region negligible
+    return x if (G @ x).min() >= 0.5 else None
 
 
-def hypercube_intersect(adj: AdjacentCone) -> np.ndarray:
-    """Vertices of (adjacent cone) intersect [0,1]^m, deduplicated, origin first.
+@dataclass(frozen=True)
+class Intersection:
+    """Vertices of one region, the origin first, and the halfspaces through each.
 
-    The halfspaces are adj.facet_normals and the cube. The interior point is
-    adj.interior, or for an element on a coordinate face the least-distance
-    point strictly inside the cone and the orthant; either is scaled into
-    the cube. Returns an empty (0, m) array when the cone meets the positive
-    orthant only on its boundary. Qhull failures propagate as QhullError.
+    vertices: (k, m). incidence: for each vertex, the indices of the
+    non-redundant halfspaces through it, as Qhull's dual_facets lists them;
+    a degenerate vertex appears once, with all of its planes. len() is k.
+    """
+
+    vertices: np.ndarray
+    incidence: list[list[int]]
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def hypercube_intersect(adj: AdjacentCone) -> Intersection:
+    """Vertices of (adjacent cone) intersect [0,1]^m and their halfspaces.
+
+    The halfspaces are adj.facet_normals, then x >= 0, then x <= 1; all but
+    the last m pass through the origin, so the origin is the one vertex on
+    none of the last m. The interior point is adj.interior, or for an element
+    on a coordinate face the least-distance point strictly inside the cone
+    and the orthant; either is scaled into the cube. Returns no vertices when
+    the cone meets the positive orthant only on its boundary. Qhull failures
+    propagate as QhullError.
     """
     normals = adj.facet_normals
     m = normals.shape[1]
@@ -84,61 +104,80 @@ def hypercube_intersect(adj: AdjacentCone) -> np.ndarray:
         # x >= 1 row-wise, so it is strictly inside the cone and the orthant
         x = _interior_point(np.vstack([-normals, eye]))
         if x is None:
-            return np.zeros((0, m))
+            return Intersection(np.zeros((0, m)), [])
     halfspaces = np.vstack([
         np.hstack([normals, np.zeros((len(normals), 1))]),  # n . x <= 0
         np.hstack([-eye, np.zeros((m, 1))]),  # x >= 0
         np.hstack([eye, -np.ones((m, 1))]),  # x <= 1
     ])
     hs = HalfspaceIntersection(halfspaces, x / (2.0 * x.max()))
-    pts = np.vstack([np.zeros(m), np.clip(hs.intersections, 0.0, 1.0)])
-    pairs = cKDTree(pts).query_pairs(TOL_DEDUP, p=np.inf, output_type="ndarray")
-    keep = np.ones(len(pts), dtype=bool)
-    keep[pairs[:, 1]] = False  # pairs are (i, j) with i < j: the first copy wins
-    return pts[keep]
+    incidence = hs.dual_facets
+    through_origin = len(normals) + m
+    o = next(j for j, planes in enumerate(incidence) if max(planes) < through_origin)
+    order = [o, *range(o), *range(o + 1, len(incidence))]
+    pts = np.clip(hs.intersections[order], 0.0, 1.0)
+    pts[0] = 0.0
+    return Intersection(pts, [incidence[j] for j in order])
 
 
-def polytope_facets(vertices: np.ndarray):
-    """Simplicial facets of the joggled convex hull of a vertex set.
+def polytope_facets(incidence: list[list[int]]) -> list[int]:
+    """Vertex bitmask of each non-redundant halfspace: bit j for vertex j on it.
 
-    Returns (facets, planes): an (f, m) array of vertex indices and the
-    facets' (f, m+1) hyperplanes n . x + b = 0 with unit outward n. Qhull's
-    default triangulation (option Qt) can overlap simplices on merged
-    facets; joggling (QJ) gives simplicial facets that tile the boundary.
-    Both arrays are empty for fewer than m+1 points or a rank-deficient span.
+    An intersection around a strictly interior point is full-dimensional, so
+    these are exactly the facets of the polytope.
     """
-    V = np.asarray(vertices, dtype=float)
-    m = V.shape[1]
-    if V.shape[0] < m + 1 or np.linalg.matrix_rank(V - V[0], tol=TOL_GEOM) < m:
-        return np.zeros((0, m), dtype=int), np.zeros((0, m + 1))
-    hull = ConvexHull(V, qhull_options="QJ")
-    return hull.simplices, hull.equations
+    masks: dict[int, int] = {}
+    for j, planes in enumerate(incidence):
+        for i in planes:
+            masks[i] = masks.get(i, 0) | 1 << j
+    return list(masks.values())
 
 
-def triangulate_polytope(facets, vertices: np.ndarray) -> np.ndarray:
-    """Fan triangulation from vertex 0 over the facets that miss it.
+def triangulate_polytope(facets: list[int], vertices: np.ndarray) -> np.ndarray:
+    """Pulling triangulation of a polytope from its facet masks.
 
-    `facets` is the (facets, planes) pair from polytope_facets. Facets whose
-    plane passes through vertex 0 would give flat simplices and are left
-    out; the rest, each joined to vertex 0, tile the polytope. Returns an
-    (s, m+1) array of vertex indices, each row starting with 0.
+    Each face F, a vertex bitmask, is triangulated by joining its lowest
+    vertex v to the triangulations of the facets of F that miss v (De Loera,
+    Rambau & Santos, Triangulations, 2010). The facets of F are
+    the inclusion-maximal nonempty proper sets F & S over the facet masks S;
+    each face is triangulated once. Returns an (s, m+1) array of vertex
+    indices, each row starting with 0.
     """
-    indices, planes = facets
-    apex = np.asarray(vertices, dtype=float)[0]
-    away = planes[:, :-1] @ apex + planes[:, -1] < -TOL_GEOM
-    return np.column_stack([np.zeros(int(away.sum()), dtype=int), indices[away]])
+    m = np.shape(vertices)[1]
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def pull(face: int) -> list[tuple[int, ...]]:
+        rows = memo.get(face)
+        if rows is None:
+            low = face & -face
+            v = low.bit_length() - 1
+            if face == low:
+                rows = [(v,)]
+            else:
+                subs = {face & s for s in facets} - {0, face}
+                rows = []
+                for g in subs:
+                    if g & low:
+                        continue
+                    for h in subs:
+                        if g & h == g != h:
+                            break  # inside a larger candidate: not a facet
+                    else:
+                        rows += [(v,) + r for r in pull(g)]
+            memo[face] = rows
+        return rows
+
+    rows = pull((1 << len(vertices)) - 1) if facets else []
+    return np.array(rows, dtype=int).reshape(-1, m + 1)
 
 
 def build_region(adj: AdjacentCone) -> RegionPolytope:
-    """Intersect, hull, and triangulate one adjacent cone against the cube."""
+    """Intersect one adjacent cone with the cube and triangulate the result."""
     try:
-        verts = hypercube_intersect(adj)
-        facets = polytope_facets(verts)
+        inter = hypercube_intersect(adj)
     except QhullError as exc:
         raise DegenerateConeError(
             f"region of element {sorted(adj.element)}: {exc}") from exc
-    if not len(facets[0]):
-        empty = np.zeros((0, verts.shape[1] + 1), dtype=int)
-        return RegionPolytope(adj.element, verts, empty, np.zeros(0))
-    simplices = triangulate_polytope(facets, verts)
+    verts = inter.vertices
+    simplices = triangulate_polytope(polytope_facets(inter.incidence), verts)
     return RegionPolytope(adj.element, verts, simplices, simplex_volumes(verts[simplices]))

@@ -1,12 +1,15 @@
 """Independent geometry the tests check the pipeline against.
 
-The pipeline takes facet normals from Qhull's hull equations and never asks
-whether a point lies in a cone. These references compute both another way:
-facet normals by cofactor expansion over the facet's rays, and cone
-membership by an NNLS fit against the generators.
+The pipeline takes facet normals from Qhull's hull equations, never asks
+whether a point lies in a cone, and reads a region's vertex-facet incidence
+off Qhull's halfspace intersection. These references compute all three
+another way: facet normals by cofactor expansion over the facet's rays,
+cone membership by an NNLS fit against the generators, and incidence by a
+distance test against the facets of a convex hull.
 """
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from conirep.cone import TOL_MEMBER, Cone
 from conirep.errors import DegenerateConeError
@@ -72,3 +75,16 @@ def cone_contains(point, generators, tol_member: float = TOL_MEMBER) -> bool:
     G = np.asarray(generators, dtype=float)
     _, rnorm = nnls(G.T, np.asarray(point, dtype=float))
     return rnorm < tol_member
+
+
+def facet_masks(vertices) -> list[int]:
+    """One vertex bitmask per facet of the convex hull of `vertices`.
+
+    Every input point must be a vertex of the hull; bit j is set when
+    vertex j lies within TOL_GEOM of the facet's plane. The triangles Qhull
+    splits a non-simplicial facet into share one plane, so they give one mask.
+    """
+    V = np.asarray(vertices, dtype=float)
+    eq = ConvexHull(V).equations
+    on = np.abs(eq[:, :-1] @ V.T + eq[:, -1:]) < TOL_GEOM
+    return sorted({sum(1 << int(j) for j in np.flatnonzero(row)) for row in on})

@@ -261,15 +261,15 @@ def on_a_coordinate_face(C):
                for elems in cone.elements.values() for e in elems)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_partition_identity(m):
     # from m = 3 on, also matrices with entries zeroed at random: their rays
     # on coordinate faces give regions whose interior point comes from the
-    # least-distance NNLS, not from the lattice
+    # least-distance NNLS, not from the lattice. m = 6 takes one masked draw.
     rng = np.random.default_rng(900 + m)
-    count = 4 if m < 5 else 2
+    plain, masked_draws = {2: (4, 0), 5: (2, 2), 6: (0, 1)}.get(m, (4, 4))
     on_face = False
-    for masked in [False] * count + [True] * (count if m >= 3 else 0):
+    for masked in [False] * plain + [True] * masked_draws:
         while True:
             C = random_activity(rng, m, int(rng.integers(m + 1, 2 * m + 1)))
             if masked:
@@ -283,6 +283,26 @@ def test_partition_identity(m):
         assert res.output_volume == pytest.approx(inside, abs=1e-12)
         on_face |= masked and on_a_coordinate_face(C)
     assert on_face or m == 2
+
+
+def test_all_but_infeasible_region_on_a_coordinate_face():
+    # the 47th zero-masked draw of seed 4242: the least-distance system of
+    # the element of rays 2 and 3 (from 0) has an NNLS residual of 4.2e-7,
+    # just above the emptiness threshold, and the point solved from its
+    # active rows broke two of them; scaled into the cube it sat on x_5 = 0
+    # and Qhull refused it
+    rng = np.random.default_rng(4242)
+    for _ in range(47):
+        m = int(rng.integers(2, 6))
+        C = rng.uniform(0.0, 3.0, (m, rng.integers(m + 1, 2 * m + 1)))
+        C[rng.random(C.shape) < 0.35] = 0.0
+    assert C.shape == (5, 7)
+    res = evaluate(C)
+    assert res.method == "analytical"
+    inside = cone_in_cube_volume(C)
+    covered = math.fsum(r.volume for r in res.regions)
+    assert covered + inside == pytest.approx(1.0, abs=1e-12)
+    assert abs(res.ir - ir_num(C, 16).ir_num) <= 5 / (12.0 * 16 ** 2)
 
 
 def test_thin_region_of_a_wide_matrix():

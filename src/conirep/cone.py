@@ -9,6 +9,10 @@ rays confirms each one. (Vertex status on {0} together with the unit rays
 says nothing: every unit ray lies on the sphere, so all of them are
 vertices.) The cone is pointed, so its facets are exactly the facets
 through the origin of the convex hull of the origin and the extreme rays.
+
+The boundary elements are the facets closed under intersection. Each
+element's adjacent cone has one facet per Hasse-diagram edge at the element,
+so cone_sub_elements builds all of them in one batched pass over the edges.
 """
 from __future__ import annotations
 
@@ -71,6 +75,7 @@ class Cone:
     elements: dim -> ray-index sets, for dims 1..m-1 (filled by
         cone_sub_elements; facets appear again under dim m-1).
     cone_rank: rank of the ray span; the analytical pipeline needs rank m.
+    adjacent: element -> its AdjacentCone (filled by cone_sub_elements).
     """
 
     rays: np.ndarray
@@ -79,6 +84,8 @@ class Cone:
     normals: np.ndarray
     elements: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     cone_rank: int = 0
+    adjacent: dict[frozenset[int], AdjacentCone] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -196,34 +203,6 @@ def cone_halfspaces(rays: np.ndarray):
     return tuple(frozenset(f) for f in facets), np.array([found[f] for f in facets])
 
 
-def sub_elements_of(facets, rays: np.ndarray):
-    """Boundary elements of dims 1..m-1: closure of facets under intersection.
-
-    Every proper face of a pointed cone is an intersection of facets, and the
-    ray set of an intersection of faces is the intersection of their ray
-    sets, so closing the facet list under pairwise intersection enumerates
-    the whole lattice. Dimension = rank of the element's rays.
-    """
-    m = rays.shape[1]
-    all_faces = set(facets)
-    frontier = set(facets)
-    while frontier:
-        new = set()
-        for f in facets:
-            for e in frontier:
-                inter = e & f
-                if inter and inter not in all_faces and inter not in new:
-                    new.add(inter)
-        all_faces |= new
-        frontier = new
-    by_dim: dict[int, list[frozenset[int]]] = {}
-    for face in all_faces:
-        r = np.linalg.matrix_rank(rays[sorted(face)], tol=TOL_GEOM)
-        if 1 <= r <= m - 1:
-            by_dim.setdefault(int(r), []).append(face)
-    return {d: tuple(sorted(faces, key=sorted)) for d, faces in sorted(by_dim.items())}
-
-
 def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
@@ -251,58 +230,113 @@ def coni_facets(C) -> Cone:
                 cone_rank=rank)
 
 
+def _face_bases(facets, rays: np.ndarray) -> dict[frozenset[int], np.ndarray]:
+    """Faces of dims 1..m-1, each with an orthonormal basis of its span.
+
+    Every proper face of a pointed cone is an intersection of facets, and the
+    ray set of an intersection of faces is the intersection of their ray
+    sets, so closing the facet list under pairwise intersection enumerates
+    the whole lattice. One gram_schmidt per face gives its basis, and the
+    number of columns its dimension.
+    """
+    all_faces = set(facets)
+    frontier = set(facets)
+    while frontier:
+        frontier = {e & f for f in facets for e in frontier} - all_faces - {frozenset()}
+        all_faces |= frontier
+    bases = {face: gram_schmidt(rays[sorted(face)]) for face in all_faces}
+    return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rays.shape[1]}
+
+
+def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Each row of `vectors` projected onto the span of its zero-padded (m, m) basis."""
+    return ((vectors[:, None, :] @ bases) @ bases.transpose(0, 2, 1))[:, 0]
+
+
 def cone_sub_elements(cone: Cone) -> Cone:
-    """Return the cone with its element lattice (dims 1..m-1) populated."""
-    if not cone.facets:
-        raise DegenerateConeError("cone has no facets; build with coni_facets first")
-    elements = sub_elements_of(cone.facets, cone.rays)
-    return replace(cone, elements=elements)
+    """Return the cone with its element lattice (dims 1..m-1) and adjacent cones.
 
+    For an element E with basis B, cone(E) + N(E) has exactly one facet per
+    edge E' < E or E < G of the lattice's Hasse diagram (faces whose dims
+    differ by one), so no row is redundant. Every edge E' < E is E & F for a
+    facet F not containing E (Ziegler, Lectures on Polytopes, 1995, ch. 2);
+    the apex lies below each ray and the whole cone above each facet. With
+    P = B B^T, each edge E' < E gives E the row P_E of the summed outward
+    normals of the facets containing E' but not E, and gives E' the row
+    (I - P_E') of the summed rays of E outside E'. All rows are formed and
+    normalized at once; each element's come from its faces below, then
+    above, each in lattice order.
 
-def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
-    """Adjacent cone of a lattice element, its facets read off the lattice.
-
-    For an element E of dimension d with orthonormal basis Q, cone(E) + N(E)
-    has exactly one facet per (d-1)-face E' of E and one per (d+1)-face G
-    containing E, so no row is redundant:
-    - E' (the apex when d = 1): Q Q^T of the summed outward normals of the
-      parent facets that contain E' but not E. Each of them projects onto
-      the outward normal of E' within span(E).
-    - G (the whole cone when d = m-1): the part orthogonal to span(E) of the
-      summed rays of G outside E, which spans span(G) minus span(E).
     With e the sum of E's rays and v the sum of its incident normals, e + s v
     lies inside the adjacent cone for every s > 0, and inside the open
     orthant for s = min(e_i / -v_i over v_i < 0) / 2 when e > 0. An element
     with a coordinate of e at most TOL_GEOM lies on a coordinate face (up to
-    roundoff) and gets no point. The cone's lattice must be populated
-    (cone_sub_elements).
+    roundoff) and gets no point.
     """
-    element = frozenset(element)
-    rays = cone.rays[sorted(element)]
-    basis = gram_schmidt(rays)
-    d = next(k for k, faces in cone.elements.items() if element in faces)
-    m = cone.dim
-    incident = np.array([element <= f for f in cone.facets])
-    below = ([f for f in cone.elements[d - 1] if f < element] if d > 1
-             else [frozenset()])
-    above = ([f for f in cone.elements[d + 1] if element < f] if d < m - 1
-             else [frozenset(range(len(cone.rays)))])
-    leaving = np.array([[sub <= f for f in cone.facets] for sub in below]) & ~incident
-    outer = np.array([[i in sup and i not in element for i in range(len(cone.rays))]
-                      for sup in above])
-    rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
-                      (outer @ cone.rays) @ (np.eye(m) - basis @ basis.T)])
-    normals = cone.normals[incident]
-    e, v = rays.sum(axis=0), normals.sum(axis=0)
-    interior = None
-    if e.min() > TOL_GEOM:
-        down = v < 0.0
-        interior = e + 0.5 * np.min(e[down] / -v[down]) * v
-    return AdjacentCone(
-        element=element,
-        element_rays=rays,
-        normals=normals,
-        basis=basis,
-        facet_normals=rows / np.linalg.norm(rows, axis=1, keepdims=True),
-        interior=interior,
-    )
+    if not cone.facets:
+        raise DegenerateConeError("cone has no facets; build with coni_facets first")
+    rays, facets, normals, m = cone.rays, cone.facets, cone.normals, cone.dim
+    bases = _face_bases(facets, rays)
+    flat = sorted(bases, key=lambda e: (bases[e].shape[1], sorted(e)))
+    dims = [bases[e].shape[1] for e in flat]
+    index = {e: i for i, e in enumerate(flat)}
+    apex, whole = len(flat), len(flat) + 1
+
+    def ray_mask(sets):
+        mask = np.zeros((len(sets), len(rays)), dtype=bool)
+        for i, s in enumerate(sets):
+            mask[i, sorted(s)] = True
+        return mask
+
+    # nodes: the elements, then the apex (no rays) and the whole cone
+    member = ray_mask(flat + [frozenset(), frozenset(range(len(rays)))])
+    incident = ~(member @ ~ray_mask(facets).T)  # node i lies in facet j
+    lo, hi = [], []  # Hasse edges lo < hi, by hi then lo
+    for i, e in enumerate(flat):
+        subs = {index.get(e & facets[j]) for j in np.flatnonzero(~incident[i])}
+        subs = ([apex] if dims[i] == 1 else
+                sorted(s for s in subs if s is not None and dims[s] == dims[i] - 1))
+        tops = [whole] if dims[i] == m - 1 else []
+        lo += subs + [i] * len(tops)
+        hi += [i] * len(subs) + tops
+    lo, hi = np.array(lo), np.array(hi)
+
+    B = np.zeros((len(flat), m, m))
+    for i, e in enumerate(flat):
+        B[i, :, :dims[i]] = bases[e]
+    up, down = hi != whole, lo != apex
+    leaving = (incident[lo[up]] & ~incident[hi[up]]) @ normals
+    outer = (member[hi[down]] & ~member[lo[down]]) @ rays
+    rows = np.vstack([_project(leaving, B[hi[up]]), outer - _project(outer, B[lo[down]])])
+    owner = np.concatenate([hi[up], lo[down]])
+    rows = rows[np.argsort(owner, kind="stable")]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.split(rows, np.cumsum(np.bincount(owner, minlength=len(flat)))[:-1])
+
+    e_sum = member[:apex] @ rays
+    v_sum = incident[:apex] @ normals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 0.5 * np.where(v_sum < 0.0, e_sum / -v_sum, np.inf).min(axis=1)
+        interior = e_sum + step[:, None] * v_sum
+    adjacent = {e: AdjacentCone(element=e, element_rays=rays[sorted(e)],
+                                normals=normals[incident[i]], basis=bases[e],
+                                facet_normals=rows[i],
+                                interior=interior[i] if e_sum[i].min() > TOL_GEOM else None)
+                for i, e in enumerate(flat)}
+    elements = {}
+    for e, d in zip(flat, dims):
+        elements.setdefault(d, []).append(e)
+    return replace(cone, elements={d: tuple(f) for d, f in elements.items()}, adjacent=adjacent)
+
+
+def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
+    """Adjacent cone of a lattice element, as cone_sub_elements built it.
+
+    Raises ValueError when the element is not in the cone's lattice, or the
+    lattice was never built.
+    """
+    adj = cone.adjacent.get(frozenset(element))
+    if adj is None:
+        raise ValueError(f"element {sorted(element)} is not in the cone's lattice"
+                         " (build it with cone_sub_elements)")
+    return adj

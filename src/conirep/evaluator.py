@@ -24,6 +24,8 @@ from .region import build_region
 MAX_DIM = 10
 MAX_ELEMENTS = 100_000
 MAX_SIMPLICES = 1_000_000
+# Regions are integrated together once they hold at least this many simplices.
+INTEGRATE_BLOCK = 4096
 
 METHOD_ANALYTICAL = "analytical"
 METHOD_CLOSED_FORM = "closed-form"
@@ -114,31 +116,28 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
         )
 
     cone = cone_sub_elements(cone)
-    n_elements = sum(len(v) for v in cone.elements.values())
-    if n_elements > MAX_ELEMENTS:
-        raise BudgetExceededError(f"{n_elements} cone elements exceed the limit of {MAX_ELEMENTS}")
+    todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
+    if len(todo) > MAX_ELEMENTS:
+        raise BudgetExceededError(f"{len(todo)} cone elements exceed the limit of {MAX_ELEMENTS}")
 
     records: list[RegionRecord] = []
-    ir = 0.0
-    covered = 0.0
-    n_simplices = 0
-    for dim in sorted(cone.elements):
-        for elem in cone.elements[dim]:
-            adj = adjacent_cone(elem, cone)
-            region = build_region(adj)
-            n_simplices += len(region.simplices)
-            if n_simplices > MAX_SIMPLICES:
-                raise BudgetExceededError(
-                    f"{n_simplices} simplices exceed the limit of {MAX_SIMPLICES}")
-            integral = region_integral(region, adj.basis)
-            records.append(RegionRecord(
-                element=tuple(i + 1 for i in sorted(elem)),
-                dim=dim,
-                volume=region.volume,
-                integral=integral,
-            ))
-            ir += integral
-            covered += region.volume
+    pending: list = []  # (dim, element, region, basis) not yet integrated
+    n_simplices = block_start = 0
+    for k, (dim, elem) in enumerate(todo, 1):
+        adj = adjacent_cone(elem, cone)
+        region = build_region(adj)
+        n_simplices += len(region.simplices)
+        if n_simplices > MAX_SIMPLICES:
+            raise BudgetExceededError(
+                f"{n_simplices} simplices exceed the limit of {MAX_SIMPLICES}")
+        pending.append((dim, elem, region, adj.basis))
+        if n_simplices - block_start >= INTEGRATE_BLOCK or k == len(todo):
+            _, _, regions, bases = zip(*pending)
+            for (d, e, r, _), value in zip(pending, region_integral(regions, bases).tolist()):
+                records.append(RegionRecord(tuple(i + 1 for i in sorted(e)), d, r.volume, value))
+            pending, block_start = [], n_simplices
+    ir = sum(r.integral for r in records)
+    covered = sum(r.volume for r in records)
 
     return EvaluationResult(
         ir=ir,

@@ -22,43 +22,56 @@ from .linalg import gram_schmidt, simplex_volumes  # noqa: F401
 from .region import RegionPolytope
 
 
-def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Integrals of the squared distance to span(basis) over a stack of simplices.
+def region_integral(regions, bases) -> np.ndarray:
+    """Integral of the squared distance to span(basis) over each region.
 
-    `points` is (s, m+1, m) and `vol` their (s,) volumes, from
-    linalg.simplex_volumes. Zero-volume simplices give 0. Each value is
-    clamped at 0; roundoff can otherwise produce a tiny negative for
-    simplices lying in the span.
+    `regions` are RegionPolytopes and `bases` the matching (m, d) orthonormal
+    bases of the element spans they project onto (AdjacentCone.basis); with
+    d = 0 the element is the apex and the distance is measured to the
+    origin. Returns one value per region, 0 for a region without simplices.
+
+    All regions are integrated together. Each vertex v gets a row
+    [v, B^T v padded to m, q(v)] in one array; summing those rows over each
+    simplex's vertices then gives both the vertex sum, whose q is
+    |sum v|^2 - |sum B^T v|^2, and the sum of the q values. Zero-volume
+    simplices give 0, and each simplex's value is clamped at 0: roundoff can
+    otherwise produce a tiny negative for simplices lying in the span.
     """
-    P = np.asarray(points, dtype=float)
-    m = P.shape[2]
+    live = [i for i, r in enumerate(regions) if len(r.simplices)]
+    if not live:
+        return np.zeros(len(regions))
+    m = regions[live[0]].vertices.shape[1]
+    rows = np.zeros((sum(len(regions[i].vertices) for i in live), 2 * m + 1))
+    simplices = []
+    offset = 0
+    for i in live:
+        V, B = regions[i].vertices, bases[i]
+        rows[offset:offset + len(V), :m] = V
+        rows[offset:offset + len(V), m:m + B.shape[1]] = V @ B
+        simplices.append(regions[i].simplices + offset)
+        offset += len(V)
 
     def q(X):
-        val = np.einsum("...k,...k->...", X, X)
-        if basis.size:
-            c = X @ basis
-            val -= np.einsum("...k,...k->...", c, c)
-        return val
+        x, z = X[:, :m], X[:, m:2 * m]
+        return np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", z, z)
 
+    rows[:, 2 * m] = q(rows)
+    # one vertex position at a time: an (s, m+1, 2m+1) gather takes MBs at m = 6
+    simplices = np.concatenate(simplices)
+    sums = rows[simplices[:, 0]]
+    for col in simplices.T[1:]:
+        sums += rows[col]
     # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
-    pair_sum = (q(P.sum(axis=1)) + q(P).sum(axis=1)) / 2.0
-    return np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+    pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
+    vol = np.concatenate([regions[i].volumes for i in live])
+    values = np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+    owner = np.repeat(live, [len(regions[i].simplices) for i in live])
+    return np.bincount(owner, values, minlength=len(regions))
 
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of the squared distance to span(basis) over one simplex, exactly."""
-    P = np.asarray(vertices, dtype=float)[None]
-    return float(simplex_integrals(P, simplex_volumes(P), basis)[0])
-
-
-def region_integral(region: RegionPolytope, basis: np.ndarray) -> float:
-    """Sum of simplex integrals of the squared distance to span(basis).
-
-    `basis` is the (m, d) orthonormal basis of the element span the region
-    projects onto (AdjacentCone.basis); with d = 0 the element is the apex
-    and the distance is measured to the origin.
-    """
-    if not len(region.simplices):
-        return 0.0
-    points = region.vertices[region.simplices]
-    return float(simplex_integrals(points, region.volumes, basis).sum())
+    P = np.asarray(vertices, dtype=float)
+    simplex = RegionPolytope(frozenset(), P, np.arange(len(P))[None],
+                             simplex_volumes(P[None]))
+    return float(region_integral([simplex], [basis])[0])

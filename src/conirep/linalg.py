@@ -6,7 +6,7 @@ so that ``basis.T @ point`` gives coordinates in the basis.
 """
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -34,14 +34,15 @@ def gram_schmidt(rays) -> np.ndarray:
     cols: list[np.ndarray] = []
     for r in rays:
         v = r.copy()
-        scale = np.linalg.norm(v)
+        scale = sqrt(v @ v)  # np.linalg.norm's value, without its overhead
         # two projection passes: the second pass removes the rounding error
         # the first one leaves behind
         for _ in range(2):
             for q in cols:
                 v -= (q @ v) * q
-        if np.linalg.norm(v) > TOL_RANK * max(scale, 1.0):
-            cols.append(v / np.linalg.norm(v))
+        norm = sqrt(v @ v)
+        if norm > TOL_RANK * max(scale, 1.0):
+            cols.append(v / norm)
     if not cols:
         return np.zeros((m, 0))
     return np.stack(cols, axis=1)

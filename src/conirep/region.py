@@ -15,6 +15,7 @@ at the top level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError
@@ -85,6 +86,14 @@ class Intersection:
         return len(self.vertices)
 
 
+@cache
+def _cube_halfspaces(m: int) -> np.ndarray:
+    """Rows [a, b] of a . x + b <= 0 for x >= 0, then x <= 1; read-only."""
+    block = np.hstack([np.vstack([-np.eye(m), np.eye(m)]), np.repeat([[0.0], [-1.0]], m, axis=0)])
+    block.flags.writeable = False
+    return block
+
+
 def hypercube_intersect(adj: AdjacentCone) -> Intersection:
     """Vertices of (adjacent cone) intersect [0,1]^m and their halfspaces.
 
@@ -97,27 +106,28 @@ def hypercube_intersect(adj: AdjacentCone) -> Intersection:
     propagate as QhullError.
     """
     normals = adj.facet_normals
-    m = normals.shape[1]
-    eye = np.eye(m)
+    k, m = normals.shape
     x = adj.interior
     if x is None:
         # x >= 1 row-wise, so it is strictly inside the cone and the orthant
-        x = _interior_point(np.vstack([-normals, eye]))
+        x = _interior_point(np.vstack([-normals, np.eye(m)]))
         if x is None:
             return Intersection(np.zeros((0, m)), [])
-    halfspaces = np.vstack([
-        np.hstack([normals, np.zeros((len(normals), 1))]),  # n . x <= 0
-        np.hstack([-eye, np.zeros((m, 1))]),  # x >= 0
-        np.hstack([eye, -np.ones((m, 1))]),  # x <= 1
-    ])
+    halfspaces = np.empty((k + 2 * m, m + 1))
+    halfspaces[:k, :m] = normals  # n . x <= 0
+    halfspaces[:k, m] = 0.0
+    halfspaces[k:] = _cube_halfspaces(m)
     hs = HalfspaceIntersection(halfspaces, x / (2.0 * x.max()))
     incidence = hs.dual_facets
-    through_origin = len(normals) + m
+    through_origin = k + m
     o = next(j for j, planes in enumerate(incidence) if max(planes) < through_origin)
-    order = [o, *range(o), *range(o + 1, len(incidence))]
-    pts = np.clip(hs.intersections[order], 0.0, 1.0)
+    pts = hs.intersections
+    if o:
+        order = [o, *range(o), *range(o + 1, len(incidence))]
+        pts, incidence = pts[order], [incidence[j] for j in order]
+    np.clip(pts, 0.0, 1.0, out=pts)
     pts[0] = 0.0
-    return Intersection(pts, [incidence[j] for j in order])
+    return Intersection(pts, incidence)
 
 
 def polytope_facets(incidence: list[list[int]]) -> list[int]:

@@ -1,17 +1,22 @@
 """Independent geometry the tests check the pipeline against.
 
 The pipeline takes facet normals from Qhull's hull equations, never asks
-whether a point lies in a cone, and reads a region's vertex-facet incidence
-off Qhull's halfspace intersection. These references compute all three
-another way: facet normals by cofactor expansion over the facet's rays,
-cone membership by an NNLS fit against the generators, and incidence by a
-distance test against the facets of a convex hull.
+whether a point lies in a cone, reads a region's vertex-facet incidence off
+Qhull's halfspace intersection, builds every adjacent cone in one batched
+pass over the lattice's Hasse edges, and integrates whole blocks of regions
+at once. These references compute each of them another way: facet normals
+by cofactor expansion over the facet's rays, cone membership by an NNLS fit
+against the generators, incidence by a distance test against the facets of
+a convex hull, one adjacent cone at a time by scanning the lattice, and the
+integral over one stack of simplices with one basis.
 """
+
+from math import comb
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from conirep.cone import TOL_MEMBER, Cone
+from conirep.cone import TOL_MEMBER, AdjacentCone, Cone
 from conirep.errors import DegenerateConeError
 from conirep.linalg import TOL_GEOM, TOL_RANK, gram_schmidt
 from conirep.nnls import nnls
@@ -88,3 +93,67 @@ def facet_masks(vertices) -> list[int]:
     eq = ConvexHull(V).equations
     on = np.abs(eq[:, :-1] @ V.T + eq[:, -1:]) < TOL_GEOM
     return sorted({sum(1 << int(j) for j in np.flatnonzero(row)) for row in on})
+
+
+def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
+    """Adjacent cone of one lattice element, its faces found by scanning the lattice.
+
+    The rows are those cone_sub_elements writes, one element at a time: for
+    each (d-1)-face E' of the element E (the apex when d = 1), Q Q^T of the
+    summed outward normals of the facets containing E' but not E; for each
+    (d+1)-face G containing E (the whole cone when d = m-1), the part
+    orthogonal to span(E) of the summed rays of G outside E. The interior
+    point is e + s v by the same formula.
+    """
+    element = frozenset(element)
+    rays = cone.rays[sorted(element)]
+    basis = gram_schmidt(rays)
+    d = next(k for k, faces in cone.elements.items() if element in faces)
+    m = cone.dim
+    incident = np.array([element <= f for f in cone.facets])
+    below = ([f for f in cone.elements[d - 1] if f < element] if d > 1
+             else [frozenset()])
+    above = ([f for f in cone.elements[d + 1] if element < f] if d < m - 1
+             else [frozenset(range(len(cone.rays)))])
+    leaving = np.array([[sub <= f for f in cone.facets] for sub in below]) & ~incident
+    outer = np.array([[i in sup and i not in element for i in range(len(cone.rays))]
+                      for sup in above])
+    rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
+                      (outer @ cone.rays) @ (np.eye(m) - basis @ basis.T)])
+    normals = cone.normals[incident]
+    e, v = rays.sum(axis=0), normals.sum(axis=0)
+    interior = None
+    if e.min() > TOL_GEOM:
+        down = v < 0.0
+        interior = e + 0.5 * np.min(e[down] / -v[down]) * v
+    return AdjacentCone(
+        element=element,
+        element_rays=rays,
+        normals=normals,
+        basis=basis,
+        facet_normals=rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        interior=interior,
+    )
+
+
+def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Integrals of the squared distance to span(basis) over a stack of simplices.
+
+    `points` is (s, m+1, m) and `vol` their (s,) volumes. Over a simplex S,
+    the integral of a quadratic q is vol(S) / C(m+2, 2) times the sum over
+    vertex pairs l1 <= l2 of its bilinear form, which is (q(sum of the
+    vertices) + sum of q(vertex)) / 2. Zero-volume simplices give 0, and
+    each value is clamped at 0.
+    """
+    P = np.asarray(points, dtype=float)
+    m = P.shape[2]
+
+    def q(X):
+        val = np.einsum("...k,...k->...", X, X)
+        if basis.size:
+            c = X @ basis
+            val -= np.einsum("...k,...k->...", c, c)
+        return val
+
+    pair_sum = (q(P.sum(axis=1)) + q(P).sum(axis=1)) / 2.0
+    return np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
@@ -25,7 +25,7 @@ from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import SQUARE_PYRAMID, TILTED, WEDGE, random_activity
-from reference import cone_contains, facet_normal_outward
+from reference import adjacent_cone_by_element, cone_contains, facet_normal_outward
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -224,6 +224,60 @@ def test_adjacent_cone_rows_match_its_hull(C):
     else:
         # elements on coordinate faces get no closed-form point
         assert 0 < points < total
+
+
+def _check_against_element_scan(C):
+    cone = cone_sub_elements(coni_facets(C))
+    for elems in cone.elements.values():
+        for e in elems:
+            got, ref = adjacent_cone(e, cone), adjacent_cone_by_element(e, cone)
+            assert got.element == e
+            assert got.facet_normals.shape == ref.facet_normals.shape
+            np.testing.assert_allclose(got.facet_normals, ref.facet_normals, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.normals, ref.normals)
+            np.testing.assert_array_equal(got.element_rays, ref.element_rays)
+            assert (got.interior is None) == (ref.interior is None)
+            if ref.interior is not None:
+                np.testing.assert_allclose(got.interior, ref.interior, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.basis @ got.basis.T, ref.basis @ ref.basis.T,
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("C", ROWS_CASES)
+def test_lattice_pass_matches_element_scan(C):
+    _check_against_element_scan(C)
+
+
+@st.composite
+def _full_rank_matrices(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(m, 2 * m + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        C = rng.integers(0, 4, size=(m, n)).astype(float)
+    else:
+        C = rng.uniform(0.0, 3.0, size=(m, n))
+        C[rng.random(C.shape) < draw(st.sampled_from([0.0, 0.2, 0.4]))] = 0.0
+    return C
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_full_rank_matrices())
+def test_lattice_pass_matches_element_scan_on_draws(C):
+    assume(C.any() and coni_facets(C).cone_rank == C.shape[0])
+    _check_against_element_scan(C)
+
+
+def test_adjacent_cone_outside_the_lattice(tilted):
+    bare = coni_facets(tilted)
+    with pytest.raises(ValueError, match=r"element \[0\] is not in the cone's lattice"):
+        adjacent_cone(frozenset({0}), bare)
+    cone = cone_sub_elements(bare)
+    assert adjacent_cone(frozenset({0}), cone).element == frozenset({0})
+    with pytest.raises(ValueError, match=r"element \[0, 1, 2\] is not in the cone's lattice"):
+        adjacent_cone(frozenset({0, 1, 2}), cone)
+    with pytest.raises(ValueError, match=r"element \[\] is not in the cone's lattice"):
+        adjacent_cone(frozenset(), cone)
 
 
 def test_cone_contains_examples():

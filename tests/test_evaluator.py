@@ -1,6 +1,7 @@
 """Tests for the top-level evaluation dispatch and its invariants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import cone_sub_elements, coni_facets
 from conirep.errors import BudgetExceededError
-from conirep.evaluator import evaluate, output_volume, region_report
+from conirep.evaluator import INTEGRATE_BLOCK, MAX_DIM, evaluate, output_volume, region_report
+from conirep.integrate import region_integral
 from conirep.oracle import ir_num
 
 from conftest import SQUARE_PYRAMID, random_activity
@@ -129,6 +131,14 @@ def test_dimension_and_element_budgets(tilted, monkeypatch):
             evaluate(tilted)
 
 
+def test_one_dimension_past_max_dim_raises_at_once():
+    C = np.random.default_rng(3).uniform(0.0, 3.0, (MAX_DIM + 1, MAX_DIM + 2))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"maximum of {MAX_DIM}"):
+        evaluate(C)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         evaluate(np.array([[1.0, -1.0]]))
@@ -230,6 +240,21 @@ def test_short_of_vertices_regressions(C, n_grid):
     m = C.shape[0]
     assert res.method == "analytical"
     assert abs(res.ir - ir_num(C, n_grid).ir_num) <= m / (12.0 * n_grid ** 2)
+
+
+def test_m6_value_across_many_integration_blocks(monkeypatch):
+    # pinned from the region-at-a-time integration that the blocks replaced
+    blocks = []
+
+    def counting(regions, bases):
+        blocks.append(sum(len(r.simplices) for r in regions))
+        return region_integral(regions, bases)
+
+    monkeypatch.setattr("conirep.evaluator.region_integral", counting)
+    C = np.random.default_rng(11).uniform(0.0, 3.0, (6, 7))
+    assert evaluate(C).ir == pytest.approx(0.22325700051586972, abs=1e-12)
+    assert len(blocks) > 10
+    assert min(blocks[:-1]) >= INTEGRATE_BLOCK
 
 
 def cone_in_cube_volume(C):

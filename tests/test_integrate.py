@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from conirep.cone import adjacent_cone, cone_sub_elements, coni_facets
 from conirep.integrate import region_integral, simplex_integral
 from conirep.linalg import gram_schmidt, simplex_volumes
-from conirep.region import RegionPolytope, triangulate_polytope
+from conirep.region import RegionPolytope, build_region, triangulate_polytope
 
-from reference import facet_masks
+from conftest import SQUARE_PYRAMID, TILTED, WEDGE
+from reference import facet_masks, simplex_integrals
 
 SQ2 = 1 / math.sqrt(2)
 EMPTY2 = np.zeros((2, 0))
@@ -112,10 +114,32 @@ def test_region_integral_unit_cube_against_origin():
                             volumes=simplex_volumes(cube[simplices]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
     # integral of |x|^2 over the unit cube is m/3
-    assert region_integral(region, EMPTY3) == pytest.approx(1.0, abs=1e-12)
+    assert region_integral([region], [EMPTY3])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_integral_empty_region():
     region = RegionPolytope(element=frozenset({0}),
                             vertices=np.zeros((0, 2)), simplices=(), volumes=np.zeros(0))
-    assert region_integral(region, np.array([[1.0], [0.0]])) == 0.0
+    assert region_integral([region], [np.array([[1.0], [0.0]])])[0] == 0.0
+
+
+@pytest.mark.parametrize("C, empty", [
+    (WEDGE, 1), (TILTED, 1), (SQUARE_PYRAMID, 6),
+    (np.random.default_rng(97).uniform(0.0, 3.0, (4, 6)), 0),
+], ids=["wedge", "tilted", "square-pyramid", "m4"])
+def test_blocked_integral_matches_each_region_on_its_own(C, empty):
+    # one call over all of a matrix's regions, empty ones among them (the
+    # wedge's is its axis region), against one stack of simplices per region
+    cone = cone_sub_elements(coni_facets(C))
+    adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
+    regions = [build_region(adj) for adj in adjs]
+    assert sum(not len(r.simplices) for r in regions) == empty
+    got = region_integral(regions, [adj.basis for adj in adjs])
+    assert got.shape == (len(regions),)
+    for value, region, adj in zip(got, regions, adjs):
+        if not len(region.simplices):
+            assert value == 0.0
+            continue
+        points = region.vertices[region.simplices]
+        alone = simplex_integrals(points, region.volumes, adj.basis).sum()
+        assert value == pytest.approx(alone, abs=1e-14)

@@ -1,14 +1,13 @@
 """Conical hull geometry: extreme rays, facet lattice, adjacent cones.
 
-Every nonzero column of a nonnegative matrix lies in the positive orthant,
-so its unit ray u has a positive coordinate sum, and p = u / sum(u) lies on
-the slice {sum(x) = 1} of the orthant. A ray is extreme exactly when its p
-is a vertex of the convex hull of all the p's, so one hull of that slice
-names the candidate extreme rays, and an NNLS fit against all the other
-rays confirms each one. (Vertex status on {0} together with the unit rays
-says nothing: every unit ray lies on the sphere, so all of them are
-vertices.) The cone is pointed, so its facets are exactly the facets
-through the origin of the convex hull of the origin and the extreme rays.
+The cone over nonnegative columns is pointed, so its facets are exactly the
+facets through the origin of the convex hull of the origin and the unit
+rays, and one Qhull hull gives them all. A ray is extreme exactly when the
+facets through it meet in that ray alone; a redundant ray lies inside a
+larger face or on no facet at all. The same hull therefore names the
+extreme rays and the facets, with no fit of one ray against the others.
+(Vertex status on that hull says nothing: every unit ray lies on the
+sphere, so all of them are vertices.)
 
 The boundary elements are the facets closed under intersection. Each
 element's adjacent cone has one facet per Hasse-diagram edge at the element,
@@ -21,9 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import AllZeroMatrixError, DegenerateConeError
+from .errors import AllZeroMatrixError, BudgetExceededError, DegenerateConeError
 from .linalg import TOL_GEOM, gram_schmidt
-from .nnls import nnls
+from .nnls import nnls  # noqa: F401
 
 # Margin below which a point counts as inside a cone.
 TOL_MEMBER = 1e-8
@@ -31,6 +30,8 @@ TOL_MEMBER = 1e-8
 DEDUP_DOT = 1.0 - 1e-12
 # Gram-matrix columns formed at a time by the dedup, so memory stays O(n).
 DEDUP_BLOCK = 256
+# Cap on the boundary elements (faces of dims 1..m-1) of one cone.
+MAX_ELEMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -148,45 +149,21 @@ def _unit_dedup(columns: np.ndarray):
     return units[rep], [o for o, r in zip(origins, rep) if r]
 
 
-def _extreme_filter(units: np.ndarray):
-    """Indices of the unit rows not expressible as conical combinations of the rest.
-
-    A ray is extreme exactly when its point p = u / sum(u) on the slice
-    {sum(x) = 1} is a vertex of the hull of all the p's, so the hull names
-    the candidates: at m = 2 the two ends of the segment, at m >= 3 Qhull's
-    vertices of the slice (dropping the last coordinate is affine on it).
-    Every ray is a candidate when there are too few to span the slice or
-    Qhull finds it flat, as for a rank-deficient cone. A candidate is kept
-    when an NNLS fit by all the other rays leaves a residual of at least
-    TOL_GEOM; the rest are inside the hull and are dropped without a fit.
-    """
-    k, m = units.shape
-    if k == 1:
-        return [0]
-    U = units.T
-    P = U / U.sum(axis=0)
-    if m == 2:
-        candidates = {int(np.argmin(P[0])), int(np.argmax(P[0]))}
-    elif k > m:
-        try:
-            candidates = ConvexHull(P[:-1].T).vertices
-        except QhullError:
-            candidates = range(k)
-    else:
-        candidates = range(k)
-    return [i for i in sorted(candidates)
-            if nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
-
-
 def cone_halfspaces(rays: np.ndarray):
-    """Facets and outward unit normals of the full-dimensional pointed cone over `rays`.
+    """Extreme rays, facets and outward unit normals of the cone over `rays`.
 
-    Works on any extreme ray set (entries of any sign). The hull of {0}
-    union rays is built; each of its equations through the origin is the
-    plane of a facet, and the facet is the set of rays on that plane. The
-    first equation for a ray set gives its normal. Returns (facets,
-    normals): ray-index sets sorted by their indices, and a matching
-    (facets, m) array, so the cone is {x : normals @ x <= 0}.
+    The cone must be pointed and full-dimensional; the rays may include
+    redundant ones and have entries of any sign, at unit scale. The hull of
+    {0} union rays is built; each of its equations through the origin is the
+    plane of a facet. A ray is extreme exactly when the facets through it
+    meet in that ray alone (Ziegler, Lectures on Polytopes, 1995, ch. 2): a
+    redundant ray on the boundary lies inside a face of dimension at least
+    2, which every facet through it contains, and one off the boundary is on
+    no facet. A facet is the set of extreme rays on its plane, and the first
+    equation for a set gives its normal. Returns (extreme, facets, normals):
+    the sorted indices of the extreme rays, index sets into rays[extreme]
+    sorted by their indices, and a matching (facets, m) array, so the cone
+    is {x : normals @ x <= 0}.
     """
     m = rays.shape[1]
     try:
@@ -194,40 +171,56 @@ def cone_halfspaces(rays: np.ndarray):
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
     planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
+    on = np.abs(planes @ rays.T) < TOL_GEOM
+    bound = np.flatnonzero(on.any(axis=0))
+    # common[i, j]: ray bound[j] lies on every facet through ray bound[i]
+    common = ~(on[:, bound].T @ ~on[:, bound])
+    extreme = bound[common.sum(axis=1) == 1]
     found: dict[tuple[int, ...], np.ndarray] = {}
-    for normal, on in zip(planes, np.abs(planes @ rays.T) < TOL_GEOM):
-        found.setdefault(tuple(np.flatnonzero(on).tolist()), normal)
+    for normal, row in zip(planes, on[:, extreme]):
+        found.setdefault(tuple(np.flatnonzero(row).tolist()), normal)
     if not found:
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
     facets = sorted(found)
-    return tuple(frozenset(f) for f in facets), np.array([found[f] for f in facets])
+    return (extreme.tolist(), tuple(frozenset(f) for f in facets),
+            np.array([found[f] for f in facets]))
 
 
 def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
-    Zero columns are dropped, collinear columns merged, and non-extreme
-    directions discarded (they add nothing to the hull; see _extreme_filter).
-    Rays come back unit-normalized and lexicographically sorted for
-    deterministic downstream iteration.
+    Zero columns are dropped and collinear columns merged. One SVD of the
+    unit rays gives the cone's rank and its span. At m >= 3 the extreme rays
+    and the facets come off one hull (cone_halfspaces); a rank-deficient
+    cone is full-dimensional in the coordinates of its span, so the same
+    hull there names its extreme rays, and it has no facets in R^m. At
+    m = 2 the extreme rays are the two ends of the segment the rays cut on
+    the slice {sum(x) = 1}. Distinct unit rays are at least acos(DEDUP_DOT)
+    apart, so rank 1 means one ray. Rays come back unit-normalized and
+    lexicographically sorted for deterministic downstream iteration.
     """
     sm = as_state_matrix(C)
     units, origins = _unit_dedup(sm.entries)
     if not origins:
         raise AllZeroMatrixError("matrix has no nonzero column")
-    keep = _extreme_filter(units)
-    rays = units[keep]
-    ray_origins = [tuple(origins[i]) for i in keep]
-    order = np.lexsort(rays.T[::-1])
-    rays = rays[order]
-    ray_origins = tuple(ray_origins[i] for i in order)
-    rank = int(np.linalg.matrix_rank(rays, tol=TOL_GEOM))
+    order = np.lexsort(units.T[::-1])
+    units = units[order]
+    _, sing, span = np.linalg.svd(units, full_matrices=False)
+    rank = int(np.count_nonzero(sing > TOL_GEOM))
     facets: tuple[frozenset[int], ...] = ()
     normals = np.zeros((0, sm.m))
-    if rank == sm.m and sm.m >= 2:
-        facets, normals = cone_halfspaces(rays)
-    return Cone(rays=rays, ray_origins=ray_origins, facets=facets, normals=normals,
-                cone_rank=rank)
+    if rank == 1:
+        keep = [0]
+    elif sm.m == 2:
+        p = units[:, 0] / units.sum(axis=1)
+        keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
+        _, facets, normals = cone_halfspaces(units[keep])
+    elif rank < sm.m:
+        keep = cone_halfspaces(units @ span[:rank].T)[0]
+    else:
+        keep, facets, normals = cone_halfspaces(units)
+    return Cone(rays=units[keep], ray_origins=tuple(tuple(origins[order[i]]) for i in keep),
+                facets=facets, normals=normals, cone_rank=rank)
 
 
 def _face_bases(facets, rays: np.ndarray) -> dict[frozenset[int], np.ndarray]:
@@ -236,14 +229,18 @@ def _face_bases(facets, rays: np.ndarray) -> dict[frozenset[int], np.ndarray]:
     Every proper face of a pointed cone is an intersection of facets, and the
     ray set of an intersection of faces is the intersection of their ray
     sets, so closing the facet list under pairwise intersection enumerates
-    the whole lattice. One gram_schmidt per face gives its basis, and the
-    number of columns its dimension.
+    the whole lattice. A lattice of more than MAX_ELEMENTS faces is refused
+    before any basis is formed. One gram_schmidt per face gives its basis,
+    and the number of columns its dimension.
     """
     all_faces = set(facets)
     frontier = set(facets)
     while frontier:
         frontier = {e & f for f in facets for e in frontier} - all_faces - {frozenset()}
         all_faces |= frontier
+    if len(all_faces) > MAX_ELEMENTS:
+        raise BudgetExceededError(
+            f"{len(all_faces)} cone elements exceed the limit of {MAX_ELEMENTS}")
     bases = {face: gram_schmidt(rays[sorted(face)]) for face in all_faces}
     return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rays.shape[1]}
 

@@ -22,7 +22,6 @@ from .region import build_region
 
 # Hard caps for the combinatorial stages.
 MAX_DIM = 10
-MAX_ELEMENTS = 100_000
 MAX_SIMPLICES = 1_000_000
 # Regions are integrated together once they hold at least this many simplices.
 INTEGRATE_BLOCK = 4096
@@ -117,8 +116,6 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
 
     cone = cone_sub_elements(cone)
     todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
-    if len(todo) > MAX_ELEMENTS:
-        raise BudgetExceededError(f"{len(todo)} cone elements exceed the limit of {MAX_ELEMENTS}")
 
     records: list[RegionRecord] = []
     pending: list = []  # (dim, element, region, basis) not yet integrated

@@ -3,12 +3,15 @@
 The pipeline takes facet normals from Qhull's hull equations, never asks
 whether a point lies in a cone, reads a region's vertex-facet incidence off
 Qhull's halfspace intersection, builds every adjacent cone in one batched
-pass over the lattice's Hasse edges, and integrates whole blocks of regions
-at once. These references compute each of them another way: facet normals
-by cofactor expansion over the facet's rays, cone membership by an NNLS fit
-against the generators, incidence by a distance test against the facets of
-a convex hull, one adjacent cone at a time by scanning the lattice, and the
-integral over one stack of simplices with one basis.
+pass over the lattice's Hasse edges, integrates whole blocks of regions at
+once, merges collinear columns from one Gram matrix, and reads the extreme
+rays off one hull. These references compute each of them another way:
+facet normals by cofactor expansion over the facet's rays, cone membership
+by an NNLS fit against the generators, incidence by a distance test against
+the facets of a convex hull, one adjacent cone at a time by scanning the
+lattice, the integral over one stack of simplices with one basis, the dedup
+by a greedy loop over the columns, and the extreme rays by an NNLS fit of
+each unit ray against all the others.
 """
 
 from math import comb
@@ -16,7 +19,7 @@ from math import comb
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from conirep.cone import TOL_MEMBER, AdjacentCone, Cone
+from conirep.cone import DEDUP_DOT, TOL_MEMBER, AdjacentCone, Cone
 from conirep.errors import DegenerateConeError
 from conirep.linalg import TOL_GEOM, TOL_RANK, gram_schmidt
 from conirep.nnls import nnls
@@ -157,3 +160,35 @@ def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     pair_sum = (q(P.sum(axis=1)) + q(P).sum(axis=1)) / 2.0
     return np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+
+
+def unit_dedup_by_loop(columns):
+    """Reference dedup: one dot product per (column, representative) pair."""
+    units, origins = [], []
+    for j in range(columns.shape[1]):
+        col = columns[:, j]
+        if not col.any():
+            continue
+        u = col / col.max()
+        u = u / np.linalg.norm(u)
+        for k, v in enumerate(units):
+            if u @ v > DEDUP_DOT:
+                origins[k].append(j)
+                break
+        else:
+            units.append(u)
+            origins.append([j])
+    return units, origins
+
+
+def origins_by_fitting_every_unit(C):
+    """Reference extreme rays: the origins of each unit ray not fitted by the others.
+
+    A unit ray is extreme when an NNLS fit by all the other unit rays leaves
+    a residual of at least TOL_GEOM. Returns the sorted origin tuples.
+    """
+    units, origins = unit_dedup_by_loop(np.asarray(C, dtype=float))
+    U = np.stack(units, axis=1)
+    keep = [i for i in range(len(units))
+            if len(units) == 1 or nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
+    return sorted(tuple(origins[i]) for i in keep)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
@@ -12,7 +12,6 @@ from scipy.spatial import ConvexHull
 
 import conirep.cone
 from conirep.cone import (
-    DEDUP_DOT,
     StateMatrix,
     _unit_dedup,
     adjacent_cone,
@@ -21,11 +20,11 @@ from conirep.cone import (
     coni_facets,
 )
 from conirep.errors import AllZeroMatrixError
-from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import SQUARE_PYRAMID, TILTED, WEDGE, random_activity
-from reference import adjacent_cone_by_element, cone_contains, facet_normal_outward
+from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
+                       origins_by_fitting_every_unit, unit_dedup_by_loop)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -207,7 +206,8 @@ def test_adjacent_cone_rows_match_its_hull(C):
         for e in elems:
             adj = adjacent_cone(e, cone)
             rows = adj.facet_normals
-            _, hull = cone_halfspaces(adj.generators)
+            extreme, _, hull = cone_halfspaces(adj.generators)
+            assert extreme == list(range(len(adj.generators)))
             assert rows.shape == hull.shape
             gap = np.abs(rows[:, None, :] - hull[None, :, :]).max(axis=2)
             assert gap.min(axis=1).max() < 1e-9
@@ -310,34 +310,6 @@ def test_adjacent_cones_tile_the_complement():
                 assert hits == 1
 
 
-def _unit_dedup_by_loop(columns):
-    """Reference dedup: one dot product per (column, representative) pair."""
-    units, origins = [], []
-    for j in range(columns.shape[1]):
-        col = columns[:, j]
-        if not col.any():
-            continue
-        u = col / col.max()
-        u = u / np.linalg.norm(u)
-        for k, v in enumerate(units):
-            if u @ v > DEDUP_DOT:
-                origins[k].append(j)
-                break
-        else:
-            units.append(u)
-            origins.append([j])
-    return units, origins
-
-
-def _origins_by_fitting_every_unit(C):
-    """Reference filter: fit every unit against all the others, no hull."""
-    units, origins = _unit_dedup_by_loop(np.asarray(C, dtype=float))
-    U = np.stack(units, axis=1)
-    keep = [i for i in range(len(units))
-            if len(units) == 1 or nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
-    return sorted(tuple(origins[i]) for i in keep)
-
-
 def _rotated(u, w, angle):
     """Unit vector at `angle` from unit u, turned towards the unit w orthogonal to it."""
     return math.cos(angle) * u + math.sin(angle) * w
@@ -356,14 +328,14 @@ def test_unit_dedup_matches_greedy_loop():
         cols += [np.zeros(3)] * 3
         C = np.stack(cols, axis=1)[:, rng.permutation(len(cols))]
         units, origins = _unit_dedup(C)
-        ref_units, ref_origins = _unit_dedup_by_loop(C)
+        ref_units, ref_origins = unit_dedup_by_loop(C)
         assert origins == ref_origins
         np.testing.assert_array_equal(units, np.array(ref_units))
-        assert sorted(coni_facets(C).ray_origins) == _origins_by_fitting_every_unit(C)
+        assert sorted(coni_facets(C).ray_origins) == origins_by_fitting_every_unit(C)
     # a chain of twins: b merges into a, c is too far from a to join it, and
     # b is no representative, so c starts its own ray
     C = np.stack([_rotated(u, w, a) for a in (0.0, 1.0e-6, 2.0e-6)], axis=1)
-    assert _unit_dedup(C)[1] == _unit_dedup_by_loop(C)[1] == [[0, 1], [2]]
+    assert _unit_dedup(C)[1] == unit_dedup_by_loop(C)[1] == [[0, 1], [2]]
 
 
 @st.composite
@@ -371,13 +343,16 @@ def _activity_matrices(draw):
     m = draw(st.integers(2, 5))
     n = draw(st.integers(1, 40))
     small_ints = st.integers(0, 3).map(float)
-    kind = draw(st.sampled_from(["integer", "uniform", "rank-deficient"]))
+    kind = draw(st.sampled_from(["integer", "uniform", "zero-masked", "rank-deficient"]))
     if kind == "integer":
-        # duplicate and coplanar columns: points on the slice hull's edges
+        # duplicate and coplanar columns: redundant rays on the cone's faces
         C = draw(arrays(float, (m, n), elements=small_ints))
-    elif kind == "uniform":
-        seed = draw(st.integers(0, 2**32 - 1))
-        C = np.random.default_rng(seed).uniform(0.0, 3.0, size=(m, n))
+    elif kind in ("uniform", "zero-masked"):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        C = rng.uniform(0.0, 3.0, size=(m, n))
+        if kind == "zero-masked":
+            # rays on coordinate faces, and faces shared with the orthant
+            C[rng.random(C.shape) < 0.35] = 0.0
     else:
         r = draw(st.integers(1, m - 1))
         C = (draw(arrays(float, (m, r), elements=small_ints))
@@ -389,21 +364,27 @@ def _activity_matrices(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_activity_matrices())
+@example(SQUARE_PYRAMID)
 def test_extreme_filter_matches_fitting_every_unit(C):
-    assert sorted(coni_facets(C).ray_origins) == _origins_by_fitting_every_unit(C)
+    assert sorted(coni_facets(C).ray_origins) == origins_by_fitting_every_unit(C)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_wide_filter_fits_only_slice_hull_vertices(seed, monkeypatch):
+def test_wide_cone_builds_one_hull_and_fits_nothing(seed, monkeypatch):
     C = np.random.default_rng([71, seed]).uniform(0.0, 3.0, size=(3, 300))
-    expected = _origins_by_fitting_every_unit(C)
-    vertices = ConvexHull((C / C.sum(axis=0))[:-1].T).vertices.size
-    calls = []
+    expected = origins_by_fitting_every_unit(C)
+    fits, hulls = [], []
 
     def counting_nnls(A, b):
-        calls.append(1)
+        fits.append(1)
         return nnls(A, b)
 
+    def counting_hull(points):
+        hulls.append(1)
+        return ConvexHull(points)
+
     monkeypatch.setattr(conirep.cone, "nnls", counting_nnls)
+    monkeypatch.setattr(conirep.cone, "ConvexHull", counting_hull)
     assert sorted(coni_facets(C).ray_origins) == expected
-    assert 0 < len(calls) <= vertices
+    assert fits == []
+    assert hulls == [1]

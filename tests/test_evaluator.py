@@ -121,10 +121,14 @@ def test_fallback_grid_is_the_exact_integer_root():
 def test_dimension_and_element_budgets(tilted, monkeypatch):
     with pytest.raises(BudgetExceededError):
         evaluate(np.zeros((11, 1)))
+    bases = []
     with monkeypatch.context() as mp:
-        mp.setattr("conirep.evaluator.MAX_ELEMENTS", 1)
-        with pytest.raises(BudgetExceededError, match="elements"):
+        mp.setattr("conirep.cone.MAX_ELEMENTS", 1)
+        mp.setattr("conirep.cone.gram_schmidt", lambda rays: bases.append(rays))
+        with pytest.raises(BudgetExceededError, match="6 cone elements exceed the limit of 1"):
             evaluate(tilted)
+    # refused after the facet closure, before any face's basis
+    assert bases == []
     with monkeypatch.context() as mp:
         mp.setattr("conirep.evaluator.MAX_SIMPLICES", 1)
         with pytest.raises(BudgetExceededError, match="simplices"):

@@ -10,9 +10,9 @@ Commands:
 Each command takes only the flags its cmd_* function reads (see
 `conirep <command> --help`); any other flag is a usage error.
 
-Exit codes: 0 success, 1 input error, 2 numerical fallback under --strict,
-3 budget exceeded, 4 numerical failure (degenerate geometry, a solver that
-did not converge, or a failed linear-algebra routine).
+Exit codes: 0 success, 1 input error (usage errors included), 3 budget
+exceeded, 4 numerical failure (degenerate geometry, a solver that did not
+converge, or a failed linear-algebra routine).
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors, which this CLI reserves for strict
-    mode; report flag misuse as an input error (exit 1) instead."""
+    """argparse exits 2 on usage errors; report flag misuse as an input
+    error (exit 1) instead, like any other bad input."""
 
     def error(self, message):
         raise InputFormatError(f"{self.prog}: {message}")
@@ -146,13 +146,8 @@ def _parse_ns(text: str):
 
 
 def cmd_evaluate(args) -> int:
-    matrix = read_matrix(args.input)
-    result = evaluate(matrix, budget_samples=args.budget_samples)
-    report = result_to_report(result)
+    report = result_to_report(evaluate(read_matrix(args.input)))
     _emit(_format_report(report, args.format), args.output)
-    if args.strict and result.method == "numerical-fallback":
-        print("strict mode: numerical fallback was used", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -184,7 +179,7 @@ def cmd_numeric(args) -> int:
 
 def cmd_compare(args) -> int:
     matrix = read_matrix(args.input)
-    result = evaluate(matrix, budget_samples=args.budget_samples)
+    result = evaluate(matrix)
     rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
                              budget=args.budget_samples)
     lines = ["n,ir_num,abs_error"]
@@ -199,8 +194,6 @@ def cmd_compare(args) -> int:
     else:
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
-    if args.strict and result.method == "numerical-fallback":
-        return 2
     return 0
 
 
@@ -230,12 +223,7 @@ def cmd_sweep(args) -> int:
         paths = sorted(glob.glob(args.input))
     if not paths:
         raise InputFormatError(f"no matrix files match {args.input!r}")
-    rows = []
-    fallback_used = False
-    for path in paths:
-        result = evaluate(read_matrix(path), budget_samples=args.budget_samples)
-        fallback_used |= result.method == "numerical-fallback"
-        rows.append((path, result))
+    rows = [(path, evaluate(read_matrix(path))) for path in paths]
     if args.format == "json":
         text = json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -247,8 +235,6 @@ def cmd_sweep(args) -> int:
             lines.append(f"{p},{r.ir!r},{r.irn!r},{r.output_volume!r},{r.method}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
-    if args.strict and fallback_used:
-        return 2
     return 0
 
 
@@ -263,22 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     files = argparse.ArgumentParser(add_help=False)
     files.add_argument("--input", required=True, help="input file (matrix CSV or spike file)")
     files.add_argument("--output", default=None, help="output file; stdout when omitted")
-    compute = argparse.ArgumentParser(add_help=False)
-    compute.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    compute.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
-                         help="max total quadrature samples")
-    strict = argparse.ArgumentParser(add_help=False)
-    strict.add_argument("--strict", action="store_true",
-                        help="exit 2 when a numerical fallback is used")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
+                            help="max total quadrature samples")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("evaluate", parents=[files, compute, strict],
+    sub.add_parser("evaluate", parents=[files, fmt],
                    help="analytical evaluation of a matrix file").set_defaults(func=cmd_evaluate)
-    p_numeric = sub.add_parser("numeric", parents=[files, compute],
+    p_numeric = sub.add_parser("numeric", parents=[files, fmt, quadrature],
                                help="midpoint quadrature estimate")
     p_numeric.add_argument("--n", default="32", help="grid resolution")
     p_numeric.set_defaults(func=cmd_numeric)
-    p_compare = sub.add_parser("compare", parents=[files, compute, strict],
+    p_compare = sub.add_parser("compare", parents=[files, fmt, quadrature],
                                help="quadrature convergence against the analytical value")
     p_compare.add_argument("--n", default="8,16,32,64",
                            help="comma-separated grid resolutions")
@@ -290,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--slots", type=int, required=True,
                           help="number of time slots (matrix rows)")
     p_encode.set_defaults(func=cmd_encode)
-    sub.add_parser("sweep", parents=[files, compute, strict],
+    sub.add_parser("sweep", parents=[files, fmt],
                    help="evaluate every matrix file in a directory or glob"
                    ).set_defaults(func=cmd_sweep)
     return parser

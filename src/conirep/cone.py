@@ -12,6 +12,7 @@ sphere, so all of them are vertices.)
 The boundary elements are the facets closed under intersection. Each
 element's adjacent cone has one facet per Hasse-diagram edge at the element,
 so cone_sub_elements builds all of them in one batched pass over the edges.
+A cone whose rays span only a subspace takes the same steps inside it.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ TOL_MEMBER = 1e-8
 DEDUP_DOT = 1.0 - 1e-12
 # Gram-matrix columns formed at a time by the dedup, so memory stays O(n).
 DEDUP_BLOCK = 256
-# Cap on the boundary elements (faces of dims 1..m-1) of one cone.
+# Cap on the boundary elements (faces of dims 1..r-1) of one cone of rank r.
 MAX_ELEMENTS = 100_000
 
 
@@ -71,11 +72,14 @@ class Cone:
 
     rays: (k, m) unit rows, lexicographically sorted.
     ray_origins: per ray, the 0-based input columns pointing along it.
-    facets: ray-index sets of the (m-1)-dimensional boundary elements.
-    normals: (len(facets), m) outward unit facet normals, in facet order.
-    elements: dim -> ray-index sets, for dims 1..m-1 (filled by
-        cone_sub_elements; facets appear again under dim m-1).
-    cone_rank: rank of the ray span; the analytical pipeline needs rank m.
+    facets: ray-index sets of the (r-1)-dimensional boundary elements.
+    normals: (len(facets), m) outward unit facet normals, in facet order,
+        each in the span of the rays.
+    elements: dim -> ray-index sets, for dims 1..r-1, plus the whole cone
+        at dim r when r < m (filled by cone_sub_elements; facets appear
+        again under dim r-1).
+    cone_rank: r, the rank of the ray span. At r < m the cone has measure
+        zero, and its lattice and regions are those within its span.
     adjacent: element -> its AdjacentCone (filled by cone_sub_elements).
     """
 
@@ -191,12 +195,13 @@ def coni_facets(C) -> Cone:
 
     Zero columns are dropped and collinear columns merged. One SVD of the
     unit rays gives the cone's rank and its span. At m >= 3 the extreme rays
-    and the facets come off one hull (cone_halfspaces); a rank-deficient
-    cone is full-dimensional in the coordinates of its span, so the same
-    hull there names its extreme rays, and it has no facets in R^m. At
-    m = 2 the extreme rays are the two ends of the segment the rays cut on
-    the slice {sum(x) = 1}. Distinct unit rays are at least acos(DEDUP_DOT)
-    apart, so rank 1 means one ray. Rays come back unit-normalized and
+    and the facets come off one hull (cone_halfspaces); a cone of rank
+    1 < r < m is full-dimensional in the coordinates of its span, so the same
+    hull there gives its extreme rays and its r-1 dimensional facets, whose
+    normals are lifted back into R^m and so lie in the span. At m = 2 the
+    extreme rays are the two ends of the segment the rays cut on the slice
+    {sum(x) = 1}. Distinct unit rays are at least acos(DEDUP_DOT) apart, so
+    rank 1 means one ray, and no facets. Rays come back unit-normalized and
     lexicographically sorted for deterministic downstream iteration.
     """
     sm = as_state_matrix(C)
@@ -216,15 +221,16 @@ def coni_facets(C) -> Cone:
         keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
         _, facets, normals = cone_halfspaces(units[keep])
     elif rank < sm.m:
-        keep = cone_halfspaces(units @ span[:rank].T)[0]
+        keep, facets, normals = cone_halfspaces(units @ span[:rank].T)
+        normals = normals @ span[:rank]
     else:
         keep, facets, normals = cone_halfspaces(units)
     return Cone(rays=units[keep], ray_origins=tuple(tuple(origins[order[i]]) for i in keep),
                 facets=facets, normals=normals, cone_rank=rank)
 
 
-def _face_bases(facets, rays: np.ndarray) -> dict[frozenset[int], np.ndarray]:
-    """Faces of dims 1..m-1, each with an orthonormal basis of its span.
+def _face_bases(facets, rays: np.ndarray, rank: int) -> dict[frozenset[int], np.ndarray]:
+    """Faces of dims 1..rank-1, each with an orthonormal basis of its span.
 
     Every proper face of a pointed cone is an intersection of facets, and the
     ray set of an intersection of faces is the intersection of their ray
@@ -242,7 +248,7 @@ def _face_bases(facets, rays: np.ndarray) -> dict[frozenset[int], np.ndarray]:
         raise BudgetExceededError(
             f"{len(all_faces)} cone elements exceed the limit of {MAX_ELEMENTS}")
     bases = {face: gram_schmidt(rays[sorted(face)]) for face in all_faces}
-    return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rays.shape[1]}
+    return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rank}
 
 
 def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -251,7 +257,7 @@ def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 
 def cone_sub_elements(cone: Cone) -> Cone:
-    """Return the cone with its element lattice (dims 1..m-1) and adjacent cones.
+    """Return the cone with its element lattice (dims 1..r-1) and adjacent cones.
 
     For an element E with basis B, cone(E) + N(E) has exactly one facet per
     edge E' < E or E < G of the lattice's Hasse diagram (faces whose dims
@@ -269,11 +275,18 @@ def cone_sub_elements(cone: Cone) -> Cone:
     orthant for s = min(e_i / -v_i over v_i < 0) / 2 when e > 0. An element
     with a coordinate of e at most TOL_GEOM lies on a coordinate face (up to
     roundoff) and gets no point.
+
+    At rank r < m the lattice is that of the cone within its span L, and
+    every row lies in L, so each adjacent cone also holds L's orthogonal
+    complement (Moreau's decomposition; Rockafellar, Convex Analysis, 1970,
+    sections 14-15). The whole cone is then an element too: its region is
+    the cone plus that complement, cut by the facet normals alone, and its
+    interior point is the ray sum.
     """
     if not cone.facets:
         raise DegenerateConeError("cone has no facets; build with coni_facets first")
-    rays, facets, normals, m = cone.rays, cone.facets, cone.normals, cone.dim
-    bases = _face_bases(facets, rays)
+    rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
+    bases = _face_bases(facets, rays, r)
     flat = sorted(bases, key=lambda e: (bases[e].shape[1], sorted(e)))
     dims = [bases[e].shape[1] for e in flat]
     index = {e: i for i, e in enumerate(flat)}
@@ -293,7 +306,7 @@ def cone_sub_elements(cone: Cone) -> Cone:
         subs = {index.get(e & facets[j]) for j in np.flatnonzero(~incident[i])}
         subs = ([apex] if dims[i] == 1 else
                 sorted(s for s in subs if s is not None and dims[s] == dims[i] - 1))
-        tops = [whole] if dims[i] == m - 1 else []
+        tops = [whole] if dims[i] == r - 1 else []
         lo += subs + [i] * len(tops)
         hi += [i] * len(subs) + tops
     lo, hi = np.array(lo), np.array(hi)
@@ -323,6 +336,13 @@ def cone_sub_elements(cone: Cone) -> Cone:
     elements = {}
     for e, d in zip(flat, dims):
         elements.setdefault(d, []).append(e)
+    if r < m:
+        cone_set, e = frozenset(range(len(rays))), rays.sum(axis=0)
+        adjacent[cone_set] = AdjacentCone(
+            element=cone_set, element_rays=rays, normals=np.zeros((0, m)),
+            basis=gram_schmidt(rays), facet_normals=normals,
+            interior=e if e.min() > TOL_GEOM else None)
+        elements[r] = [cone_set]
     return replace(cone, elements={d: tuple(f) for d, f in elements.items()}, adjacent=adjacent)
 
 

@@ -1,10 +1,12 @@
 """End-to-end evaluation of a state matrix.
 
-evaluate() dispatches between closed forms (all-zero matrix, m = 1, fully
-covered hypercube), the analytical region pipeline, and a quadrature
-fallback for rank-deficient cones. The analytical route sums, over every
-boundary element of the cone, the exact integral of the squared distance to
-that element's span across the element's region of the hypercube.
+evaluate() dispatches between closed forms (all-zero matrix, a cone of rank
+1, fully covered hypercube) and the analytical region pipeline, which takes
+a cone of any rank r. It sums, over every boundary element of the cone, the
+exact integral of the squared distance to that element's span across the
+element's region of the hypercube. At r < m the cone itself is one more
+element, whose region is the whole cone plus its span's orthogonal
+complement, and the cone has no volume.
 """
 from __future__ import annotations
 
@@ -17,10 +19,12 @@ from .cone import (TOL_MEMBER, Cone, adjacent_cone, as_state_matrix, cone_sub_el
                    coni_facets)
 from .errors import BudgetExceededError
 from .integrate import region_integral
-from .oracle import SAMPLE_BUDGET, ir_num
+# not used here; bench/tracer.py wraps conirep.evaluator.ir_num
+from .oracle import ir_num  # noqa: F401
 from .region import build_region
 
-# Hard caps for the combinatorial stages.
+# Hard caps for the combinatorial stages; each region's triangulation may
+# hold what the regions before it left of MAX_SIMPLICES.
 MAX_DIM = 10
 MAX_SIMPLICES = 1_000_000
 # Regions are integrated together once they hold at least this many simplices.
@@ -28,7 +32,6 @@ INTEGRATE_BLOCK = 4096
 
 METHOD_ANALYTICAL = "analytical"
 METHOD_CLOSED_FORM = "closed-form"
-METHOD_FALLBACK = "numerical-fallback"
 
 
 @dataclass(frozen=True)
@@ -54,26 +57,26 @@ class EvaluationResult:
     diagnostics: tuple[str, ...]
 
 
-def evaluate(C, budget_samples: int = SAMPLE_BUDGET) -> EvaluationResult:
+def evaluate(C) -> EvaluationResult:
     """Mean squared readout error of C over all targets in the unit hypercube."""
-    return _evaluate(C, budget_samples, force_regions=False)
+    return _evaluate(C, force_regions=False)
 
 
-def output_volume(C, **kwargs) -> float:
+def output_volume(C) -> float:
     """Fraction of the hypercube reachable with zero error: vol(cone in cube)."""
-    return evaluate(C, **kwargs).output_volume
+    return evaluate(C).output_volume
 
 
-def region_report(C, budget_samples: int = SAMPLE_BUDGET) -> tuple[RegionRecord, ...]:
+def region_report(C) -> tuple[RegionRecord, ...]:
     """Per-element region rows, forcing the full pipeline where it applies.
 
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
-    return _evaluate(C, budget_samples, force_regions=True).regions
+    return _evaluate(C, force_regions=True).regions
 
 
-def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
+def _evaluate(C, force_regions) -> EvaluationResult:
     sm = as_state_matrix(C)
     m, n = sm.m, sm.n
     if m > MAX_DIM:
@@ -90,23 +93,25 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
             diagnostics=("all columns zero: distance to the apex over the whole cube",),
         )
 
-    if m == 1:
-        positive = tuple(j + 1 for j in range(n) if sm.entries[0, j] > 0)
-        return EvaluationResult(
-            ir=0.0, irn=0.0, output_volume=1.0, regions=(),
-            extreme_ray_columns=positive, redundant_columns=(), zero_columns=zero_cols,
-            method=METHOD_CLOSED_FORM,
-            diagnostics=("m = 1: any positive column spans the whole interval",),
-        )
-
     cone = coni_facets(sm)
     extreme_cols = tuple(sorted(j + 1 for cols in cone.ray_origins for j in cols))
     redundant_cols = tuple(sorted(set(range(1, n + 1)) - set(extreme_cols) - set(zero_cols)))
 
-    if cone.cone_rank < m:
-        return _fallback(sm, cone, extreme_cols, redundant_cols, zero_cols, budget_samples)
+    if cone.cone_rank == 1:
+        # x . u >= 0 on the cube, so the ray's region is the whole cube and
+        # the mean of |x|^2 - (u . x)^2 is m/3 - 1/12 - (sum u)^2 / 4
+        s = float(cone.rays[0].sum())
+        ir = (4 * m - 1 - 3 * s * s) / 12.0
+        regions = () if m == 1 else (RegionRecord((1,), 1, 1.0, ir),)
+        return EvaluationResult(
+            ir=ir, irn=ir / (m / 3.0), output_volume=float(m == 1), regions=regions,
+            extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
+            zero_columns=zero_cols, method=METHOD_CLOSED_FORM,
+            diagnostics=("cone rank 1: the ray's region is the whole cube",),
+        )
 
-    if not force_regions and _covers_hypercube(cone):
+    full_rank = cone.cone_rank == m
+    if not force_regions and full_rank and _covers_hypercube(cone):
         return EvaluationResult(
             ir=0.0, irn=0.0, output_volume=1.0, regions=(),
             extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
@@ -122,11 +127,8 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
     n_simplices = block_start = 0
     for k, (dim, elem) in enumerate(todo, 1):
         adj = adjacent_cone(elem, cone)
-        region = build_region(adj)
+        region = build_region(adj, MAX_SIMPLICES - n_simplices)
         n_simplices += len(region.simplices)
-        if n_simplices > MAX_SIMPLICES:
-            raise BudgetExceededError(
-                f"{n_simplices} simplices exceed the limit of {MAX_SIMPLICES}")
         pending.append((dim, elem, region, adj.basis))
         if n_simplices - block_start >= INTEGRATE_BLOCK or k == len(todo):
             _, _, regions, bases = zip(*pending)
@@ -139,7 +141,7 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
     return EvaluationResult(
         ir=ir,
         irn=ir / (m / 3.0),
-        output_volume=min(max(1.0 - covered, 0.0), 1.0),
+        output_volume=min(max(1.0 - covered, 0.0), 1.0) if full_rank else 0.0,
         regions=tuple(records),
         extreme_ray_columns=extreme_cols,
         redundant_columns=redundant_cols,
@@ -152,32 +154,9 @@ def _evaluate(C, budget_samples, force_regions) -> EvaluationResult:
 def _covers_hypercube(cone: Cone) -> bool:
     """Convexity shortcut: all 2^m cube vertices inside means the cube is.
 
-    A vertex is inside when no outward facet normal leans towards it.
+    A vertex is inside when no outward facet normal leans towards it. The
+    cone must have full rank: lifted normals of a flat cone can lean away
+    from every vertex.
     """
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=cone.dim)))
     return bool(np.all(corners @ cone.normals.T < TOL_MEMBER))
-
-
-def _fallback(sm, cone: Cone, extreme_cols, redundant_cols, zero_cols,
-              budget_samples) -> EvaluationResult:
-    """Quadrature route for cones that do not span the full space.
-
-    Such a cone has measure zero in R^m, so the output volume is exactly 0.
-    The grid resolution is the largest N with N^m within the sample budget,
-    with a floor of 16 points per axis even if that overruns the budget; the
-    overrun is reported, not fatal.
-    """
-    m = sm.m
-    # rounding the float m-th root gives the integer root or one more
-    root = round(max(budget_samples, 1) ** (1.0 / m))
-    n_axis = max(16, root - (root ** m > budget_samples))
-    diagnostics = [f"cone rank {cone.cone_rank} < {m}: numerical fallback at N = {n_axis}"]
-    total = n_axis ** m
-    if total > budget_samples:
-        diagnostics.append(f"minimum resolution overruns the sample budget: {total} samples")
-    q = ir_num(sm.entries, n_axis, budget=max(budget_samples, total))
-    return EvaluationResult(
-        ir=q.ir_num, irn=q.irn_num, output_volume=0.0, regions=(),
-        extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
-        zero_columns=zero_cols, method=METHOD_FALLBACK, diagnostics=tuple(diagnostics),
-    )

@@ -2,8 +2,7 @@
 
 Independent of the analytical pipeline: the unit hypercube is covered by a
 uniform N^m grid and the squared NNLS residual is averaged over the cell
-midpoints. Used to cross-check analytical results and as the fallback for
-rank-deficient cones.
+midpoints. Used to cross-check analytical results.
 """
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ at the top level.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .cone import AdjacentCone
-from .errors import DegenerateConeError
+from .errors import BudgetExceededError, DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
 from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
 from .nnls import nnls
@@ -143,7 +144,8 @@ def polytope_facets(incidence: list[list[int]]) -> list[int]:
     return list(masks.values())
 
 
-def triangulate_polytope(facets: list[int], vertices: np.ndarray) -> np.ndarray:
+def triangulate_polytope(facets: list[int], vertices: np.ndarray,
+                         budget: float = math.inf) -> np.ndarray:
     """Pulling triangulation of a polytope from its facet masks.
 
     Each face F, a vertex bitmask, is triangulated by joining its lowest
@@ -151,12 +153,16 @@ def triangulate_polytope(facets: list[int], vertices: np.ndarray) -> np.ndarray:
     Rambau & Santos, Triangulations, 2010). The facets of F are
     the inclusion-maximal nonempty proper sets F & S over the facet masks S;
     each face is triangulated once. Returns an (s, m+1) array of vertex
-    indices, each row starting with 0.
+    indices, each row starting with 0. Raises BudgetExceededError as soon as
+    the rows the memo holds, the polytope's simplices among them, pass
+    `budget`, before the walk can fill memory.
     """
     m = np.shape(vertices)[1]
     memo: dict[int, list[tuple[int, ...]]] = {}
+    held = 0
 
     def pull(face: int) -> list[tuple[int, ...]]:
+        nonlocal held
         rows = memo.get(face)
         if rows is None:
             low = face & -face
@@ -175,19 +181,26 @@ def triangulate_polytope(facets: list[int], vertices: np.ndarray) -> np.ndarray:
                     else:
                         rows += [(v,) + r for r in pull(g)]
             memo[face] = rows
+            held += len(rows)
+            if held > budget:
+                raise BudgetExceededError(
+                    f"triangulation passes its budget of {budget} simplices")
         return rows
 
     rows = pull((1 << len(vertices)) - 1) if facets else []
     return np.array(rows, dtype=int).reshape(-1, m + 1)
 
 
-def build_region(adj: AdjacentCone) -> RegionPolytope:
-    """Intersect one adjacent cone with the cube and triangulate the result."""
+def build_region(adj: AdjacentCone, budget: float = math.inf) -> RegionPolytope:
+    """Intersect one adjacent cone with the cube and triangulate the result.
+
+    `budget` caps the triangulation (see triangulate_polytope).
+    """
     try:
         inter = hypercube_intersect(adj)
     except QhullError as exc:
         raise DegenerateConeError(
             f"region of element {sorted(adj.element)}: {exc}") from exc
     verts = inter.vertices
-    simplices = triangulate_polytope(polytope_facets(inter.incidence), verts)
+    simplices = triangulate_polytope(polytope_facets(inter.incidence), verts, budget)
     return RegionPolytope(adj.element, verts, simplices, simplex_volumes(verts[simplices]))

@@ -11,7 +11,8 @@ by an NNLS fit against the generators, incidence by a distance test against
 the facets of a convex hull, one adjacent cone at a time by scanning the
 lattice, the integral over one stack of simplices with one basis, the dedup
 by a greedy loop over the columns, and the extreme rays by an NNLS fit of
-each unit ray against all the others.
+each unit ray against all the others. For `ir` itself, the Richardson
+extrapolation of two midpoint-quadrature grids needs no geometry at all.
 """
 
 from math import comb
@@ -23,6 +24,7 @@ from conirep.cone import DEDUP_DOT, TOL_MEMBER, AdjacentCone, Cone
 from conirep.errors import DegenerateConeError
 from conirep.linalg import TOL_GEOM, TOL_RANK, gram_schmidt
 from conirep.nnls import nnls
+from conirep.oracle import ir_num
 
 
 def normal_vector(vectors) -> np.ndarray:
@@ -104,23 +106,23 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
     The rows are those cone_sub_elements writes, one element at a time: for
     each (d-1)-face E' of the element E (the apex when d = 1), Q Q^T of the
     summed outward normals of the facets containing E' but not E; for each
-    (d+1)-face G containing E (the whole cone when d = m-1), the part
-    orthogonal to span(E) of the summed rays of G outside E. The interior
-    point is e + s v by the same formula.
+    (d+1)-face G containing E (the whole cone when d = r-1 at rank r = m),
+    the part orthogonal to span(E) of the summed rays of G outside E. The
+    interior point is e + s v by the same formula, and e for the whole cone,
+    which is an element at r < m and lies in no facet.
     """
     element = frozenset(element)
     rays = cone.rays[sorted(element)]
     basis = gram_schmidt(rays)
     d = next(k for k, faces in cone.elements.items() if element in faces)
-    m = cone.dim
+    m, k = cone.dim, len(cone.rays)
     incident = np.array([element <= f for f in cone.facets])
     below = ([f for f in cone.elements[d - 1] if f < element] if d > 1
              else [frozenset()])
-    above = ([f for f in cone.elements[d + 1] if element < f] if d < m - 1
-             else [frozenset(range(len(cone.rays)))])
+    above = [f for f in cone.elements.get(d + 1, [frozenset(range(k))]) if element < f]
     leaving = np.array([[sub <= f for f in cone.facets] for sub in below]) & ~incident
-    outer = np.array([[i in sup and i not in element for i in range(len(cone.rays))]
-                      for sup in above])
+    outer = np.array([[i in sup and i not in element for i in range(k)]
+                      for sup in above], dtype=bool).reshape(-1, k)
     rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
                       (outer @ cone.rays) @ (np.eye(m) - basis @ basis.T)])
     normals = cone.normals[incident]
@@ -128,7 +130,7 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
     interior = None
     if e.min() > TOL_GEOM:
         down = v < 0.0
-        interior = e + 0.5 * np.min(e[down] / -v[down]) * v
+        interior = e + 0.5 * np.min(e[down] / -v[down]) * v if down.any() else e
     return AdjacentCone(
         element=element,
         element_rays=rays,
@@ -192,3 +194,16 @@ def origins_by_fitting_every_unit(C):
     keep = [i for i in range(len(units))
             if len(units) == 1 or nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
     return sorted(tuple(origins[i]) for i in keep)
+
+
+def richardson(C, n1: int, n2: int) -> float:
+    """ir by Richardson extrapolation of the midpoint rule on N1^m and N2^m grids.
+
+    The integrand dist^2(x, K) has a Lipschitz gradient, so the midpoint rule
+    at h = 1/N errs by c h^2 + o(h^2) (the Euler-Maclaurin expansion of the
+    product midpoint rule; Davis & Rabinowitz, Methods of Numerical
+    Integration, 1984). (N2^2 q2 - N1^2 q1) / (N2^2 - N1^2) cancels the h^2
+    term.
+    """
+    q1, q2 = ir_num(C, n1).ir_num, ir_num(C, n2).ir_num
+    return (n2 ** 2 * q2 - n1 ** 2 * q1) / (n2 ** 2 - n1 ** 2)

@@ -129,10 +129,12 @@ ENCODE = "encode --slot-length 1 --slots 2"
 
 @pytest.mark.parametrize("command, flag", [
     ("evaluate", "--n 8"),
-    ("numeric", "--strict"),
     (ENCODE, "--format csv"),
     (ENCODE, "--threads 2"),
     ("sweep", "--n 8"),
+    ("evaluate", "--budget-samples 1000"),
+    ("sweep", "--budget-samples 1000"),
+    *[(c, "--strict") for c in ("evaluate", "numeric", "compare", ENCODE, "sweep")],
     *[(c, "--tol-geom 1e-9") for c in ("evaluate", "numeric", "compare", ENCODE, "sweep")],
     *[(c, flag) for c in ("evaluate", "numeric", "compare", "sweep")
       for flag in ("--threads 2", "--deterministic")],
@@ -144,16 +146,16 @@ def test_unread_flags_are_rejected(capsys, command, flag):
     assert args.n == "8,16,32,64"
 
 
-def test_strict_flags_fallback(capsys, tmp_path):
+def test_rank_deficient_report(capsys, tmp_path):
     p = tmp_path / "flat.csv"
     p.write_text("1,0\n0,1\n0,0\n")  # rank 2 in three dimensions
-    code, out = run(capsys, ["evaluate", "--input", str(p),
-                             "--budget-samples", "65536"])
+    code, out = run(capsys, ["evaluate", "--input", str(p)])
     assert code == 0
-    assert json.loads(out)["method"] == "numerical-fallback"
-    code, _ = run(capsys, ["evaluate", "--input", str(p), "--strict",
-                           "--budget-samples", "65536"])
-    assert code == 2
+    report = json.loads(out)
+    jsonschema.validate(instance=report, schema=load_schema())
+    assert report["method"] == "analytical"
+    assert report["ir"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert report["output_volume"] == 0.0
 
 
 def test_budget_exit_code(capsys, tilted_csv):

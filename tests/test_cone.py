@@ -268,6 +268,32 @@ def test_lattice_pass_matches_element_scan_on_draws(C):
     _check_against_element_scan(C)
 
 
+@pytest.mark.parametrize("m, r", [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)])
+def test_lattice_in_the_span_of_a_flat_cone(m, r):
+    # rank r < m: faces of dims 1..r-1, then the whole cone at dim r, and
+    # every row in the span, so each adjacent cone holds its complement
+    rng = np.random.default_rng([83, m, r])
+    for zeroed in (False, True):
+        C = rng.uniform(0.0, 3.0, (m, r)) @ rng.uniform(0.0, 1.0, (r, r + 3))
+        if zeroed:
+            C[rng.integers(m)] = 0.0
+        cone = cone_sub_elements(coni_facets(C))
+        assert cone.cone_rank == r
+        assert sorted(cone.elements) == list(range(1, r + 1))
+        whole = frozenset(range(len(cone.rays)))
+        assert cone.elements[r] == (whole,)
+        span = np.linalg.svd(cone.rays)[2][:r]
+        off_span = np.eye(m) - span.T @ span
+        assert np.abs(cone.normals @ off_span).max() < 1e-12
+        adj = adjacent_cone(whole, cone)
+        np.testing.assert_array_equal(adj.facet_normals, cone.normals)
+        assert adj.basis.shape == (m, r)
+        for elems in cone.elements.values():
+            for e in elems:
+                assert np.abs(adjacent_cone(e, cone).facet_normals @ off_span).max() < 1e-12
+        _check_against_element_scan(C)
+
+
 def test_adjacent_cone_outside_the_lattice(tilted):
     bare = coni_facets(tilted)
     with pytest.raises(ValueError, match=r"element \[0\] is not in the cone's lattice"):

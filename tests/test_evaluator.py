@@ -11,12 +11,13 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import cone_sub_elements, coni_facets
 from conirep.errors import BudgetExceededError
-from conirep.evaluator import INTEGRATE_BLOCK, MAX_DIM, evaluate, output_volume, region_report
+from conirep.evaluator import (INTEGRATE_BLOCK, MAX_DIM, RegionRecord, evaluate, output_volume,
+                               region_report)
 from conirep.integrate import region_integral
 from conirep.oracle import ir_num
 
 from conftest import SQUARE_PYRAMID, random_activity
-from reference import facet_normal_outward
+from reference import facet_normal_outward, richardson
 
 
 def test_zero_matrix_closed_form():
@@ -91,31 +92,73 @@ def test_output_volume_helper(wedge):
     assert output_volume(np.zeros((2, 1))) == 0.0
 
 
-def test_rank_deficient_falls_back_to_quadrature():
-    C = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-    res = evaluate(C, budget_samples=65_536)
-    assert res.method == "numerical-fallback"
+def _spans_the_cube(res):
+    """A flat cone: no output volume, and regions that tile the whole cube."""
     assert res.output_volume == 0.0
-    assert res.regions == ()
-    ref = ir_num(C, 40, budget=65_536)
-    assert res.ir == ref.ir_num
-    assert any("fallback" in d for d in res.diagnostics)
+    assert math.fsum(r.volume for r in res.regions) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_fallback_reports_budget_overrun():
+def test_rank_deficient_plane_is_one_third():
+    # the cone is the quadrant of the x-y plane: its region is the whole
+    # cube, and the squared distance to the plane is x_3^2
+    C = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    res = evaluate(C)
+    assert res.method == "analytical"
+    assert res.ir == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert res.extreme_ray_columns == (1, 2)
+    assert res.redundant_columns == (3,)
+    _spans_the_cube(res)
+    assert res.regions[-1].element == (1, 2) and res.regions[-1].dim == 2
+    assert abs(res.ir - richardson(C, 16, 32)) <= 1e-9
+
+
+def test_rank_two_in_r3_is_23_over_60():
+    # the wedge of (1,1,0) and (1,2,0) in the x-y plane, worked out by hand
     C = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
-    res = evaluate(C, budget_samples=1000)
-    # resolution floor of 16 per axis still applies, with a note
-    assert res.method == "numerical-fallback"
-    assert any("overrun" in d for d in res.diagnostics)
+    res = evaluate(C)
+    assert res.method == "analytical"
+    assert res.ir == pytest.approx(23.0 / 60.0, abs=1e-12)
+    _spans_the_cube(res)
+    assert abs(res.ir - richardson(C, 32, 64)) <= 1e-9
 
 
-def test_fallback_grid_is_the_exact_integer_root():
-    # 30^3 is an exact cube; a float cube root reads 29.999..., one short
-    C = np.array([[1.0, 1.0], [1.0, 2.0], [0.0, 0.0]])
-    res = evaluate(C, budget_samples=30**3)
-    assert res.diagnostics == ("cone rank 2 < 3: numerical fallback at N = 30",)
-    assert "N = 29" in evaluate(C, budget_samples=30**3 - 1).diagnostics[0]
+def test_rank_one_is_the_closed_form():
+    # two all-ones columns: m/3 - 1/12 - (sum u)^2/4 with sum u = sqrt(3)
+    res = evaluate(np.ones((3, 2)))
+    assert res.method == "closed-form"
+    assert res.ir == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert res.extreme_ray_columns == (1, 2)
+    assert res.regions == (RegionRecord((1,), 1, 1.0, res.ir),)
+    _spans_the_cube(res)
+    C = np.array([[0.0, 1.0], [0.0, 3.0], [0.0, 2.0], [0.0, 0.5]])
+    res = evaluate(C)
+    assert res.zero_columns == (1,)
+    assert abs(res.ir - richardson(C, 12, 24)) <= 1e-9
+
+
+@pytest.mark.parametrize("m, grids, tol", [
+    (3, (24, 48), 2e-7), (4, (12, 24), 2e-6), (5, (8, 16), 2e-5),
+])
+def test_narrow_matrices_match_richardson(m, grids, tol):
+    # n < m: cones of rank m-1 and less, through the lattice in their span.
+    # Each tolerance is 10x the worst gap over 12 such draws.
+    rng = np.random.default_rng([5, m])
+    for _ in range(2):
+        C = rng.uniform(0.0, 3.0, (m, int(rng.integers(1, m))))
+        res = evaluate(C)
+        assert res.method in ("analytical", "closed-form")
+        _spans_the_cube(res)
+        assert abs(res.ir - richardson(C, *grids)) <= tol
+
+
+def test_rank_two_at_m10_raises_within_seconds():
+    # the regions are nearly whole cubes: the triangulation passes the
+    # simplex budget after about a second, long before it fills memory
+    C = np.random.default_rng(1).uniform(0.0, 3.0, (10, 2))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="simplices"):
+        evaluate(C)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_dimension_and_element_budgets(tilted, monkeypatch):
@@ -295,6 +338,7 @@ def test_partition_identity(m):
     # from m = 3 on, also matrices with entries zeroed at random: their rays
     # on coordinate faces give regions whose interior point comes from the
     # least-distance NNLS, not from the lattice. m = 6 takes one masked draw.
+    # Then two cones of rank below m, whose regions tile the whole cube.
     rng = np.random.default_rng(900 + m)
     plain, masked_draws = {2: (4, 0), 5: (2, 2), 6: (0, 1)}.get(m, (4, 4))
     on_face = False
@@ -312,6 +356,12 @@ def test_partition_identity(m):
         assert res.output_volume == pytest.approx(inside, abs=1e-12)
         on_face |= masked and on_a_coordinate_face(C)
     assert on_face or m == 2
+    # flat cones: fewer columns than states, or a state no column reaches
+    for narrow in (True, False):
+        C = random_activity(rng, m, m - 1 if narrow else m + 1)
+        if not narrow:
+            C[rng.integers(m)] = 0.0
+        _spans_the_cube(evaluate(C))
 
 
 def test_all_but_infeasible_region_on_a_coordinate_face():

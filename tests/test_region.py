@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import AdjacentCone, adjacent_cone, cone_sub_elements, coni_facets
+from conirep.errors import BudgetExceededError
 from conirep.linalg import simplex_volumes
 from conirep.nnls import nnls_batch
 from conirep.region import (
@@ -143,6 +144,17 @@ def test_polytope_facets_degenerate():
     # the base is the one facet that misses the apex: two triangles, two tetrahedra
     assert len(simplices) == 2 and all(s[0] == 0 for s in simplices)
     assert simplex_volumes(verts[simplices]).sum() == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_triangulation_stops_at_its_budget():
+    cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    facets = facet_masks(cube)
+    simplices = triangulate_polytope(facets, cube)
+    assert len(simplices) == 6
+    np.testing.assert_array_equal(triangulate_polytope(facets, cube, 100), simplices)
+    # the memo also holds the faces' own rows, so the simplex count alone passes it
+    with pytest.raises(BudgetExceededError, match="budget of 6 simplices"):
+        triangulate_polytope(facets, cube, 6)
 
 
 def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():

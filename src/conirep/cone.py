@@ -1,15 +1,17 @@
 """Conical hull geometry: extreme rays, facet lattice, adjacent cones.
 
 The cone over nonnegative columns is pointed, so its facets are exactly the
-facets through the origin of the convex hull of the origin and the unit
-rays, and one Qhull hull gives them all. A ray is extreme exactly when the
-facets through it meet in that ray alone; a redundant ray lies inside a
-larger face or on no facet at all. The same hull therefore names the
-extreme rays and the facets, with no fit of one ray against the others.
-(Vertex status on that hull says nothing: every unit ray lies on the
-sphere, so all of them are vertices.)
+facets through the origin of the convex hull of the origin and one point
+on each ray, and one Qhull hull gives them all. Each ray enters as its
+point on the slice {x : x . s = 1}, s the sum of the unit rays, so only the
+extreme rays' points are hull vertices and the hull stays small at any
+width. A ray is extreme exactly when the facets through it meet in that ray
+alone; a redundant ray lies inside a larger face or on no facet at all.
+The same hull therefore names the extreme rays and the facets, with no fit
+of one ray against the others.
 
-The boundary elements are the facets closed under intersection. Each
+The boundary elements are the facets closed under intersection, and one
+batched Gram-Schmidt per ray count gives every face's basis. Each
 element's adjacent cone has one facet per Hasse-diagram edge at the element,
 so cone_sub_elements builds all of them in one batched pass over the edges.
 A cone whose rays span only a subspace takes the same steps inside it.
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import AllZeroMatrixError, BudgetExceededError, DegenerateConeError
-from .linalg import TOL_GEOM, gram_schmidt
+from .linalg import TOL_GEOM, gram_schmidt, row_norms
 from .nnls import nnls  # noqa: F401
 
 # Margin below which a point counts as inside a cone.
@@ -133,11 +135,11 @@ def _unit_dedup(columns: np.ndarray):
     """
     nonzero = np.flatnonzero(columns.any(axis=0))
     # scaled to a largest entry of 1 first, so the norm's squares neither
-    # underflow nor overflow
+    # underflow nor overflow; the scaled columns become contiguous rows for
+    # row_norms, whose one stacked product matches np.linalg.norm bit for bit
     scaled = columns[:, nonzero]
-    scaled = scaled / scaled.max(axis=0)
-    # per column: norm(axis=0) rounds differently in the last bit
-    units = np.array([col / np.linalg.norm(col) for col in scaled.T])
+    scaled = np.ascontiguousarray((scaled / scaled.max(axis=0)).T)
+    units = scaled / row_norms(scaled)[:, None]
     k = nonzero.size
     rep = np.ones(k, dtype=bool)
     origins = [[j] for j in nonzero.tolist()]
@@ -157,17 +159,26 @@ def cone_halfspaces(rays: np.ndarray):
     """Extreme rays, facets and outward unit normals of the cone over `rays`.
 
     The cone must be pointed and full-dimensional; the rays may include
-    redundant ones and have entries of any sign, at unit scale. The hull of
-    {0} union rays is built; each of its equations through the origin is the
-    plane of a facet. A ray is extreme exactly when the facets through it
-    meet in that ray alone (Ziegler, Lectures on Polytopes, 1995, ch. 2): a
-    redundant ray on the boundary lies inside a face of dimension at least
-    2, which every facet through it contains, and one off the boundary is on
-    no facet. A facet is the set of extreme rays on its plane, and the first
-    equation for a set gives its normal. Returns (extreme, facets, normals):
-    the sorted indices of the extreme rays, index sets into rays[extreme]
-    sorted by their indices, and a matching (facets, m) array, so the cone
-    is {x : normals @ x <= 0}.
+    redundant ones, have entries of any sign, and come at any positive
+    scale. The hull of {0} union rays is built; each of its equations
+    through the origin is the plane of a facet, and a ray p lies on a plane
+    when |normal . p| < TOL_GEOM |p|, so incidence is judged at unit scale.
+    A ray is extreme exactly when the facets through it meet in that ray
+    alone (Ziegler, Lectures on Polytopes, 1995, ch. 2): a redundant ray on
+    the boundary lies inside a face of dimension at least 2, which every
+    facet through it contains, and one off the boundary is on no facet. A
+    facet is the set of extreme rays on its plane, and the first equation
+    for a set gives its normal. Returns (extreme, facets, normals): the
+    sorted indices of the extreme rays, index sets into rays[extreme] sorted
+    by their indices, and a matching (facets, m) array, so the cone is
+    {x : normals @ x <= 0}.
+
+    The scale picks the hull's size: unit rays all lie on the sphere, so
+    each is a hull vertex, while rays cut to one hyperplane make only the
+    extreme ones vertices (coni_facets passes such slice points). Qhull
+    forms each plane from differences of its vertices, so a normal is exact
+    to about machine precision times the ratio of the largest ray to the
+    smallest.
     """
     m = rays.shape[1]
     try:
@@ -175,7 +186,7 @@ def cone_halfspaces(rays: np.ndarray):
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
     planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
-    on = np.abs(planes @ rays.T) < TOL_GEOM
+    on = np.abs(planes @ rays.T) < TOL_GEOM * row_norms(rays)
     bound = np.flatnonzero(on.any(axis=0))
     # common[i, j]: ray bound[j] lies on every facet through ray bound[i]
     common = ~(on[:, bound].T @ ~on[:, bound])
@@ -195,7 +206,9 @@ def coni_facets(C) -> Cone:
 
     Zero columns are dropped and collinear columns merged. One SVD of the
     unit rays gives the cone's rank and its span. At m >= 3 the extreme rays
-    and the facets come off one hull (cone_halfspaces); a cone of rank
+    and the facets come off one hull (cone_halfspaces) of the origin and the
+    rays' points on the slice {x : x . s = 1}, s the sum of the unit rays:
+    only the extreme rays' points are hull vertices. A cone of rank
     1 < r < m is full-dimensional in the coordinates of its span, so the same
     hull there gives its extreme rays and its r-1 dimensional facets, whose
     normals are lifted back into R^m and so lie in the span. At m = 2 the
@@ -220,11 +233,13 @@ def coni_facets(C) -> Cone:
         p = units[:, 0] / units.sum(axis=1)
         keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
         _, facets, normals = cone_halfspaces(units[keep])
-    elif rank < sm.m:
-        keep, facets, normals = cone_halfspaces(units @ span[:rank].T)
-        normals = normals @ span[:rank]
     else:
-        keep, facets, normals = cone_halfspaces(units)
+        coords = units if rank == sm.m else units @ span[:rank].T
+        # each ray's point on the slice {x : x . s = 1}; x . s >= 1 for unit
+        # rays of nonnegative columns, and span coordinates keep dot products
+        keep, facets, normals = cone_halfspaces(coords / (coords @ coords.sum(axis=0))[:, None])
+        if rank < sm.m:
+            normals = normals @ span[:rank]
     return Cone(rays=units[keep], ray_origins=tuple(tuple(origins[order[i]]) for i in keep),
                 facets=facets, normals=normals, cone_rank=rank)
 
@@ -236,8 +251,10 @@ def _face_bases(facets, rays: np.ndarray, rank: int) -> dict[frozenset[int], np.
     ray set of an intersection of faces is the intersection of their ray
     sets, so closing the facet list under pairwise intersection enumerates
     the whole lattice. A lattice of more than MAX_ELEMENTS faces is refused
-    before any basis is formed. One gram_schmidt per face gives its basis,
-    and the number of columns its dimension.
+    before any basis is formed. The faces are grouped by ray count, and one
+    batched gram_schmidt per group gives each face's basis, the same one a
+    call on that face alone gives; its number of columns is the face's
+    dimension.
     """
     all_faces = set(facets)
     frontier = set(facets)
@@ -247,7 +264,12 @@ def _face_bases(facets, rays: np.ndarray, rank: int) -> dict[frozenset[int], np.
     if len(all_faces) > MAX_ELEMENTS:
         raise BudgetExceededError(
             f"{len(all_faces)} cone elements exceed the limit of {MAX_ELEMENTS}")
-    bases = {face: gram_schmidt(rays[sorted(face)]) for face in all_faces}
+    by_size: dict[int, list[frozenset[int]]] = {}
+    for face in all_faces:
+        by_size.setdefault(len(face), []).append(face)
+    bases = {}
+    for faces in by_size.values():
+        bases.update(zip(faces, gram_schmidt(rays[[sorted(f) for f in faces]])))
     return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rank}
 
 

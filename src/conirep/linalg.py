@@ -6,7 +6,7 @@ so that ``basis.T @ point`` gives coordinates in the basis.
 """
 from __future__ import annotations
 
-from math import factorial, sqrt
+from math import factorial
 
 import numpy as np
 
@@ -16,36 +16,52 @@ TOL_RANK = 1e-9
 TOL_GEOM = 1e-9
 
 
-def gram_schmidt(rays) -> np.ndarray:
-    """Orthonormal basis of span(rays) as an (m, k) column matrix.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
 
-    Linearly dependent inputs are dropped: a ray whose residual after
-    projection onto the earlier columns has norm below ``TOL_RANK`` (relative
-    to the ray's own norm) contributes no column. The result has exactly
-    rank-many columns. Re-orthogonalization keeps the columns orthonormal to
-    near machine precision.
+    One stacked matmul forms every row's dot product with itself, through
+    the same dot kernel as ``np.linalg.norm`` of that row alone, so each norm
+    equals that function's value bit for bit. ``norm(axis=1)`` and
+    ``einsum`` sum the squares in another way and differ in the last bit.
     """
-    rays = [np.asarray(r, dtype=float) for r in rays]
-    if not rays:
-        raise ValueError("gram_schmidt needs at least one input vector")
-    m = rays[0].shape[0]
-    if any(r.shape != (m,) for r in rays):
-        raise ValueError("gram_schmidt inputs must share one dimension")
-    cols: list[np.ndarray] = []
-    for r in rays:
-        v = r.copy()
-        scale = sqrt(v @ v)  # np.linalg.norm's value, without its overhead
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def gram_schmidt(rays):
+    """Orthonormal basis of span(rays) as an (m, r) column matrix.
+
+    `rays` is one (k, m) set, or a (b, k, m) stack of b sets, each
+    orthonormalized on its own and all in one pass; a stack gives a list of b
+    bases. Linearly dependent inputs are dropped: a ray whose residual after
+    projection onto the earlier columns has norm below ``TOL_RANK`` (relative
+    to the ray's own norm) contributes no column, so each basis has exactly
+    rank-many columns. Re-orthogonalization keeps the columns orthonormal to
+    near machine precision. Every dot product is one stacked matmul and every
+    update skips the sets that dropped that ray, so each basis is bit for bit
+    the one its set gives alone.
+    """
+    R = np.asarray(rays, dtype=float)
+    if R.ndim not in (2, 3) or R.shape[-2] == 0:
+        raise ValueError(f"gram_schmidt needs (k, m) or (b, k, m) rays with k >= 1, "
+                         f"got shape {R.shape}")
+    stack = R if R.ndim == 3 else R[None]
+    k = stack.shape[1]
+    Q = np.zeros_like(stack)  # Q[:, i]: ray i's column, zero where it was dropped
+    kept = np.zeros(stack.shape[:2], dtype=bool)
+    for i in range(k):
+        v = stack[:, i].copy()
+        scale = row_norms(v)
         # two projection passes: the second pass removes the rounding error
         # the first one leaves behind
         for _ in range(2):
-            for q in cols:
-                v -= (q @ v) * q
-        norm = sqrt(v @ v)
-        if norm > TOL_RANK * max(scale, 1.0):
-            cols.append(v / norm)
-    if not cols:
-        return np.zeros((m, 0))
-    return np.stack(cols, axis=1)
+            for j in range(i):
+                dots = Q[:, j, None, :] @ v[:, :, None]
+                np.subtract(v, dots[:, 0] * Q[:, j], out=v, where=kept[:, j, None])
+        norm = row_norms(v)
+        kept[:, i] = norm > TOL_RANK * np.maximum(scale, 1.0)
+        np.divide(v, norm[:, None], out=Q[:, i], where=kept[:, i, None])
+    bases = [np.ascontiguousarray(q[keep].T) for q, keep in zip(Q, kept)]
+    return bases if R.ndim == 3 else bases[0]
 
 
 def simplex_volumes(points) -> np.ndarray:

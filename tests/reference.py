@@ -4,15 +4,17 @@ The pipeline takes facet normals from Qhull's hull equations, never asks
 whether a point lies in a cone, reads a region's vertex-facet incidence off
 Qhull's halfspace intersection, builds every adjacent cone in one batched
 pass over the lattice's Hasse edges, integrates whole blocks of regions at
-once, merges collinear columns from one Gram matrix, and reads the extreme
-rays off one hull. These references compute each of them another way:
-facet normals by cofactor expansion over the facet's rays, cone membership
-by an NNLS fit against the generators, incidence by a distance test against
-the facets of a convex hull, one adjacent cone at a time by scanning the
-lattice, the integral over one stack of simplices with one basis, the dedup
-by a greedy loop over the columns, and the extreme rays by an NNLS fit of
-each unit ray against all the others. For `ir` itself, the Richardson
-extrapolation of two midpoint-quadrature grids needs no geometry at all.
+once, merges collinear columns from one Gram matrix, reads the extreme rays
+off one hull, and forms the face bases in stacks by ray count. These
+references compute each of them another way: facet normals by cofactor
+expansion over the facet's rays, cone membership by an NNLS fit against the
+generators, incidence by a distance test against the facets of a convex
+hull, one adjacent cone at a time by scanning the lattice, the integral over
+one stack of simplices with one basis, the dedup by a greedy loop over the
+columns, the extreme rays by an NNLS fit of each unit ray against all the
+others, and one basis at a time by a loop of Gram-Schmidt steps. For `ir`
+itself, the Richardson extrapolation of two midpoint-quadrature grids needs
+no geometry at all.
 """
 
 from math import comb
@@ -162,6 +164,26 @@ def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     pair_sum = (q(P.sum(axis=1)) + q(P).sum(axis=1)) / 2.0
     return np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+
+
+def gram_schmidt_by_loop(rays) -> np.ndarray:
+    """Reference Gram-Schmidt for one ray set: one Python step per ray pair.
+
+    Two projection passes per ray over the columns kept so far; a ray whose
+    residual is below TOL_RANK relative to its own norm adds no column.
+    """
+    rays = np.asarray(rays, dtype=float)
+    cols = []
+    for r in rays:
+        v = r.copy()
+        scale = np.sqrt(v @ v)
+        for _ in range(2):
+            for q in cols:
+                v -= (q @ v) * q
+        norm = np.sqrt(v @ v)
+        if norm > TOL_RANK * max(scale, 1.0):
+            cols.append(v / norm)
+    return np.stack(cols, axis=1) if cols else np.zeros((rays.shape[1], 0))
 
 
 def unit_dedup_by_loop(columns):

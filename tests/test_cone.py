@@ -20,6 +20,7 @@ from conirep.cone import (
     coni_facets,
 )
 from conirep.errors import AllZeroMatrixError
+from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import SQUARE_PYRAMID, TILTED, WEDGE, random_activity
@@ -362,6 +363,15 @@ def test_unit_dedup_matches_greedy_loop():
     # b is no representative, so c starts its own ray
     C = np.stack([_rotated(u, w, a) for a in (0.0, 1.0e-6, 2.0e-6)], axis=1)
     assert _unit_dedup(C)[1] == unit_dedup_by_loop(C)[1] == [[0, 1], [2]]
+    # at recording width, past one DEDUP_BLOCK: repeated directions, zero
+    # columns, and column scales from 1e-200 to 1e200
+    dirs = rng.uniform(0.0, 1.0, size=(4, 240))
+    C = np.hstack([dirs, dirs[:, rng.integers(0, 240, size=40)], np.zeros((4, 20))])
+    C = (C * 10.0 ** rng.uniform(-200.0, 200.0, size=300))[:, rng.permutation(300)]
+    units, origins = _unit_dedup(C)
+    ref_units, ref_origins = unit_dedup_by_loop(C)
+    assert origins == ref_origins
+    assert units.tobytes() == np.array(ref_units).tobytes()
 
 
 @st.composite
@@ -406,11 +416,44 @@ def test_wide_cone_builds_one_hull_and_fits_nothing(seed, monkeypatch):
         return nnls(A, b)
 
     def counting_hull(points):
-        hulls.append(1)
-        return ConvexHull(points)
+        hulls.append(ConvexHull(points))
+        return hulls[-1]
 
     monkeypatch.setattr(conirep.cone, "nnls", counting_nnls)
     monkeypatch.setattr(conirep.cone, "ConvexHull", counting_hull)
     assert sorted(coni_facets(C).ray_origins) == expected
     assert fits == []
-    assert hulls == [1]
+    assert len(hulls) == 1
+    # only the extreme rays are hull vertices: a hull of all 300 unit rays
+    # has about 600 facets
+    assert len(hulls[0].simplices) < 100
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "zero-masked"])
+def test_hull_is_invariant_to_ray_scale(kind):
+    rng = np.random.default_rng([73, len(kind)])
+    done = 0
+    while done < 20:
+        m = int(rng.integers(3, 6))
+        n = int(rng.integers(m, 4 * m))
+        if kind == "integer":
+            C = rng.integers(0, 4, size=(m, n)).astype(float)
+        else:
+            C = rng.uniform(0.0, 3.0, size=(m, n))
+            if kind == "zero-masked":
+                C[rng.random(C.shape) < 0.35] = 0.0
+        units, _ = _unit_dedup(C)
+        if units.shape[0] < m or np.linalg.matrix_rank(units) < m:
+            continue
+        extreme, facets, normals = cone_halfspaces(units)
+        factors = 10.0 ** rng.uniform(-3.0, 3.0, size=len(units))
+        sliced = units / (units @ units.sum(axis=0))[:, None]
+        # Qhull forms a plane from differences of its vertices: with scales
+        # six orders apart a normal moves by up to about 1e-10, while on the
+        # slice coni_facets uses the scales lie within [1/k, 1]
+        for points, tol in ((units * factors[:, None], TOL_GEOM), (sliced, 1e-12)):
+            got_extreme, got_facets, got_normals = cone_halfspaces(points)
+            assert got_extreme == extreme
+            assert got_facets == facets
+            np.testing.assert_allclose(got_normals, normals, rtol=0, atol=tol)
+        done += 1

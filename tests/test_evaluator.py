@@ -14,6 +14,7 @@ from conirep.errors import BudgetExceededError
 from conirep.evaluator import (INTEGRATE_BLOCK, MAX_DIM, RegionRecord, evaluate, output_volume,
                                region_report)
 from conirep.integrate import region_integral
+from conirep.linalg import gram_schmidt
 from conirep.oracle import ir_num
 
 from conftest import SQUARE_PYRAMID, random_activity
@@ -165,9 +166,15 @@ def test_dimension_and_element_budgets(tilted, monkeypatch):
     with pytest.raises(BudgetExceededError):
         evaluate(np.zeros((11, 1)))
     bases = []
+
+    def recording_gram_schmidt(rays):
+        bases.append(rays)
+        return gram_schmidt(rays)
+
     with monkeypatch.context() as mp:
         mp.setattr("conirep.cone.MAX_ELEMENTS", 1)
-        mp.setattr("conirep.cone.gram_schmidt", lambda rays: bases.append(rays))
+        # _face_bases forms every face's basis through this one name
+        mp.setattr("conirep.cone.gram_schmidt", recording_gram_schmidt)
         with pytest.raises(BudgetExceededError, match="6 cone elements exceed the limit of 1"):
             evaluate(tilted)
     # refused after the facet closure, before any face's basis

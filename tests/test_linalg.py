@@ -8,7 +8,7 @@ import pytest
 
 from conirep.linalg import gram_schmidt, simplex_volumes
 
-from reference import normal_vector
+from reference import gram_schmidt_by_loop, normal_vector
 
 
 def rank_by_row_reduction(rows, tol=1e-9):
@@ -71,6 +71,31 @@ def test_gram_schmidt_orthonormal_and_spanning():
         # every input row must lie in the span of the returned basis
         resid = rows.T - basis @ (basis.T @ rows.T)
         assert np.abs(resid).max() < 1e-9
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gram_schmidt_stack_matches_single_sets():
+    rng = np.random.default_rng(19)
+    for m in range(2, 8):
+        for k in range(1, 9):
+            stack = rng.standard_normal((6, k, m))
+            # dependent rays: a multiple of an earlier ray, and a sum of them
+            if k > 1:
+                stack[1, -1] = 2.5 * stack[1, 0]
+                stack[2, -1] = stack[2, :-1].sum(axis=0)
+            stack[3, k // 2] = 0.0
+            # small integers: repeated, dependent and zero rays
+            stack[4] = rng.integers(0, 3, size=(k, m))
+            stack[5] = 0.0
+            bases = gram_schmidt(stack)
+            assert len(bases) == len(stack)
+            for rays, basis in zip(stack, bases):
+                assert _same_bits(basis, gram_schmidt(rays))
+                assert _same_bits(basis, gram_schmidt_by_loop(rays))
+                assert basis.shape[1] == rank_by_row_reduction(rays)
 
 
 def test_normal_vector_examples():

@@ -182,9 +182,6 @@ def cmd_compare(args) -> int:
     result = evaluate(matrix)
     rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
                              budget=args.budget_samples)
-    lines = ["n,ir_num,abs_error"]
-    for n, value, err in rows:
-        lines.append(f"{n},{value!r},{err!r}")
     if args.format == "json":
         text = json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -192,7 +189,7 @@ def cmd_compare(args) -> int:
             "rows": [{"n": n, "ir_num": v, "abs_error": e} for n, v, e in rows],
         }, indent=2) + "\n"
     else:
-        text = "\n".join(lines) + "\n"
+        text = "n,ir_num,abs_error\n" + "".join(f"{n},{v!r},{e!r}\n" for n, v, e in rows)
     _emit(text, args.output)
     return 0
 
@@ -251,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--output", default=None, help="output file; stdout when omitted")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    # compare and sweep write no text report
+    table_fmt = argparse.ArgumentParser(add_help=False)
+    table_fmt.add_argument("--format", choices=("json", "csv"), default="json")
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--budget-samples", type=int, default=SAMPLE_BUDGET,
                             help="max total quadrature samples")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="midpoint quadrature estimate")
     p_numeric.add_argument("--n", default="32", help="grid resolution")
     p_numeric.set_defaults(func=cmd_numeric)
-    p_compare = sub.add_parser("compare", parents=[files, fmt, quadrature],
+    p_compare = sub.add_parser("compare", parents=[files, table_fmt, quadrature],
                                help="quadrature convergence against the analytical value")
     p_compare.add_argument("--n", default="8,16,32,64",
                            help="comma-separated grid resolutions")
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--slots", type=int, required=True,
                           help="number of time slots (matrix rows)")
     p_encode.set_defaults(func=cmd_encode)
-    sub.add_parser("sweep", parents=[files, fmt],
+    sub.add_parser("sweep", parents=[files, table_fmt],
                    help="evaluate every matrix file in a directory or glob"
                    ).set_defaults(func=cmd_sweep)
     return parser

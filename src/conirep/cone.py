@@ -14,7 +14,7 @@ The boundary elements are the facets closed under intersection, and one
 batched Gram-Schmidt per ray count gives every face's basis. Each
 element's adjacent cone has one facet per Hasse-diagram edge at the element,
 so cone_sub_elements builds all of them in one batched pass over the edges.
-A cone whose rays span only a subspace takes the same steps inside it.
+Every cone takes these steps in the coordinates of its rays' span.
 """
 from __future__ import annotations
 
@@ -205,17 +205,15 @@ def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
     Zero columns are dropped and collinear columns merged. One SVD of the
-    unit rays gives the cone's rank and its span. At m >= 3 the extreme rays
-    and the facets come off one hull (cone_halfspaces) of the origin and the
-    rays' points on the slice {x : x . s = 1}, s the sum of the unit rays:
-    only the extreme rays' points are hull vertices. A cone of rank
-    1 < r < m is full-dimensional in the coordinates of its span, so the same
-    hull there gives its extreme rays and its r-1 dimensional facets, whose
-    normals are lifted back into R^m and so lie in the span. At m = 2 the
-    extreme rays are the two ends of the segment the rays cut on the slice
-    {sum(x) = 1}. Distinct unit rays are at least acos(DEDUP_DOT) apart, so
-    rank 1 means one ray, and no facets. Rays come back unit-normalized and
-    lexicographically sorted for deterministic downstream iteration.
+    unit rays gives the cone's rank r and its span. At m >= 3 one hull
+    (cone_halfspaces), in span coordinates, of the origin and the rays'
+    points on the slice {x : x . s = 1}, s the sum of the unit rays, gives
+    the extreme rays (the only rays whose points are hull vertices) and the
+    r-1 dimensional facets, whose normals are lifted back into R^m and so
+    lie in the span. At m = 2 the extreme rays are the two ends of the
+    segment the rays cut on the slice {sum(x) = 1}. Distinct unit rays are
+    at least acos(DEDUP_DOT) apart, so rank 1 means one ray and no facets.
+    Rays come back unit-normalized and lexicographically sorted.
     """
     sm = as_state_matrix(C)
     units, origins = _unit_dedup(sm.entries)
@@ -225,21 +223,18 @@ def coni_facets(C) -> Cone:
     units = units[order]
     _, sing, span = np.linalg.svd(units, full_matrices=False)
     rank = int(np.count_nonzero(sing > TOL_GEOM))
-    facets: tuple[frozenset[int], ...] = ()
-    normals = np.zeros((0, sm.m))
     if rank == 1:
-        keep = [0]
+        keep, facets, normals = [0], (), np.zeros((0, sm.m))
     elif sm.m == 2:
         p = units[:, 0] / units.sum(axis=1)
         keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
         _, facets, normals = cone_halfspaces(units[keep])
     else:
-        coords = units if rank == sm.m else units @ span[:rank].T
+        coords = units @ span[:rank].T
         # each ray's point on the slice {x : x . s = 1}; x . s >= 1 for unit
         # rays of nonnegative columns, and span coordinates keep dot products
         keep, facets, normals = cone_halfspaces(coords / (coords @ coords.sum(axis=0))[:, None])
-        if rank < sm.m:
-            normals = normals @ span[:rank]
+        normals = normals @ span[:rank]
     return Cone(rays=units[keep], ray_origins=tuple(tuple(origins[order[i]]) for i in keep),
                 facets=facets, normals=normals, cone_rank=rank)
 

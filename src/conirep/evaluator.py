@@ -1,12 +1,13 @@
 """End-to-end evaluation of a state matrix.
 
-evaluate() dispatches between closed forms (all-zero matrix, a cone of rank
-1, fully covered hypercube) and the analytical region pipeline, which takes
-a cone of any rank r. It sums, over every boundary element of the cone, the
-exact integral of the squared distance to that element's span across the
-element's region of the hypercube. At r < m the cone itself is one more
-element, whose region is the whole cone plus its span's orthogonal
-complement, and the cone has no volume.
+evaluate() dispatches between closed forms (a cone of rank 0 or 1, whose
+one region is the whole cube, and a fully covered hypercube) and the
+analytical region pipeline, which takes a cone of any rank r. It sums, over
+every boundary element of the cone, the exact integral of the squared
+distance to that element's span across the element's region of the
+hypercube. At r < m the cone itself is one more element, whose region is
+the whole cone plus its span's orthogonal complement, and the cone has no
+volume.
 """
 from __future__ import annotations
 
@@ -83,41 +84,32 @@ def _evaluate(C, force_regions) -> EvaluationResult:
         raise BudgetExceededError(f"m = {m} exceeds the supported maximum of {MAX_DIM}")
 
     zero_cols = tuple((np.flatnonzero(~sm.entries.any(axis=0)) + 1).tolist())
-    if len(zero_cols) == n:
-        ir = m / 3.0
-        apex = RegionRecord(element=(), dim=0, volume=1.0, integral=ir)
-        return EvaluationResult(
-            ir=ir, irn=1.0, output_volume=0.0, regions=(apex,),
-            extreme_ray_columns=(), redundant_columns=(), zero_columns=zero_cols,
-            method=METHOD_CLOSED_FORM,
-            diagnostics=("all columns zero: distance to the apex over the whole cube",),
-        )
-
-    cone = coni_facets(sm)
-    extreme_cols = tuple(sorted(j + 1 for cols in cone.ray_origins for j in cols))
+    cone = None if len(zero_cols) == n else coni_facets(sm)
+    rank = 0 if cone is None else cone.cone_rank
+    origins = () if cone is None else cone.ray_origins
+    extreme_cols = tuple(sorted(j + 1 for cols in origins for j in cols))
     redundant_cols = tuple(sorted(set(range(1, n + 1)) - set(extreme_cols) - set(zero_cols)))
 
-    if cone.cone_rank == 1:
-        # x . u >= 0 on the cube, so the ray's region is the whole cube and
-        # the mean of |x|^2 - (u . x)^2 is m/3 - 1/12 - (sum u)^2 / 4
-        s = float(cone.rays[0].sum())
-        ir = (4 * m - 1 - 3 * s * s) / 12.0
-        regions = () if m == 1 else (RegionRecord((1,), 1, 1.0, ir),)
+    def result(ir, volume, regions, method, *diagnostics):
         return EvaluationResult(
-            ir=ir, irn=ir / (m / 3.0), output_volume=float(m == 1), regions=regions,
+            ir=ir, irn=ir / (m / 3.0), output_volume=volume, regions=tuple(regions),
             extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
-            zero_columns=zero_cols, method=METHOD_CLOSED_FORM,
-            diagnostics=("cone rank 1: the ray's region is the whole cube",),
-        )
+            zero_columns=zero_cols, method=method, diagnostics=diagnostics)
 
-    full_rank = cone.cone_rank == m
+    if rank <= 1:
+        # the cone is the apex or one unit ray u; x . u >= 0 on the cube, so
+        # its region is the whole cube, and the mean of |x|^2 - r (u . x)^2
+        # is m/3 - r/12 - r (sum u)^2 / 4
+        s = float(cone.rays[0].sum()) if rank else 0.0
+        ir = (4 * m - rank - 3 * rank * s * s) / 12.0
+        regions = [] if m == rank else [RegionRecord(tuple(range(1, rank + 1)), rank, 1.0, ir)]
+        return result(ir, float(m == rank), regions, METHOD_CLOSED_FORM,
+                      f"cone rank {rank}: its region is the whole cube")
+
+    full_rank = rank == m
     if not force_regions and full_rank and _covers_hypercube(cone):
-        return EvaluationResult(
-            ir=0.0, irn=0.0, output_volume=1.0, regions=(),
-            extreme_ray_columns=extreme_cols, redundant_columns=redundant_cols,
-            zero_columns=zero_cols, method=METHOD_CLOSED_FORM,
-            diagnostics=("cone contains every hypercube vertex: full coverage",),
-        )
+        return result(0.0, 1.0, [], METHOD_CLOSED_FORM,
+                      "cone contains every hypercube vertex: full coverage")
 
     cone = cone_sub_elements(cone)
     todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
@@ -135,20 +127,10 @@ def _evaluate(C, force_regions) -> EvaluationResult:
             for (d, e, r, _), value in zip(pending, region_integral(regions, bases).tolist()):
                 records.append(RegionRecord(tuple(i + 1 for i in sorted(e)), d, r.volume, value))
             pending, block_start = [], n_simplices
-    ir = sum(r.integral for r in records)
     covered = sum(r.volume for r in records)
-
-    return EvaluationResult(
-        ir=ir,
-        irn=ir / (m / 3.0),
-        output_volume=min(max(1.0 - covered, 0.0), 1.0) if full_rank else 0.0,
-        regions=tuple(records),
-        extreme_ray_columns=extreme_cols,
-        redundant_columns=redundant_cols,
-        zero_columns=zero_cols,
-        method=METHOD_ANALYTICAL,
-        diagnostics=(),
-    )
+    return result(sum(r.integral for r in records),
+                  min(max(1.0 - covered, 0.0), 1.0) if full_rank else 0.0,
+                  records, METHOD_ANALYTICAL)
 
 
 def _covers_hypercube(cone: Cone) -> bool:

@@ -10,9 +10,8 @@ from math import factorial
 
 import numpy as np
 
-# Relative threshold below which a vector counts as linearly dependent.
-TOL_RANK = 1e-9
-# Generic geometric comparison tolerance (dot products, signs, coordinates).
+# Geometric comparison tolerance (dot products, signs, coordinates), and the
+# relative size below which a singular value or Gram-Schmidt residual is zero.
 TOL_GEOM = 1e-9
 
 
@@ -33,7 +32,7 @@ def gram_schmidt(rays):
     `rays` is one (k, m) set, or a (b, k, m) stack of b sets, each
     orthonormalized on its own and all in one pass; a stack gives a list of b
     bases. Linearly dependent inputs are dropped: a ray whose residual after
-    projection onto the earlier columns has norm below ``TOL_RANK`` (relative
+    projection onto the earlier columns has norm below ``TOL_GEOM`` (relative
     to the ray's own norm) contributes no column, so each basis has exactly
     rank-many columns. Re-orthogonalization keeps the columns orthonormal to
     near machine precision. Every dot product is one stacked matmul and every
@@ -58,7 +57,7 @@ def gram_schmidt(rays):
                 dots = Q[:, j, None, :] @ v[:, :, None]
                 np.subtract(v, dots[:, 0] * Q[:, j], out=v, where=kept[:, j, None])
         norm = row_norms(v)
-        kept[:, i] = norm > TOL_RANK * np.maximum(scale, 1.0)
+        kept[:, i] = norm > TOL_GEOM * np.maximum(scale, 1.0)
         np.divide(v, norm[:, None], out=Q[:, i], where=kept[:, i, None])
     bases = [np.ascontiguousarray(q[keep].T) for q, keep in zip(Q, kept)]
     return bases if R.ndim == 3 else bases[0]

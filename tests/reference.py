@@ -24,7 +24,7 @@ from scipy.spatial import ConvexHull
 
 from conirep.cone import DEDUP_DOT, TOL_MEMBER, AdjacentCone, Cone
 from conirep.errors import DegenerateConeError
-from conirep.linalg import TOL_GEOM, TOL_RANK, gram_schmidt
+from conirep.linalg import TOL_GEOM, gram_schmidt
 from conirep.nnls import nnls
 from conirep.oracle import ir_num
 
@@ -52,7 +52,7 @@ def normal_vector(vectors) -> np.ndarray:
         sign = -sign
     nrm = np.linalg.norm(n)
     # for unit inputs the cofactor norm equals the spanned (m-1)-volume
-    if nrm <= TOL_RANK:
+    if nrm <= TOL_GEOM:
         raise ValueError("normal_vector inputs are rank-deficient")
     return n / nrm
 
@@ -170,7 +170,7 @@ def gram_schmidt_by_loop(rays) -> np.ndarray:
     """Reference Gram-Schmidt for one ray set: one Python step per ray pair.
 
     Two projection passes per ray over the columns kept so far; a ray whose
-    residual is below TOL_RANK relative to its own norm adds no column.
+    residual is below TOL_GEOM relative to its own norm adds no column.
     """
     rays = np.asarray(rays, dtype=float)
     cols = []
@@ -181,7 +181,7 @@ def gram_schmidt_by_loop(rays) -> np.ndarray:
             for q in cols:
                 v -= (q @ v) * q
         norm = np.sqrt(v @ v)
-        if norm > TOL_RANK * max(scale, 1.0):
+        if norm > TOL_GEOM * max(scale, 1.0):
             cols.append(v / norm)
     return np.stack(cols, axis=1) if cols else np.zeros((rays.shape[1], 0))
 

@@ -146,6 +146,15 @@ def test_unread_flags_are_rejected(capsys, command, flag):
     assert args.n == "8,16,32,64"
 
 
+@pytest.mark.parametrize("command", ["compare --n 4,8", "sweep"])
+def test_table_commands_reject_text_format(capsys, wedge_csv, command):
+    # compare and sweep write JSON or CSV only
+    assert main(f"{command} --input {wedge_csv} --format text".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'text'" in captured.err
+
+
 def test_rank_deficient_report(capsys, tmp_path):
     p = tmp_path / "flat.csv"
     p.write_text("1,0\n0,1\n0,0\n")  # rank 2 in three dimensions

@@ -137,6 +137,28 @@ def test_rank_one_is_the_closed_form():
     assert abs(res.ir - richardson(C, 12, 24)) <= 1e-9
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_ranks_zero_and_one_match_the_corrected_midpoint_rule(m):
+    # At rank r <= 1 the integrand is one quadratic, |x|^2 - r (u . x)^2,
+    # over the whole cube, with Laplacian 2 (m - r). The midpoint rule on an
+    # N^m grid then misses its integral by exactly (m - r) / (12 N^2).
+    rng = np.random.default_rng([14, m])
+    N = 5
+    cases = [(np.zeros((m, 3)), 0)]
+    for _ in range(3):
+        u = rng.uniform(0.0, 3.0, m)
+        cases.append((np.outer(u, rng.uniform(0.5, 2.0, 2)), 1))
+        u[rng.random(m) < 0.35] = 0.0
+        u[rng.integers(m)] = 1.0
+        cases.append((np.column_stack([np.zeros(m), u, 3.0 * u]), 1))
+    for C, r in cases:
+        res = evaluate(C)
+        assert res.method == "closed-form"
+        assert res.diagnostics == (f"cone rank {r}: its region is the whole cube",)
+        corrected = ir_num(C, N).ir_num + (m - r) / (12.0 * N * N)
+        assert abs(res.ir - corrected) <= 1e-14
+
+
 @pytest.mark.parametrize("m, grids, tol", [
     (3, (24, 48), 2e-7), (4, (12, 24), 2e-6), (5, (8, 16), 2e-5),
 ])

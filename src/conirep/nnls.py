@@ -3,12 +3,13 @@
 Two entry points: :func:`nnls` solves a single problem and is the reference
 implementation used by all geometric predicates; :func:`nnls_batch` advances
 many right-hand sides in lockstep against one matrix, grouping points that
-share an active-set pattern into a single linear solve (Van Benthem &
-Keenan, 2004). Points are grouped by a packed passive-set key in stable
+share an active-set pattern into a single linear solve and starting each
+from the support of its unconstrained solution (Van Benthem & Keenan,
+2004). Points are grouped by a byte key of their passive set in stable
 order, so no solve depends on how many patterns there are or on the order
-the groups are visited in. The batch variant exists because quadrature grids
-need 10^5..10^7 solves per call; both return identical optima (up to solver
-roundoff) and the batch path re-runs any point that fails its KKT
+the groups are visited in. The batch variant exists because quadrature
+grids need 10^5..10^7 solves per call; both return identical optima (up to
+solver roundoff) and the batch path re-runs any point that fails its KKT
 verification through the scalar solver.
 """
 from __future__ import annotations
@@ -109,6 +110,10 @@ def nnls_batch(A, points):
     squared residual norms. All points advance through the active-set method
     together; each iteration groups the unconverged points by their passive
     pattern and solves one normal-equation system per distinct pattern.
+    Each point's passive set starts as the support of its unconstrained
+    solution when A^T A is nonsingular, else empty. Any start is sound: the
+    inner loop first takes X = 0 to a feasible point, and from there each
+    step lowers the objective until the KKT conditions hold.
     Identical calls give bitwise-identical results; callers that need
     determinism across thread counts must keep their chunk boundaries fixed
     (the quadrature grid does).
@@ -125,8 +130,10 @@ def nnls_batch(A, points):
     tol = _kkt_tol(G)
 
     X = np.zeros((n, p))
-    passive = np.zeros((n, p), dtype=bool)
+    full = np.linalg.matrix_rank(G) == n  # the unconstrained solution is unique
+    passive = np.linalg.solve(G, H) > 0.0 if full else np.zeros((n, p), dtype=bool)
     live = np.arange(p)
+    _feasible(G, H, X, passive, live)
     for _ in range(max_iter):
         if live.size == 0:
             break
@@ -142,33 +149,7 @@ def nnls_batch(A, points):
             break
         passive[t[growing], entered] = True
         del W  # n x p; free it before the solves, where memory peaks
-
-        pending = entered
-        while pending.size:
-            Z = _solve_patterns(G, H, passive, pending)
-            neg = passive[:, pending] & (Z <= 0.0)
-            has_neg = neg.any(axis=0)
-            done = pending[~has_neg]
-            X[:, done] = Z[:, ~has_neg]
-            pending = pending[has_neg]
-            if pending.size == 0:
-                break
-            Zb = Z[:, has_neg]
-            negb = neg[:, has_neg]
-            Xb = X[:, pending]
-            denom = Xb - Zb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(negb & (denom > 0.0), Xb / denom, np.inf)
-            ratios[negb & (denom <= 0.0)] = 0.0
-            alpha = ratios.min(axis=0)
-            Xb = np.maximum(Xb + alpha * (Zb - Xb), 0.0)
-            drop = negb & (ratios <= alpha + 1e-12)
-            pat = passive[:, pending]
-            pat[drop] = False
-            passive[:, pending] = pat
-            Xb[drop] = 0.0
-            Xb[~pat] = 0.0
-            X[:, pending] = Xb
+        _feasible(G, H, X, passive, entered)
     if live.size:
         raise IterationLimitError(f"batch nnls did not converge in {max_iter} iterations")
 
@@ -181,21 +162,52 @@ def nnls_batch(A, points):
     return X, np.einsum("ij,ij->j", R, R)
 
 
+def _feasible(G, H, X, passive, pending):
+    """Lawson-Hanson inner loop, in place: move each pending point from X to
+    a positive least-squares solution on a subset of its passive set."""
+    while pending.size:
+        Z = _solve_patterns(G, H, passive, pending)
+        neg = passive[:, pending] & (Z <= 0.0)
+        has_neg = neg.any(axis=0)
+        done = pending[~has_neg]
+        X[:, done] = Z[:, ~has_neg]
+        pending = pending[has_neg]
+        if pending.size == 0:
+            break
+        Zb = Z[:, has_neg]
+        negb = neg[:, has_neg]
+        Xb = X[:, pending]
+        denom = Xb - Zb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(negb & (denom > 0.0), Xb / denom, np.inf)
+        ratios[negb & (denom <= 0.0)] = 0.0
+        alpha = ratios.min(axis=0)
+        Xb = np.maximum(Xb + alpha * (Zb - Xb), 0.0)
+        drop = negb & (ratios <= alpha + 1e-12)
+        pat = passive[:, pending]
+        pat[drop] = False
+        passive[:, pending] = pat
+        Xb[drop] = 0.0
+        Xb[~pat] = 0.0
+        X[:, pending] = Xb
+
+
 def _solve_patterns(G, H, passive, pending):
     """Least-squares coefficients on each point's passive set, zero elsewhere.
 
-    Points are grouped by a packed passive-set key in stable order, so each
-    group solves its columns in ascending order whatever the number of
+    Each point's passive set is packed into bytes (coefficient i in bit
+    i % 8 of byte i // 8), and ``np.lexsort`` over the byte rows, a stable
+    radix sort per byte, brings equal patterns together. Each group
+    therefore solves its columns in ascending order, whatever the number of
     patterns or the order the groups are visited in.
     """
     n = G.shape[0]
     Z = np.zeros((n, pending.size))
     pats = passive[:, pending]
-    key = np.packbits(pats.T, axis=1, bitorder="little")
-    words = np.pad(key, ((0, 0), (0, -key.shape[1] % 8))).view(np.uint64)
-    order = np.lexsort(words.T)
-    words = words[order]
-    cuts = np.flatnonzero((words[1:] != words[:-1]).any(axis=1)) + 1
+    key = np.packbits(pats, axis=0, bitorder="little")
+    order = np.lexsort(key)
+    key = key[:, order]
+    cuts = np.flatnonzero((key[:, 1:] != key[:, :-1]).any(axis=0)) + 1
     for cols in np.split(order, cuts):
         rows = np.flatnonzero(pats[:, cols[0]])
         if rows.size == 0:

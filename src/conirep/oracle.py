@@ -6,6 +6,7 @@ midpoints. Used to cross-check analytical results.
 """
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     """
     sm = as_state_matrix(C)
     m = sm.m
+    n = operator.index(n)  # a Python int, so n ** m cannot wrap
     if n < 1:
         raise ValueError("grid resolution must be at least 1")
     total = n ** m

@@ -9,6 +9,9 @@ from scipy.optimize import lsq_linear
 
 from conirep.errors import IterationLimitError
 from conirep.nnls import _solve_patterns, nnls, nnls_batch
+from conirep.oracle import _grid_chunk
+
+from conftest import TILTED
 
 
 def test_exact_fit():
@@ -97,7 +100,7 @@ def _solve_patterns_by_row_sort(G, H, passive, pending):
     return Z
 
 
-# pattern lengths on either side of the key's byte (8) and word (64) boundaries
+# pattern lengths on and either side of multiples of 8, where the key gains a byte
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
 def test_pattern_key_across_byte_and_word_boundaries(n):
     rng = np.random.default_rng(43 + n)
@@ -108,7 +111,7 @@ def test_pattern_key_across_byte_and_word_boundaries(n):
     base = rng.random(n) < 0.5
     pools = [rng.random((n, 12)) < 0.5]
     # two patterns one bit apart sort next to each other, so a key that
-    # misses the byte or word holding that bit merges their groups
+    # misses the byte holding that bit merges their groups
     for bit in sorted({0, 7, 8, 63, 64, n - 1} & set(range(n))):
         other = base.copy()
         other[bit] ^= True
@@ -127,24 +130,74 @@ def test_pattern_key_across_byte_and_word_boundaries(n):
 
 
 @st.composite
-def _nonnegative_problems(draw):
+def _nonnegative_problems(draw, tall=False):
     m = draw(st.integers(2, 5))
-    n = draw(st.integers(1, 70))
+    n = draw(st.integers(1, m if tall else 70))
     p = draw(st.integers(1, 12))
     entries = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
     return (draw(arrays(float, (m, n), elements=entries)),
             draw(arrays(float, (m, p), elements=entries)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(_nonnegative_problems())
-def test_batch_matches_scalar_property(problem):
-    a, pts = problem
+def _assert_batch_matches_scalar(a, pts):
     xb, rsq = nnls_batch(a, pts)
     assert xb.min() >= 0.0
     for i in range(pts.shape[1]):
         _, rnorm = nnls(a, pts[:, i])
         assert rsq[i] == pytest.approx(rnorm**2, abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_nonnegative_problems())
+def test_batch_matches_scalar_property(problem):
+    _assert_batch_matches_scalar(*problem)
+
+
+# n <= m: mostly full column rank, where the batch solver starts from the
+# support of the unconstrained solution rather than from the empty set
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_nonnegative_problems(tall=True))
+def test_batch_matches_scalar_property_at_most_m_columns(problem):
+    _assert_batch_matches_scalar(*problem)
+
+
+def _full_column_rank_cases():
+    rng = np.random.default_rng(47)
+    u = np.array([1.0, 0.0, 0.3]) / np.hypot(1.0, 0.3)
+    w = np.array([0.0, 1.0, 0.0])
+    near = np.stack([u, np.cos(1e-9) * u + np.sin(1e-9) * w, [0.2, 0.5, 1.0]], axis=1)
+    tiny = rng.uniform(0.0, 2.0, size=(3, 3))
+    tiny[:, 1] *= 1e-8
+    square = rng.uniform(0.0, 2.0, size=(4, 4))
+    inside = square @ rng.uniform(0.5, 1.0, size=(4, 50))
+    outside = 10.0 * rng.normal(size=(4, 50))
+    return [
+        pytest.param(near, rng.uniform(0.0, 1.0, size=(3, 200)), id="columns 1e-9 apart"),
+        pytest.param(tiny, rng.uniform(0.0, 1.0, size=(3, 200)), id="1e-8-scaled column"),
+        pytest.param(square, np.hstack([inside, outside]), id="inside and outside the cone"),
+    ]
+
+
+# A has full column rank in every case, but in the first two A^T A is
+# singular in floating point, where solving for the start would fail
+@pytest.mark.parametrize("a, pts", _full_column_rank_cases())
+def test_batch_matches_scalar_at_full_column_rank(a, pts):
+    assert np.linalg.matrix_rank(a) == a.shape[1]
+    _assert_batch_matches_scalar(a, pts)
+
+
+# every point of a quadrature chunk passes the batch solver's KKT check, so
+# none is handed to the scalar solver
+@pytest.mark.parametrize("a, n", [(TILTED, 24),
+                                  (np.random.default_rng(53).uniform(0.0, 3.0, (4, 4)), 10)],
+                         ids=["TILTED, N = 24", "4x4, N = 10"])
+def test_no_scalar_repairs_on_quadrature_grids(monkeypatch, a, n):
+    calls = []
+    monkeypatch.setattr("conirep.nnls.nnls", lambda *args: calls.append(args) or nnls(*args))
+    m = a.shape[0]
+    assert np.linalg.matrix_rank(a) == m
+    nnls_batch(a, _grid_chunk(m, n, 0, n**m))
+    assert calls == []
 
 
 # Found by a wider random search of the property above. The optimum is about

@@ -58,6 +58,15 @@ def test_budget_enforced():
         ir_num(np.eye(3), 100, budget=10_000)
     with pytest.raises(ValueError):
         ir_num(np.eye(2), 0)
+    with pytest.raises(TypeError):
+        ir_num(np.eye(2), 4.0)
+
+
+# n ** m in int64 wraps: to 0 samples (a NaN value) and to a negative count
+@pytest.mark.parametrize("m, n", [(4, np.int64(65536)), (3, np.int64(2**21 + 1))])
+def test_budget_enforced_on_numpy_integer_sizes(m, n):
+    with pytest.raises(BudgetExceededError):
+        ir_num(np.eye(m), n)
 
 
 def test_threads_do_not_change_the_value(wedge):

@@ -167,11 +167,13 @@ def cone_halfspaces(rays: np.ndarray):
     alone (Ziegler, Lectures on Polytopes, 1995, ch. 2): a redundant ray on
     the boundary lies inside a face of dimension at least 2, which every
     facet through it contains, and one off the boundary is on no facet. A
-    facet is the set of extreme rays on its plane, and the first equation
-    for a set gives its normal. Returns (extreme, facets, normals): the
-    sorted indices of the extreme rays, index sets into rays[extreme] sorted
-    by their indices, and a matching (facets, m) array, so the cone is
-    {x : normals @ x <= 0}.
+    facet is the set of extreme rays on its plane, unless another plane's
+    set holds it strictly: no facet lies inside another, but a nearly flat
+    facet that Qhull splits into planes can leave such a set. The first
+    equation for a set gives its normal. Returns (extreme, facets,
+    normals): the sorted indices of the extreme rays, index sets into
+    rays[extreme] sorted by their indices, and a matching (facets, m) array,
+    so the cone is {x : normals @ x <= 0}.
 
     The scale picks the hull's size: unit rays all lie on the sphere, so
     each is a hull vertex, while rays cut to one hyperplane make only the
@@ -191,8 +193,12 @@ def cone_halfspaces(rays: np.ndarray):
     # common[i, j]: ray bound[j] lies on every facet through ray bound[i]
     common = ~(on[:, bound].T @ ~on[:, bound])
     extreme = bound[common.sum(axis=1) == 1]
+    rows = on[:, extreme]
+    # within[i, j]: plane i's rays all lie on plane j; keep the maximal rows
+    within = ~(rows @ ~rows.T)
+    keep = ~(within & ~within.T).any(axis=1)
     found: dict[tuple[int, ...], np.ndarray] = {}
-    for normal, row in zip(planes, on[:, extreme]):
+    for normal, row in zip(planes[keep], rows[keep]):
         found.setdefault(tuple(np.flatnonzero(row).tolist()), normal)
     if not found:
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")

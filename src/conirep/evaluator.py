@@ -18,7 +18,7 @@ import numpy as np
 
 from .cone import (TOL_MEMBER, Cone, adjacent_cone, as_state_matrix, cone_sub_elements,
                    coni_facets)
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DegenerateConeError
 from .integrate import region_integral
 # not used here; bench/tracer.py wraps conirep.evaluator.ir_num
 from .oracle import ir_num  # noqa: F401
@@ -30,6 +30,8 @@ MAX_DIM = 10
 MAX_SIMPLICES = 1_000_000
 # Regions are integrated together once they hold at least this many simplices.
 INTEGRATE_BLOCK = 4096
+# Region volumes may sum past 1 (at rank r < m: differ from 1) by this much.
+TOL_PARTITION = 1e-9
 
 METHOD_ANALYTICAL = "analytical"
 METHOD_CLOSED_FORM = "closed-form"
@@ -128,9 +130,10 @@ def _evaluate(C, force_regions) -> EvaluationResult:
                 records.append(RegionRecord(tuple(i + 1 for i in sorted(e)), d, r.volume, value))
             pending, block_start = [], n_simplices
     covered = sum(r.volume for r in records)
+    if covered - 1.0 > TOL_PARTITION or (not full_rank and 1.0 - covered > TOL_PARTITION):
+        raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")
     return result(sum(r.integral for r in records),
-                  min(max(1.0 - covered, 0.0), 1.0) if full_rank else 0.0,
-                  records, METHOD_ANALYTICAL)
+                  max(1.0 - covered, 0.0) if full_rank else 0.0, records, METHOD_ANALYTICAL)
 
 
 def _covers_hypercube(cone: Cone) -> bool:

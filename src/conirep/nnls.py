@@ -1,16 +1,16 @@
 """Nonnegative least squares by the Lawson-Hanson active-set method.
 
-Two entry points: :func:`nnls` solves a single problem and is the reference
-implementation used by all geometric predicates; :func:`nnls_batch` advances
-many right-hand sides in lockstep against one matrix, grouping points that
-share an active-set pattern into a single linear solve and starting each
-from the support of its unconstrained solution (Van Benthem & Keenan,
-2004). Points are grouped by a byte key of their passive set in stable
-order, so no solve depends on how many patterns there are or on the order
-the groups are visited in. The batch variant exists because quadrature
-grids need 10^5..10^7 solves per call; both return identical optima (up to
-solver roundoff) and the batch path re-runs any point that fails its KKT
-verification through the scalar solver.
+One loop, :func:`_lawson_hanson`, serves both entry points; they differ
+only in the least-squares step. :func:`nnls` solves a single problem with
+``lstsq`` on A's passive columns, so its error grows with the condition of
+A. :func:`nnls_batch` advances many right-hand sides in lockstep against one
+matrix, grouping points that share a passive set into one solve of the
+normal equations (Van Benthem & Keenan, 2004); quadrature grids need
+10^5..10^7 solves per call. Points are grouped by a byte key of their
+passive set in stable order, so no solve depends on how many patterns there
+are or on the order the groups are visited in. A batch point that fails its
+KKT verification, or is still live at the iteration cap, goes through
+:func:`nnls`.
 """
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ TOL_KKT = 1e-10
 MAX_ITER_PER_COLUMN = 10
 
 
-def _kkt_tol(G: np.ndarray) -> float:
-    return TOL_KKT * (1.0 + float(np.abs(G).max(initial=0.0)))
-
-
 def _max_iter(n: int) -> int:
     return MAX_ITER_PER_COLUMN * max(n, 3)
 
@@ -36,137 +32,105 @@ def _max_iter(n: int) -> int:
 def nnls(A, b):
     """Minimize ||A x - b||_2 subject to x >= 0.
 
-    Returns ``(x, rnorm)`` with ``rnorm = ||A x - b||_2``. The entering
-    variable is the most negative gradient component, ties broken by the
-    smallest index; the iteration count is capped at MAX_ITER_PER_COLUMN
-    times max(n, 3) before IterationLimitError is raised. On exit the KKT
-    conditions are verified: gradient >= -tol on the zero set and
-    |gradient| <= tol on the support.
-    A point that fails them gets one step of iterative refinement on its
-    support, and IterationLimitError is raised if it still fails.
+    Returns ``(x, rnorm)`` with ``rnorm = ||A x - b||_2``, measured with
+    each column of A scaled to a largest entry of 1, so a column too small
+    for any finite weight gets weight inf and the residual stays right.
+    Raises IterationLimitError when the KKT conditions do not hold within
+    MAX_ITER_PER_COLUMN times max(n, 3) iterations.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
-    n = A.shape[1]
-    max_iter = _max_iter(n)
-    G = A.T @ A
-    h = A.T @ b
-    tol = _kkt_tol(G)
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    outer = 0
-    while True:
-        w = h - G @ x
-        w[passive] = -np.inf
-        t = int(np.argmax(w))  # argmax takes the smallest index on ties
-        if not np.isfinite(w[t]) or w[t] <= tol:
-            break
-        if outer >= max_iter:
-            raise IterationLimitError(f"nnls did not converge in {max_iter} iterations")
-        outer += 1
-        passive[t] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            z = np.linalg.lstsq(A[:, idx], b, rcond=None)[0]
-            if z.min(initial=np.inf) > 0.0:
-                x[:] = 0.0
-                x[idx] = z
-                break
-            xi = x[idx]
-            denom = xi - z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where((z <= 0.0) & (denom > 0.0), xi / denom, np.inf)
-            ratios[(z <= 0.0) & (denom <= 0.0)] = 0.0
-            alpha = float(ratios.min())
-            x[idx] = np.maximum(xi + alpha * (z - xi), 0.0)
-            drop = idx[(z <= 0.0) & (ratios <= alpha + 1e-12)]
-            passive[drop] = False
-            x[drop] = 0.0
-
-    if not _is_kkt(G @ x - h, x, tol):
-        # one step of iterative refinement on the support: lstsq loses the
-        # last digits of the small-scale coefficients when column scales
-        # differ by about 1e8
-        idx = np.flatnonzero(x > 0.0)
-        x[idx] += np.linalg.lstsq(A[:, idx], b - A[:, idx] @ x[idx], rcond=None)[0]
-        if x.min() < 0.0 or not _is_kkt(G @ x - h, x, tol):
-            raise IterationLimitError("nnls terminated at a non-KKT point")
-    return x, float(np.linalg.norm(b - A @ x))
-
-
-def _is_kkt(g: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Gradient >= -10 tol off the support and |gradient| <= 10 tol on it."""
-    support = x > 0.0
-    return not (np.any(g[~support] < -10 * tol) or np.any(np.abs(g[support]) > 10 * tol))
+    X, rsq, failed = _lawson_hanson(A, b[:, None], _lstsq_step)
+    if failed[0]:
+        raise IterationLimitError(
+            f"nnls did not converge in {_max_iter(A.shape[1])} iterations")
+    return X[:, 0], float(np.sqrt(rsq[0]))
 
 
 def nnls_batch(A, points):
     """Solve min ||A x - p||_2, x >= 0 for every column p of ``points``.
 
     Returns ``(X, rsq)``: X has one solution per column and rsq holds the
-    squared residual norms. All points advance through the active-set method
-    together; each iteration groups the unconverged points by their passive
-    pattern and solves one normal-equation system per distinct pattern.
-    Each point's passive set starts as the support of its unconstrained
-    solution when A^T A is nonsingular, else empty. Any start is sound: the
-    inner loop first takes X = 0 to a feasible point, and from there each
-    step lowers the objective until the KKT conditions hold.
-    Identical calls give bitwise-identical results; callers that need
-    determinism across thread counts must keep their chunk boundaries fixed
-    (the quadrature grid does).
+    squared residual norms, as :func:`nnls` measures them. Identical calls
+    give bitwise-identical results; callers that need determinism across
+    thread counts must keep their chunk boundaries fixed (the quadrature
+    grid does).
     """
     A = np.asarray(A, dtype=float)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != A.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {pts.shape}")
-    n = A.shape[1]
-    p = pts.shape[1]
-    max_iter = _max_iter(n)
-    G = A.T @ A
-    H = A.T @ pts
-    tol = _kkt_tol(G)
+    X, rsq, failed = _lawson_hanson(
+        A, pts, lambda A, P, G, H, passive, pending: _solve_patterns(G, H, passive, pending))
+    for j in np.flatnonzero(failed):
+        X[:, j], rnorm = nnls(A, pts[:, j])
+        rsq[j] = rnorm * rnorm
+    return X, rsq
 
-    X = np.zeros((n, p))
+
+def _lawson_hanson(A, P, solve):
+    """Active-set NNLS for every column of P, with the least-squares step
+    ``solve(A, P, G, H, passive, pending)`` (coefficients on each pending
+    point's passive set, zero elsewhere).
+
+    Each column of A is first scaled to a largest entry of 1: the cone and
+    every residual stay the same, A^T A cannot underflow, and the KKT
+    tolerance sees every column at one scale. Each point's passive set
+    starts as the support of its unconstrained solution when A^T A is
+    nonsingular, else empty. Any start is sound: the inner loop first takes
+    X = 0 to a feasible point, and from there each step lowers the objective
+    until the KKT conditions hold. The entering variable is the most
+    negative gradient component, ties broken by the smallest index.
+    Returns ``(X, rsq, failed)``: the solutions in A's own units, the
+    squared residuals in scaled units, and a mask of the points that fail
+    the KKT conditions or are still live at the iteration cap.
+    """
+    scale = np.abs(A).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    A = A / scale
+    n = A.shape[1]
+    G = A.T @ A
+    H = A.T @ P
+    tol = TOL_KKT * (1.0 + float(np.abs(G).max(initial=0.0)))
+
+    def step(passive, pending):
+        return solve(A, P, G, H, passive, pending)
+
+    X = np.zeros((n, P.shape[1]))
     full = np.linalg.matrix_rank(G) == n  # the unconstrained solution is unique
-    passive = np.linalg.solve(G, H) > 0.0 if full else np.zeros((n, p), dtype=bool)
-    live = np.arange(p)
-    _feasible(G, H, X, passive, live)
-    for _ in range(max_iter):
-        if live.size == 0:
-            break
+    passive = np.linalg.solve(G, H) > 0.0 if full else np.zeros(X.shape, dtype=bool)
+    live = np.arange(P.shape[1])
+    _feasible(step, X, passive, live)
+    for _ in range(_max_iter(n)):
         W = H[:, live]
         W -= G @ X[:, live]
         W[passive[:, live]] = -np.inf
-        t = np.argmax(W, axis=0)
-        wmax = W[t, np.arange(live.size)]
-        growing = wmax > tol
-        entered = live[growing]
-        live = entered
-        if entered.size == 0:
+        t = np.argmax(W, axis=0)  # argmax takes the smallest index on ties
+        growing = W[t, np.arange(live.size)] > tol
+        live = live[growing]
+        if live.size == 0:
             break
-        passive[t[growing], entered] = True
+        passive[t[growing], live] = True
         del W  # n x p; free it before the solves, where memory peaks
-        _feasible(G, H, X, passive, entered)
-    if live.size:
-        raise IterationLimitError(f"batch nnls did not converge in {max_iter} iterations")
+        _feasible(step, X, passive, live)
 
-    # verify KKT for every point; repair stragglers with the scalar solver
-    Wf = H - G @ X
-    bad = (passive & (np.abs(Wf) > 10 * tol)) | (~passive & (Wf > 10 * tol))
-    for j in np.flatnonzero(bad.any(axis=0)):
-        X[:, j] = nnls(A, pts[:, j])[0]
-    R = A @ X - pts
-    return X, np.einsum("ij,ij->j", R, R)
+    # KKT: gradient >= -10 tol everywhere, and <= 10 tol on the passive set
+    W = H - G @ X
+    failed = ((W > 10 * tol) | passive & (W < -10 * tol)).any(axis=0)
+    failed[live] = True
+    R = A @ X - P
+    with np.errstate(over="ignore"):
+        X /= scale[:, None]
+    return X, np.einsum("ij,ij->j", R, R), failed
 
 
-def _feasible(G, H, X, passive, pending):
+def _feasible(step, X, passive, pending):
     """Lawson-Hanson inner loop, in place: move each pending point from X to
     a positive least-squares solution on a subset of its passive set."""
     while pending.size:
-        Z = _solve_patterns(G, H, passive, pending)
+        Z = step(passive, pending)
         neg = passive[:, pending] & (Z <= 0.0)
         has_neg = neg.any(axis=0)
         done = pending[~has_neg]
@@ -190,6 +154,17 @@ def _feasible(G, H, X, passive, pending):
         Xb[drop] = 0.0
         Xb[~pat] = 0.0
         X[:, pending] = Xb
+
+
+def _lstsq_step(A, P, G, H, passive, pending):
+    """Least-squares coefficients on each point's passive set, from lstsq on
+    A's passive columns rather than the normal equations."""
+    Z = np.zeros((A.shape[1], pending.size))
+    for k, j in enumerate(pending):
+        rows = np.flatnonzero(passive[:, j])
+        if rows.size:
+            Z[rows, k] = np.linalg.lstsq(A[:, rows], P[:, j], rcond=None)[0]
+    return Z
 
 
 def _solve_patterns(G, H, passive, pending):

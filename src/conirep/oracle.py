@@ -65,16 +65,13 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     total = n ** m
     if total > budget:
         raise BudgetExceededError(f"{n}^{m} = {total} samples exceed the budget of {budget}")
-    # each nonzero column scaled to a largest entry of 1: the cone and every
-    # residual stay the same, and nnls_batch's A^T A cannot underflow
-    A = sm.entries / np.where(sm.entries.any(axis=0), sm.entries.max(axis=0), 1.0)
     t0 = time.perf_counter()
     ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
 
     def chunk_sum(bounds):
         start, stop = bounds
         pts = _grid_chunk(m, n, start, stop)
-        _, rsq = nnls_batch(A, pts)
+        _, rsq = nnls_batch(sm.entries, pts)
         return float(rsq.sum())
 
     if threads > 1 and len(ranges) > 1:

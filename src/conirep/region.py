@@ -153,7 +153,8 @@ def triangulate_polytope(facets: list[int], vertices: np.ndarray,
     Rambau & Santos, Triangulations, 2010). The facets of F are
     the inclusion-maximal nonempty proper sets F & S over the facet masks S;
     each face is triangulated once. Returns an (s, m+1) array of vertex
-    indices, each row starting with 0. Raises BudgetExceededError as soon as
+    indices, each row starting with 0, or raises DegenerateConeError when a
+    chain has another length. Raises BudgetExceededError as soon as
     the rows the memo holds, the polytope's simplices among them, pass
     `budget`, before the walk can fill memory.
     """
@@ -188,6 +189,9 @@ def triangulate_polytope(facets: list[int], vertices: np.ndarray,
         return rows
 
     rows = pull((1 << len(vertices)) - 1) if facets else []
+    if any(len(r) != m + 1 for r in rows):
+        raise DegenerateConeError(
+            f"a pulled chain does not have {m + 1} vertices: the facets are not a face lattice")
     return np.array(rows, dtype=int).reshape(-1, m + 1)
 
 

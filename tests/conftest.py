@@ -21,6 +21,23 @@ SQUARE_PYRAMID = np.array([[0.0, 1.0, 1.0, 0.0, 0.5],
                            [0.0, 0.0, 0.0, 0.0, 1.0],
                            [1.0, 1.0, 1.0, 1.0, 1.0]])
 
+# Integer matrices whose small perturbations are near-degenerate: nearly
+# flat facets that Qhull splits into several planes (JUMP), and regions
+# with vertices 1e-13 apart (VERR).
+JUMP = np.array([[2.0, 2.0, 0.0, 1.0, 0.0],
+                 [1.0, 2.0, 0.0, 1.0, 0.0],
+                 [1.0, 0.0, 2.0, 0.0, 1.0],
+                 [2.0, 1.0, 0.0, 0.0, 2.0]])
+VERR = np.array([[1.0, 1.0, 2.0, 1.0, 1.0],
+                 [2.0, 1.0, 2.0, 1.0, 0.0],
+                 [0.0, 2.0, 0.0, 1.0, 2.0],
+                 [0.0, 2.0, 1.0, 1.0, 2.0]])
+
+
+def perturbed(C, eps, seed):
+    """C with each nonzero entry moved up by eps times a uniform [0, 1) draw."""
+    return C + eps * np.random.default_rng(seed).uniform(0.0, 1.0, C.shape) * (C > 0)
+
 
 @pytest.fixture
 def wedge():

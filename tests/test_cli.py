@@ -11,7 +11,7 @@ from conirep.cli import build_parser, main, read_matrix, write_matrix
 from conirep.errors import DegenerateConeError, InputFormatError, IterationLimitError
 from conirep.oracle import ir_num
 
-from conftest import TILTED
+from conftest import TILTED, VERR, perturbed
 
 
 @pytest.fixture
@@ -183,6 +183,18 @@ def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
     assert code == 4
     assert captured.out == ""
     assert "numerical failure: forced failure" in captured.err
+
+
+# two vertices of one region 4.4e-13 apart break its face lattice, and the
+# pulling walk's chains came out ragged: a ValueError read as an input error
+def test_ragged_triangulation_exit_code(capsys, tmp_path):
+    path = tmp_path / "verr.csv"
+    with open(path, "w") as fh:
+        write_matrix(perturbed(VERR, 1e-12, 0), fh)
+    code = main(["evaluate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "a pulled chain does not have 5 vertices" in captured.err
 
 
 def test_linear_algebra_failure_exit_code(capsys, tilted_csv, monkeypatch):

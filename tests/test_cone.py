@@ -23,7 +23,7 @@ from conirep.errors import AllZeroMatrixError
 from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
-from conftest import SQUARE_PYRAMID, TILTED, WEDGE, random_activity
+from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE, perturbed, random_activity
 from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
                        origins_by_fitting_every_unit, unit_dedup_by_loop)
 
@@ -96,6 +96,14 @@ def test_lattice_closed_under_intersection():
                 inter = a & b
                 if inter:
                     assert inter in members
+
+
+# Qhull splits a nearly flat facet of this cone into planes holding rays
+# {0,1,3,4} and {0,3,4}; the smaller set is no facet
+def test_no_facet_inside_another_on_a_near_flat_facet():
+    facets = coni_facets(perturbed(JUMP, 1e-9, 0)).facets
+    assert frozenset({0, 1, 3, 4}) in facets
+    assert not any(f < g for f in facets for g in facets)
 
 
 def test_extremality_matches_bounded_least_squares():

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import cone_sub_elements, coni_facets
-from conirep.errors import BudgetExceededError
+from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.evaluator import (INTEGRATE_BLOCK, MAX_DIM, RegionRecord, evaluate, output_volume,
                                region_report)
 from conirep.integrate import region_integral
 from conirep.linalg import gram_schmidt
 from conirep.oracle import ir_num
 
-from conftest import SQUARE_PYRAMID, random_activity
+from conftest import JUMP, SQUARE_PYRAMID, VERR, perturbed, random_activity
 from reference import facet_normal_outward, richardson
 
 
@@ -423,3 +423,27 @@ def test_thin_region_of_a_wide_matrix():
     assert thin[0].volume == pytest.approx(9.0441752e-12, rel=1e-6)
     covered = math.fsum(r.volume for r in res.regions)
     assert covered + cone_in_cube_volume(C) == pytest.approx(1.0, abs=1e-12)
+
+
+# Qhull split a nearly flat facet of these cones into several planes, and
+# the rays on one plane formed a facet inside another's, so regions overlapped
+# (the volumes summed to 1.30 or 1.37); JUMP's unperturbed ir is 0.0622424.
+@pytest.mark.parametrize("eps, seed", [(1e-9, 0), (1e-9, 9), (3e-9, 1), (1e-8, 6), (1e-6, 24)])
+def test_near_flat_facets_partition_the_cube(eps, seed):
+    res = evaluate(perturbed(JUMP, eps, seed))
+    covered = math.fsum(r.volume for r in res.regions)
+    assert covered + res.output_volume == pytest.approx(1.0, abs=1e-9)
+    assert res.ir == pytest.approx(0.0622424319858876, abs=1e-7)
+
+
+# JUMP at 1e-6, seed 24: the batch solver once stopped at its iteration cap
+# on 430 of these 4,096 grid points
+def test_quadrature_answers_on_a_near_flat_facet():
+    C = perturbed(JUMP, 1e-6, 24)
+    assert abs(evaluate(C).ir - ir_num(C, 8).ir_num) <= 4 / (12.0 * 8 ** 2)
+
+
+# regions of VERR at 3e-9, seed 15 still overlap; the volumes sum to 1.31
+def test_overlapping_regions_raise():
+    with pytest.raises(DegenerateConeError, match="^region volumes sum to 1.3"):
+        evaluate(perturbed(VERR, 3e-9, 15))

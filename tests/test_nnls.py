@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
+from scipy.optimize import nnls as scipy_nnls
 
 from conirep.errors import IterationLimitError
 from conirep.nnls import _solve_patterns, nnls, nnls_batch
@@ -201,9 +202,9 @@ def test_no_scalar_repairs_on_quadrature_grids(monkeypatch, a, n):
 
 
 # Found by a wider random search of the property above. The optimum is about
-# (1, 1, 1e8) with zero residual; the scalar solver's lstsq step returns
-# 1 + 1e-8 for the second coefficient, and only a refinement step on the
-# support brings its gradient within the KKT tolerance.
+# (1, 1, 1e8) with zero residual; on the unscaled columns the scalar
+# solver's lstsq step returns 1 + 1e-8 for the second coefficient, whose
+# gradient then fails the KKT tolerance.
 def test_scalar_matches_batch_on_badly_scaled_columns():
     a = np.array([[1.0, 0.0, 1e-20], [1e-20, 1.0, 0.0], [1e-20, 0.0, 1e-8]])
     b = np.ones(3)
@@ -215,12 +216,9 @@ def test_scalar_matches_batch_on_badly_scaled_columns():
 
 
 # Left over from a 3000-example search of the property above: several
-# identical 1e-8 columns next to unit-scale ones. scipy's nnls finds a
-# residual of about 1e-16, but the scalar solver either stops at a non-KKT
-# point, where the refinement step cannot pick one of the identical columns,
-# or cycles until its iteration limit.
-@pytest.mark.xfail(raises=IterationLimitError, strict=True,
-                   reason="scalar nnls fails on identical columns 1e8 below the rest")
+# identical 1e-8 columns next to unit-scale ones, where scipy's nnls finds a
+# residual of about 1e-16. On the unscaled columns the scalar solver either
+# stopped at a non-KKT point or cycled until its iteration limit.
 @pytest.mark.parametrize("a", [
     [[1.0, 1e-8, 1e-8, 1e-8],
      [1e-8, 1e-8, 1e-8, 1.0],
@@ -249,13 +247,54 @@ def test_batch_deterministic_and_chunking_stable():
     np.testing.assert_allclose(whole, parts, atol=1e-14)
 
 
+# A column 1e-6 the size of the others has a gradient below the KKT
+# tolerance at unit scale, so without the solver's own column scaling it
+# never entered: 2 of these 1,200 points stopped short, by 2.8e-7 and 2.1e-7.
+def test_column_scale_leaves_the_residual_unchanged():
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        a = rng.uniform(0.0, 2.0, size=(5, 3))
+        tiny = a * [1.0, 1.0, 1e-6]
+        for _ in range(300):
+            b = rng.uniform(0.0, 1.0, size=5)
+            assert nnls(tiny, b)[1] == pytest.approx(nnls(a, b)[1], abs=1e-12)
+
+
+# A column too small for any finite weight gets weight inf, as in scipy,
+# and its residual is measured at unit scale rather than as inf - inf.
+def test_subnormal_column_gets_infinite_weight():
+    a, b = np.array([[5e-324], [0.0]]), np.array([1.0, 1.0])
+    x, rnorm = nnls(a, b)
+    assert x[0] == np.inf and rnorm == 1.0
+    x, rsq = nnls_batch(a, b[:, None])
+    assert x[0, 0] == np.inf and rsq[0] == 1.0
+
+
 def test_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr("conirep.nnls.MAX_ITER_PER_COLUMN", 0)
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(IterationLimitError, match="^nnls did not converge in 0 "):
         nnls(a, np.array([1.0, 1.0]))
-    with pytest.raises(IterationLimitError, match="^batch nnls did not converge in 0 "):
+    # the batch hands the points still live at its cap to the scalar solver,
+    # which raises when it stops at the same cap
+    with pytest.raises(IterationLimitError, match="^nnls did not converge in 0 "):
         nnls_batch(a, np.ones((2, 3)))
+
+
+def test_points_live_at_the_cap_go_to_the_scalar_solver(monkeypatch):
+    monkeypatch.setattr("conirep.nnls.MAX_ITER_PER_COLUMN", 0)
+    handed = []
+
+    def scalar(a, b):
+        handed.append(b)
+        return scipy_nnls(a, b)
+
+    monkeypatch.setattr("conirep.nnls.nnls", scalar)
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    x, rsq = nnls_batch(a, np.ones((2, 3)))
+    assert len(handed) == 3
+    np.testing.assert_allclose(x, np.ones((2, 3)))
+    np.testing.assert_allclose(rsq, 0.0, atol=1e-30)
 
 
 def test_scalar_deterministic():

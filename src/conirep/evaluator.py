@@ -24,11 +24,12 @@ from .integrate import region_integral
 from .oracle import ir_num  # noqa: F401
 from .region import build_region
 
-# Hard caps for the combinatorial stages; each region's triangulation may
-# hold what the regions before it left of MAX_SIMPLICES.
+# Hard caps for the combinatorial stages. The regions of one call may hold
+# MAX_SIMPLICES simplices together; the triangulation counts them before it
+# builds any.
 MAX_DIM = 10
 MAX_SIMPLICES = 1_000_000
-# Regions are integrated together once they hold at least this many simplices.
+# Regions are integrated in runs that hold at least this many simplices.
 INTEGRATE_BLOCK = 4096
 # Region volumes may sum past 1 (at rank r < m: differ from 1) by this much.
 TOL_PARTITION = 1e-9
@@ -116,19 +117,19 @@ def _evaluate(C, force_regions) -> EvaluationResult:
     cone = cone_sub_elements(cone)
     todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
 
-    records: list[RegionRecord] = []
-    pending: list = []  # (dim, element, region, basis) not yet integrated
-    n_simplices = block_start = 0
-    for k, (dim, elem) in enumerate(todo, 1):
-        adj = adjacent_cone(elem, cone)
-        region = build_region(adj, MAX_SIMPLICES - n_simplices)
-        n_simplices += len(region.simplices)
-        pending.append((dim, elem, region, adj.basis))
-        if n_simplices - block_start >= INTEGRATE_BLOCK or k == len(todo):
-            _, _, regions, bases = zip(*pending)
-            for (d, e, r, _), value in zip(pending, region_integral(regions, bases).tolist()):
-                records.append(RegionRecord(tuple(i + 1 for i in sorted(e)), d, r.volume, value))
-            pending, block_start = [], n_simplices
+    adjs = [adjacent_cone(elem, cone) for _, elem in todo]
+    regions = build_region(adjs, MAX_SIMPLICES)
+    bases = [adj.basis for adj in adjs]
+    ends = regions.simplex_start.tolist()
+    integrals: list[float] = []
+    block_start = 0
+    for k in range(1, len(todo) + 1):
+        if ends[k] - ends[block_start] >= INTEGRATE_BLOCK or k == len(todo):
+            integrals += region_integral(regions[block_start:k], bases[block_start:k]).tolist()
+            block_start = k
+    volumes = regions.totals(regions.volumes).tolist()
+    records = [RegionRecord(tuple(i + 1 for i in sorted(e)), d, volume, value)
+               for (d, e), volume, value in zip(todo, volumes, integrals)]
     covered = sum(r.volume for r in records)
     if covered - 1.0 > TOL_PARTITION or (not full_rank and 1.0 - covered > TOL_PARTITION):
         raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")

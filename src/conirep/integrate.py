@@ -19,16 +19,16 @@ import numpy as np
 
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
 from .linalg import gram_schmidt, simplex_volumes  # noqa: F401
-from .region import RegionPolytope
+from .region import Regions
 
 
-def region_integral(regions, bases) -> np.ndarray:
+def region_integral(regions: Regions, bases) -> np.ndarray:
     """Integral of the squared distance to span(basis) over each region.
 
-    `regions` are RegionPolytopes and `bases` the matching (m, d) orthonormal
-    bases of the element spans they project onto (AdjacentCone.basis); with
-    d = 0 the element is the apex and the distance is measured to the
-    origin. Returns one value per region, 0 for a region without simplices.
+    `bases` are the (m, d) orthonormal bases of the element spans the
+    regions project onto (AdjacentCone.basis), one per region; with d = 0 the
+    element is the apex and the distance is measured to the origin. Returns
+    one value per region, 0 for a region without simplices.
 
     All regions are integrated together. Each vertex v gets a row
     [v, B^T v padded to m, q(v)] in one array; summing those rows over each
@@ -37,19 +37,12 @@ def region_integral(regions, bases) -> np.ndarray:
     simplices give 0, and each simplex's value is clamped at 0: roundoff can
     otherwise produce a tiny negative for simplices lying in the span.
     """
-    live = [i for i, r in enumerate(regions) if len(r.simplices)]
-    if not live:
-        return np.zeros(len(regions))
-    m = regions[live[0]].vertices.shape[1]
-    rows = np.zeros((sum(len(regions[i].vertices) for i in live), 2 * m + 1))
-    simplices = []
-    offset = 0
-    for i in live:
-        V, B = regions[i].vertices, bases[i]
-        rows[offset:offset + len(V), :m] = V
-        rows[offset:offset + len(V), m:m + B.shape[1]] = V @ B
-        simplices.append(regions[i].simplices + offset)
-        offset += len(V)
+    m = regions.vertices.shape[1]
+    rows = np.zeros((len(regions.vertices), 2 * m + 1))
+    rows[:, :m] = regions.vertices
+    start = regions.vertex_start.tolist()
+    for a, b, B in zip(start, start[1:], bases):
+        rows[a:b, m:m + B.shape[1]] = rows[a:b, :m] @ B
 
     def q(X):
         x, z = X[:, :m], X[:, m:2 * m]
@@ -57,21 +50,20 @@ def region_integral(regions, bases) -> np.ndarray:
 
     rows[:, 2 * m] = q(rows)
     # one vertex position at a time: an (s, m+1, 2m+1) gather takes MBs at m = 6
-    simplices = np.concatenate(simplices)
+    simplices = regions.simplices
     sums = rows[simplices[:, 0]]
     for col in simplices.T[1:]:
         sums += rows[col]
     # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
     pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
-    vol = np.concatenate([regions[i].volumes for i in live])
+    vol = regions.volumes
     values = np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
-    owner = np.repeat(live, [len(regions[i].simplices) for i in live])
-    return np.bincount(owner, values, minlength=len(regions))
+    return regions.totals(values)
 
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of the squared distance to span(basis) over one simplex, exactly."""
     P = np.asarray(vertices, dtype=float)
-    simplex = RegionPolytope(frozenset(), P, np.arange(len(P))[None],
-                             simplex_volumes(P[None]))
-    return float(region_integral([simplex], [basis])[0])
+    simplex = Regions(P, np.arange(len(P))[None], simplex_volumes(P[None]),
+                      np.array([0, len(P)]), np.array([0, 1]))
+    return float(region_integral(simplex, [basis])[0])

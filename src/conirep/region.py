@@ -10,7 +10,10 @@ halfspaces through it; that incidence is the whole face lattice, one vertex
 bitmask per facet. A pulling triangulation walks it from the origin, the
 apex of every adjacent cone and vertex 0 of every region. The origin lies on
 every facet but the cube's far faces x_j = 1, so only those give simplices
-at the top level.
+at the top level. build_region takes every region of a call at once: one
+intersection per region, then one walk over all their face lattices, level
+by level in arrays of packed bitmasks, whose simplices are counted before
+any is built, and the regions stacked in one Regions.
 """
 from __future__ import annotations
 
@@ -27,23 +30,56 @@ from .errors import BudgetExceededError, DegenerateConeError
 from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
 from .nnls import nnls
 
+# each level of the triangulation matches its faces against their polytopes'
+# facet masks in chunks of at most this many uint64 words
+WALK_CHUNK_WORDS = 1 << 16
+# simplex volumes are taken this many simplices at a time, to bound the gather
+VOLUME_BLOCK = 4096
+_WORD = (1 << 64) - 1
+# multiply-xorshift steps that hash a mask's words into one sort key
+_KEY_MIX, _KEY_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(29)
+# set bits of each byte value: np.bitwise_count needs numpy 2.0
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
-class RegionPolytope:
-    """V-representation of one region plus its triangulation.
+class Regions:
+    """Regions of some adjacent cones, stacked, each with its triangulation.
 
-    vertices: (k, m), the origin first. simplices: (s, m+1) vertex indices.
-    volumes: (s,) simplex volumes, kept for the integration.
+    Region i owns the rows vertex_start[i]:vertex_start[i+1] of vertices
+    (k, m), its origin first, and the rows simplex_start[i]:simplex_start[i+1]
+    of simplices (s, m+1), indices into `vertices`. volumes: (s,) simplex
+    volumes, kept for the integration. A slice of regions is a Regions too.
     """
 
-    element: frozenset[int]
     vertices: np.ndarray
     simplices: np.ndarray
     volumes: np.ndarray
+    vertex_start: np.ndarray
+    simplex_start: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vertex_start) - 1
+
+    def __getitem__(self, part: slice) -> Regions:
+        a, b, _ = part.indices(len(self))
+        if (a, b) == (0, len(self)):
+            return self
+        v, s = self.vertex_start[[a, b]], self.simplex_start[[a, b]]
+        return Regions(self.vertices[v[0]:v[1]],
+                       self.simplices[s[0]:s[1]] - v[0], self.volumes[s[0]:s[1]],
+                       self.vertex_start[a:b + 1] - v[0], self.simplex_start[a:b + 1] - s[0])
 
     @property
     def volume(self) -> float:
+        """Volume of all the regions together."""
         return float(self.volumes.sum())
+
+    def totals(self, values: np.ndarray) -> np.ndarray:
+        """A value per simplex summed over each region, as floats even with no simplices."""
+        start = self.simplex_start
+        owner = np.arange(len(start) - 1).repeat(start[1:] - start[:-1])
+        return np.bincount(owner, values, minlength=len(self)).astype(float, copy=False)
 
 
 def _interior_point(G: np.ndarray):
@@ -144,67 +180,246 @@ def polytope_facets(incidence: list[list[int]]) -> list[int]:
     return list(masks.values())
 
 
-def triangulate_polytope(facets: list[int], vertices: np.ndarray,
-                         budget: float = math.inf) -> np.ndarray:
-    """Pulling triangulation of a polytope from its facet masks.
+def _words(masks: list[int], n_words: int) -> np.ndarray:
+    """Bitmasks as the columns of an (n_words, len(masks)) uint64 array, low word first.
 
-    Each face F, a vertex bitmask, is triangulated by joining its lowest
+    Each word is one contiguous row, so an operation across a mask's words
+    is a reduction over axis 0, vectorized across the masks.
+    """
+    return np.array([[g >> s & _WORD for g in masks] for s in range(0, 64 * n_words, 64)],
+                    dtype=np.uint64).reshape(n_words, -1)
+
+
+def _bit_counts(masks: np.ndarray) -> np.ndarray:
+    """Number of set bits in each mask column."""
+    n_words, n = masks.shape
+    return np.add.reduce(_BYTE_BITS[masks.view(np.uint8)].reshape(n_words, n, 8), axis=(0, 2),
+                         dtype=np.intp)
+
+
+def _lowest_bit(masks: np.ndarray):
+    """Index of each nonzero mask's lowest set bit, its word, and that word's bit alone."""
+    word = (masks != 0).argmax(axis=0)
+    w = masks[word, np.arange(masks.shape[1])]
+    bit = w & -w
+    # a power of two converts to float exactly, and frexp reads off its exponent
+    return np.frexp(bit.astype(np.float64))[1] + (word * 64 - 1), word, bit
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray):
+    """Indices starts[j] .. starts[j] + counts[j] - 1 for each j, and the j of each."""
+    run = np.arange(len(counts)).repeat(counts)
+    return (starts + counts - counts.cumsum())[run] + np.arange(len(run)), run
+
+
+def _first_of_pairs(groups: np.ndarray, masks: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Which entries, taken in `order`, differ from the entry before them."""
+    g, r = groups[order], masks.take(order, axis=1)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (r[:, 1:] != r[:, :-1]).any(axis=0)
+    return first
+
+
+def _distinct(groups: np.ndarray, masks: np.ndarray):
+    """An order that puts equal (group, mask) pairs together, and which entries start a pair.
+
+    One argsort of a 64-bit hash per pair does it unless two pairs share a
+    hash; then a lexsort over every word does.
+    """
+    keys = groups.astype(np.uint64)
+    for word in masks:
+        keys = (keys * _KEY_MIX ^ word) * _KEY_MIX
+        keys ^= keys >> _KEY_SHIFT
+    order = keys.argsort()
+    first = _first_of_pairs(groups, masks, order)
+    keys = keys[order]
+    if (first[1:] & (keys[1:] == keys[:-1])).any():
+        order = np.lexsort((*masks[::-1], groups))
+        first = _first_of_pairs(groups, masks, order)
+    return order, first
+
+
+def _budget_error(budget: float) -> BudgetExceededError:
+    return BudgetExceededError(f"triangulation passes its budget of {budget} simplices")
+
+
+def _chain_error(m: int) -> DegenerateConeError:
+    return DegenerateConeError(
+        f"a pulled chain does not have {m + 1} vertices: the facets are not a face lattice")
+
+
+def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
+                budget: float, merge: bool):
+    """One level of the pulling walk: the facets of each face that miss its lowest vertex.
+
+    faces: (n_words, n) masks, each of polytope tag[i] and the end of
+    paths[i] chain prefixes. lattice: every polytope's facet masks as
+    columns, with the first column and the number of each polytope's, and
+    the number of faces per chunk. Returns the pulled vertex of each face;
+    for each (face, facet) edge, the face and the index of the facet among
+    the next level's faces; and those faces, their polytopes and their
+    prefix counts. With `merge` false each edge keeps a face of its own: at
+    the last level, where every face is one chain, merging saves nothing.
+    """
+    masks, start, count, step = lattice
+    low, word, bit = _lowest_bit(faces)
+    edge_masks, edge_faces = [faces[:, :0]], [tag[:0]]
+    reached = 0.0
+    for a in range(0, len(tag), step):
+        part = tag[a:a + step]
+        src, face = _runs(start[part], count[part])
+        face += a
+        whole = faces.take(face, axis=1)
+        cand = whole & masks.take(src, axis=1)
+        proper = (cand.any(axis=0) & (cand != whole).any(axis=0)).nonzero()[0]
+        face, cand = face[proper], cand.take(proper, axis=1)
+        # each candidate g that misses the pulled vertex, against every
+        # candidate h of its face: g is no facet of the face when it lies
+        # strictly inside h, and only the first of equal candidates is kept
+        per_face = np.bincount(face - a, minlength=len(part))
+        is_facet = (cand[word[face], np.arange(len(face))] & bit[face]) == 0
+        g = is_facet.nonzero()[0]
+        h, run = _runs((per_face.cumsum() - per_face)[face[g] - a], per_face[face[g] - a])
+        g = g[run]
+        cg, ch = cand.take(g, axis=1), cand.take(h, axis=1)
+        wider = (ch & ~cg).any(axis=0)
+        is_facet[g[~(cg & ~ch).any(axis=0) & (wider | (h < g))]] = False
+        kept = is_facet.nonzero()[0]
+        edge_masks.append(cand.take(kept, axis=1))
+        edge_faces.append(face[kept])
+        reached += paths[face[kept]].sum()
+        if reached > budget:
+            raise _budget_error(budget)
+    found, parent = np.concatenate(edge_masks, axis=1), np.concatenate(edge_faces)
+    if not merge:
+        return (low, parent, np.arange(len(parent))), found, tag[parent], paths[parent]
+    order, first = _distinct(tag[parent], found)
+    child = np.empty(len(order), dtype=np.intp)
+    child[order] = first.cumsum() - 1
+    faces = found.take(order[first], axis=1)
+    return (low, parent, child), faces, tag[parent[order[first]]], \
+        np.bincount(child, paths[parent], minlength=faces.shape[1])
+
+
+def triangulate_polytope(facets: list[list[int]], vertices: list[np.ndarray],
+                         budget: float = math.inf):
+    """Pulling triangulations of polytopes from their facet masks, all at once.
+
+    facets[i] holds the vertex bitmasks of polytope i's facets, vertices[i]
+    its (k_i, m) vertices. Each face F is triangulated by joining its lowest
     vertex v to the triangulations of the facets of F that miss v (De Loera,
-    Rambau & Santos, Triangulations, 2010). The facets of F are
-    the inclusion-maximal nonempty proper sets F & S over the facet masks S;
-    each face is triangulated once. Returns an (s, m+1) array of vertex
-    indices, each row starting with 0, or raises DegenerateConeError when a
-    chain has another length. Raises BudgetExceededError as soon as
-    the rows the memo holds, the polytope's simplices among them, pass
-    `budget`, before the walk can fill memory.
+    Rambau & Santos, Triangulations, 2010); the facets of F are the
+    inclusion-maximal nonempty proper sets F & S over its polytope's facet
+    masks S. A simplex is then a chain of faces, from a facet of the polytope
+    down to an edge, that pulls one vertex per face and both ends of the edge.
+
+    The walk goes level by level over every polytope at once. The facets of
+    the polytopes themselves are found in Python, and at m = 2 they are the
+    edges that close the chains; each deeper face is a column of uint64
+    words tagged by its polytope, matched against its polytope's masks in
+    chunks of at most WALK_CHUNK_WORDS words, and found once per level
+    however many faces share it. Each chain prefix reaching a d-face of k
+    vertices ends in at least k - d simplices, the fewest that triangulate
+    it, so BudgetExceededError is raised as soon as that sum passes
+    `budget` on a level, or the prefixes themselves do while one is
+    matched, before any chain is built; the prefixes reaching the last
+    level are the simplices. The chains are then counted bottom-up and
+    written top-down, one column per level. A face of one vertex above the
+    last level, or a last-level face that is not an edge, raises
+    DegenerateConeError: the masks are not a face lattice.
+
+    Returns an (s, m+1) array of vertex indices, each row starting with 0,
+    polytope by polytope, and the number of rows of each polytope.
     """
-    m = np.shape(vertices)[1]
-    memo: dict[int, list[tuple[int, ...]]] = {}
-    held = 0
+    m = vertices[0].shape[1]
+    sizes = [len(v) for v in vertices]
+    n_words = max(1, -(-max(sizes) // 64))
+    kids, owner, masks, counts = [], [], [], []
+    for i, k in enumerate(sizes):
+        subs = set(facets[i]) - {0, (1 << k) - 1}
+        # the facets that miss vertex 0 and lie inside no other facet
+        for g in subs:
+            if not g & 1:
+                for h in subs:
+                    if g & h == g != h:
+                        break
+                else:
+                    kids.append(g)
+                    owner.append(i)
+        masks += subs
+        counts.append(len(subs))
+    tag = np.array(owner, dtype=np.intp)
+    if m == 2:
+        # a polygon's facets are edges, and each closes one chain
+        if len(kids) > budget:
+            raise _budget_error(budget)
+        rows = []
+        for g in kids:
+            if g.bit_count() != 2:
+                raise _chain_error(m)
+            rows.append((0, (g & -g).bit_length() - 1, g.bit_length() - 1))
+        return (np.array(rows, dtype=np.int32).reshape(-1, 3),
+                np.bincount(tag, minlength=len(sizes)))
+    faces, paths = _words(kids, n_words), np.ones(len(tag))
+    count = np.array(counts)
+    lattice = (_words(masks, n_words), count.cumsum() - count, count,
+               max(1, WALK_CHUNK_WORDS // (n_words * max(1, *counts))))
+    levels = []  # per level: pulled vertex of each face, each edge's face and child
+    for dim in range(m - 1, 1, -1):
+        bits = _bit_counts(faces)
+        if (bits < 2).any():
+            raise _chain_error(m)
+        # a triangulation of a d-polytope with k vertices has k - d simplices or more
+        if paths @ np.maximum(bits - dim, 1) > budget:
+            raise _budget_error(budget)
+        level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, dim > 2)
+        levels.append(level)
+    # the last level's faces are edges, one chain each, already counted in
+    # their level: clear both ends of each, and nothing may be left
+    ends = []
+    for _ in range(2):
+        pulled, word, bit = _lowest_bit(faces)
+        faces[word, np.arange(len(tag))] ^= bit
+        ends.append(pulled)
+    if faces.any() or not bit.all():
+        raise _chain_error(m)
+    low, high = ends
+    # chains below each face, bottom-up, then each level's column top-down:
+    # a prefix's pulled vertex once per chain below its face
+    below = [np.ones(len(tag), dtype=np.intp)]
+    for pulled, parent, child in reversed(levels):
+        below.append(np.bincount(parent, below[-1][child], minlength=len(pulled)).astype(np.intp))
+    simplices = np.empty((int(paths.sum()), m + 1), dtype=np.int32)
+    simplices[:, 0] = 0
+    cur = np.arange(len(below[-1]))
+    for j, (pulled, parent, child) in enumerate(levels, 1):
+        simplices[:, j] = pulled[cur].repeat(below[m - 1 - j][cur])
+        deg = np.bincount(parent, minlength=len(pulled))
+        cur = child[_runs((deg.cumsum() - deg)[cur], deg[cur])[0]]
+    simplices[:, m - 1], simplices[:, m] = low[cur], high[cur]
+    return simplices, np.bincount(tag[cur], minlength=len(sizes))
 
-    def pull(face: int) -> list[tuple[int, ...]]:
-        nonlocal held
-        rows = memo.get(face)
-        if rows is None:
-            low = face & -face
-            v = low.bit_length() - 1
-            if face == low:
-                rows = [(v,)]
-            else:
-                subs = {face & s for s in facets} - {0, face}
-                rows = []
-                for g in subs:
-                    if g & low:
-                        continue
-                    for h in subs:
-                        if g & h == g != h:
-                            break  # inside a larger candidate: not a facet
-                    else:
-                        rows += [(v,) + r for r in pull(g)]
-            memo[face] = rows
-            held += len(rows)
-            if held > budget:
-                raise BudgetExceededError(
-                    f"triangulation passes its budget of {budget} simplices")
-        return rows
 
-    rows = pull((1 << len(vertices)) - 1) if facets else []
-    if any(len(r) != m + 1 for r in rows):
-        raise DegenerateConeError(
-            f"a pulled chain does not have {m + 1} vertices: the facets are not a face lattice")
-    return np.array(rows, dtype=int).reshape(-1, m + 1)
+def build_region(adjs: list[AdjacentCone], budget: float = math.inf) -> Regions:
+    """Intersect each adjacent cone with the cube and triangulate them together.
 
-
-def build_region(adj: AdjacentCone, budget: float = math.inf) -> RegionPolytope:
-    """Intersect one adjacent cone with the cube and triangulate the result.
-
-    `budget` caps the triangulation (see triangulate_polytope).
+    `budget` caps the simplices of all the regions (see triangulate_polytope).
     """
-    try:
-        inter = hypercube_intersect(adj)
-    except QhullError as exc:
-        raise DegenerateConeError(
-            f"region of element {sorted(adj.element)}: {exc}") from exc
-    verts = inter.vertices
-    simplices = triangulate_polytope(polytope_facets(inter.incidence), verts, budget)
-    return RegionPolytope(adj.element, verts, simplices, simplex_volumes(verts[simplices]))
+    inters = []
+    for adj in adjs:
+        try:
+            inters.append(hypercube_intersect(adj))
+        except QhullError as exc:
+            raise DegenerateConeError(
+                f"region of element {sorted(adj.element)}: {exc}") from exc
+    verts = [inter.vertices for inter in inters]
+    simplices, counts = triangulate_polytope(
+        [polytope_facets(inter.incidence) for inter in inters], verts, budget)
+    vertex_start = np.add.accumulate([0] + [len(v) for v in verts])
+    vertices = np.concatenate(verts)
+    simplices += vertex_start[:-1].repeat(counts)[:, None]
+    # one block at least, so that no simplices give an empty volume array
+    volumes = [simplex_volumes(vertices[simplices[a:a + VOLUME_BLOCK]])
+               for a in range(0, max(len(simplices), 1), VOLUME_BLOCK)]
+    return Regions(vertices, simplices, np.concatenate(volumes), vertex_start,
+                   np.add.accumulate([0, *counts.tolist()]))

@@ -2,19 +2,21 @@
 
 The pipeline takes facet normals from Qhull's hull equations, never asks
 whether a point lies in a cone, reads a region's vertex-facet incidence off
-Qhull's halfspace intersection, builds every adjacent cone in one batched
-pass over the lattice's Hasse edges, integrates whole blocks of regions at
-once, merges collinear columns from one Gram matrix, reads the extreme rays
-off one hull, and forms the face bases in stacks by ray count. These
-references compute each of them another way: facet normals by cofactor
-expansion over the facet's rays, cone membership by an NNLS fit against the
-generators, incidence by a distance test against the facets of a convex
-hull, one adjacent cone at a time by scanning the lattice, the integral over
-one stack of simplices with one basis, the dedup by a greedy loop over the
-columns, the extreme rays by an NNLS fit of each unit ray against all the
-others, and one basis at a time by a loop of Gram-Schmidt steps. For `ir`
-itself, the Richardson extrapolation of two midpoint-quadrature grids needs
-no geometry at all.
+Qhull's halfspace intersection, triangulates every region of a call in one
+level-by-level walk over packed masks, builds every adjacent cone in one
+batched pass over the lattice's Hasse edges, integrates whole blocks of
+regions at once, merges collinear columns from one Gram matrix, reads the
+extreme rays off one hull, and forms the face bases in stacks by ray count.
+These references compute each of them another way: facet normals by
+cofactor expansion over the facet's rays, cone membership by an NNLS fit
+against the generators, incidence by a distance test against the facets of
+a convex hull, the triangulation of one polytope at a time by a memoized
+recursion on its faces, one adjacent cone at a time by scanning the
+lattice, the integral over one stack of simplices with one basis, the dedup
+by a greedy loop over the columns, the extreme rays by an NNLS fit of each
+unit ray against all the others, and one basis at a time by a loop of
+Gram-Schmidt steps. For `ir` itself, the Richardson extrapolation of two
+midpoint-quadrature grids needs no geometry at all.
 """
 
 from math import comb
@@ -100,6 +102,45 @@ def facet_masks(vertices) -> list[int]:
     eq = ConvexHull(V).equations
     on = np.abs(eq[:, :-1] @ V.T + eq[:, -1:]) < TOL_GEOM
     return sorted({sum(1 << int(j) for j in np.flatnonzero(row)) for row in on})
+
+
+def triangulate_by_recursion(facets: list[int], vertices) -> np.ndarray:
+    """Pulling triangulation of one polytope by a memoized recursion on its faces.
+
+    Each face F, a vertex bitmask, is triangulated by joining its lowest
+    vertex v to the triangulations of the facets of F that miss v; the
+    facets of F are the inclusion-maximal nonempty proper sets F & S over the
+    facet masks S. Returns an (s, m+1) array of vertex indices, or raises
+    DegenerateConeError when a chain does not have m + 1 vertices.
+    """
+    m = np.shape(vertices)[1]
+    memo: dict[int, list[tuple[int, ...]]] = {}
+
+    def pull(face: int) -> list[tuple[int, ...]]:
+        rows = memo.get(face)
+        if rows is None:
+            low = face & -face
+            v = low.bit_length() - 1
+            if face == low:
+                rows = [(v,)]
+            else:
+                subs = {face & s for s in facets} - {0, face}
+                rows = []
+                for g in subs:
+                    if g & low:
+                        continue
+                    for h in subs:
+                        if g & h == g != h:
+                            break  # inside a larger candidate: not a facet
+                    else:
+                        rows += [(v,) + r for r in pull(g)]
+            memo[face] = rows
+        return rows
+
+    rows = pull((1 << len(vertices)) - 1) if facets else []
+    if any(len(r) != m + 1 for r in rows):
+        raise DegenerateConeError(f"a pulled chain does not have {m + 1} vertices")
+    return np.array(rows, dtype=int).reshape(-1, m + 1)
 
 
 def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:

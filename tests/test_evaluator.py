@@ -82,7 +82,8 @@ def test_tilted_partitions_the_cube(tilted):
 def test_region_report_forces_pipeline():
     rows = region_report(np.eye(2))
     assert len(rows) == 2
-    assert all(r.volume == 0.0 for r in rows)
+    # no region has a simplex, and the rows still carry floats, as JSON prints them
+    assert all(type(r.volume) is type(r.integral) is float and r.volume == 0.0 for r in rows)
     rows = region_report(np.zeros((3, 1)))
     assert len(rows) == 1 and rows[0].element == ()
 
@@ -175,8 +176,8 @@ def test_narrow_matrices_match_richardson(m, grids, tol):
 
 
 def test_rank_two_at_m10_raises_within_seconds():
-    # the regions are nearly whole cubes: the triangulation passes the
-    # simplex budget after about a second, long before it fills memory
+    # the regions are nearly whole cubes: the walk's count passes the
+    # simplex budget in well under a second, before any simplex is built
     C = np.random.default_rng(1).uniform(0.0, 3.0, (10, 2))
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="simplices"):
@@ -323,7 +324,7 @@ def test_m6_value_across_many_integration_blocks(monkeypatch):
     blocks = []
 
     def counting(regions, bases):
-        blocks.append(sum(len(r.simplices) for r in regions))
+        blocks.append(len(regions.simplices))
         return region_integral(regions, bases)
 
     monkeypatch.setattr("conirep.evaluator.region_integral", counting)

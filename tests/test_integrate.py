@@ -9,7 +9,7 @@ import sympy as sp
 from conirep.cone import adjacent_cone, cone_sub_elements, coni_facets
 from conirep.integrate import region_integral, simplex_integral
 from conirep.linalg import gram_schmidt, simplex_volumes
-from conirep.region import RegionPolytope, build_region, triangulate_polytope
+from conirep.region import Regions, build_region, triangulate_polytope
 
 from conftest import SQUARE_PYRAMID, TILTED, WEDGE
 from reference import facet_masks, simplex_integrals
@@ -109,18 +109,18 @@ def test_additive_under_centroid_split():
 def test_region_integral_unit_cube_against_origin():
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices = triangulate_polytope(facet_masks(cube), cube)
-    region = RegionPolytope(element=frozenset(), vertices=cube, simplices=simplices,
-                            volumes=simplex_volumes(cube[simplices]))
+    simplices, _ = triangulate_polytope([facet_masks(cube)], [cube])
+    region = Regions(cube, simplices, simplex_volumes(cube[simplices]),
+                     np.array([0, len(cube)]), np.array([0, len(simplices)]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
     # integral of |x|^2 over the unit cube is m/3
-    assert region_integral([region], [EMPTY3])[0] == pytest.approx(1.0, abs=1e-12)
+    assert region_integral(region, [EMPTY3])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_integral_empty_region():
-    region = RegionPolytope(element=frozenset({0}),
-                            vertices=np.zeros((0, 2)), simplices=(), volumes=np.zeros(0))
-    assert region_integral([region], [np.array([[1.0], [0.0]])])[0] == 0.0
+    region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.zeros(0),
+                     np.array([0, 0]), np.array([0, 0]))
+    assert region_integral(region, [np.array([[1.0], [0.0]])])[0] == 0.0
 
 
 @pytest.mark.parametrize("C, empty", [
@@ -132,11 +132,12 @@ def test_blocked_integral_matches_each_region_on_its_own(C, empty):
     # wedge's is its axis region), against one stack of simplices per region
     cone = cone_sub_elements(coni_facets(C))
     adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
-    regions = [build_region(adj) for adj in adjs]
-    assert sum(not len(r.simplices) for r in regions) == empty
+    regions = build_region(adjs)
+    assert np.sum(np.diff(regions.simplex_start) == 0) == empty
     got = region_integral(regions, [adj.basis for adj in adjs])
     assert got.shape == (len(regions),)
-    for value, region, adj in zip(got, regions, adjs):
+    for i, (value, adj) in enumerate(zip(got, adjs)):
+        region = regions[i:i + 1]
         if not len(region.simplices):
             assert value == 0.0
             continue

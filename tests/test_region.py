@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from conirep.cone import AdjacentCone, adjacent_cone, cone_sub_elements, coni_facets
-from conirep.errors import BudgetExceededError
+from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.linalg import simplex_volumes
 from conirep.nnls import nnls_batch
 from conirep.region import (
@@ -19,7 +19,7 @@ from conirep.region import (
 )
 
 from conftest import TILTED, WEDGE, random_activity
-from reference import cone_contains, facet_masks
+from reference import cone_contains, facet_masks, triangulate_by_recursion
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -60,13 +60,13 @@ def test_wedge_axis_region_is_degenerate():
     # interior point, so no vertices are enumerated
     inter = hypercube_intersect(wedge_adjacent(1))
     assert inter.vertices.shape == (0, 2) and inter.incidence == []
-    region = build_region(wedge_adjacent(1))
+    region = build_region([wedge_adjacent(1)])
     assert region.volume == 0.0
     assert len(region.simplices) == 0
 
 
 def test_wedge_diagonal_region_build():
-    region = build_region(wedge_adjacent(0))
+    region = build_region([wedge_adjacent(0)])
     assert region.volume == pytest.approx(0.5, abs=1e-12)
     assert len(region.simplices) == 1
 
@@ -129,7 +129,8 @@ def test_polytope_facets_degenerate():
     # an empty region has no facets and no simplices
     inter = hypercube_intersect(wedge_adjacent(1))
     assert polytope_facets(inter.incidence) == []
-    assert triangulate_polytope([], inter.vertices).shape == (0, 3)
+    simplices, counts = triangulate_polytope([[]], [inter.vertices])
+    assert simplices.shape == (0, 3) and counts.tolist() == [0]
 
     # the pyramid's apex lies on four facets: one vertex, four masks
     inter = hypercube_intersect(adjacent(PYRAMID_NORMALS, np.array([0.25, 0.25, 1.0])))
@@ -140,7 +141,7 @@ def test_polytope_facets_degenerate():
     facets = polytope_facets(inter.incidence)
     assert sorted(bin(mask).count("1") for mask in facets) == [3, 3, 3, 3, 4]
     assert sum(mask & 1 for mask in facets) == 4
-    simplices = triangulate_polytope(facets, verts)
+    simplices, _ = triangulate_polytope([facets], [verts])
     # the base is the one facet that misses the apex: two triangles, two tetrahedra
     assert len(simplices) == 2 and all(s[0] == 0 for s in simplices)
     assert simplex_volumes(verts[simplices]).sum() == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -149,12 +150,15 @@ def test_polytope_facets_degenerate():
 def test_triangulation_stops_at_its_budget():
     cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     facets = facet_masks(cube)
-    simplices = triangulate_polytope(facets, cube)
+    simplices, _ = triangulate_polytope([facets], [cube])
     assert len(simplices) == 6
-    np.testing.assert_array_equal(triangulate_polytope(facets, cube, 100), simplices)
-    # the memo also holds the faces' own rows, so the simplex count alone passes it
-    with pytest.raises(BudgetExceededError, match="budget of 6 simplices"):
-        triangulate_polytope(facets, cube, 6)
+    # the simplices are counted before any is built: exactly 6 fit a budget of 6
+    np.testing.assert_array_equal(triangulate_polytope([facets], [cube], 6)[0], simplices)
+    with pytest.raises(BudgetExceededError, match="budget of 5 simplices"):
+        triangulate_polytope([facets], [cube], 5)
+    # the budget covers every polytope of the call together
+    with pytest.raises(BudgetExceededError, match="budget of 11 simplices"):
+        triangulate_polytope([facets, facets], [cube, cube], 11)
 
 
 def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
@@ -178,14 +182,14 @@ def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
 
 def test_triangulation_volumes():
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    simplices = triangulate_polytope(facet_masks(rect), rect)
+    simplices, _ = triangulate_polytope([facet_masks(rect)], [rect])
     vols = simplex_volumes(rect[simplices])
     assert len(vols) == 2
     assert sum(vols) == pytest.approx(2.0, abs=1e-12)
 
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices = triangulate_polytope(facet_masks(cube), cube)
+    simplices, _ = triangulate_polytope([facet_masks(cube)], [cube])
     # pulled from the origin: only the faces x_j = 1 miss it, two triangles each
     assert len(simplices) == 6
     assert all(s[0] == 0 for s in simplices)
@@ -200,18 +204,81 @@ def test_triangulation_matches_qhull_volume():
             pts = rng.uniform(0.0, 1.0, size=(rng.integers(m + 2, 16), m))
             hull = ConvexHull(pts)
             verts = pts[hull.vertices]
-            simplices = triangulate_polytope(facet_masks(verts), verts)
+            simplices, _ = triangulate_polytope([facet_masks(verts)], [verts])
             total = simplex_volumes(verts[simplices]).sum()
             assert total == pytest.approx(hull.volume, abs=1e-9)
 
 
-def region_volume_total(C):
+def same_simplex_sets(facets, vertices):
+    """The walk over all polytopes at once against the recursion over each alone."""
+    simplices, counts = triangulate_polytope(facets, vertices)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    for i, (f, v) in enumerate(zip(facets, vertices)):
+        ref = triangulate_by_recursion(f, v)
+        assert sorted(map(tuple, simplices[starts[i]:starts[i + 1]].tolist())) == \
+            sorted(map(tuple, ref.tolist()))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_walk_matches_recursion_on_hull_polytopes(m):
+    rng = np.random.default_rng([79, m])
+    polytopes = []
+    for _ in range(12):
+        pts = rng.uniform(0.0, 1.0, size=(rng.integers(m + 2, 40), m))
+        polytopes.append(pts[ConvexHull(pts).vertices])
+    same_simplex_sets([facet_masks(v) for v in polytopes], polytopes)
+
+
+def region_lattices(C):
     cone = cone_sub_elements(coni_facets(C))
-    total = 0.0
-    for elems in cone.elements.values():
-        for e in elems:
-            total += build_region(adjacent_cone(e, cone)).volume
-    return total
+    inters = [hypercube_intersect(adjacent_cone(e, cone))
+              for elems in cone.elements.values() for e in elems]
+    return [polytope_facets(inter.incidence) for inter in inters], \
+        [inter.vertices for inter in inters]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
+def test_walk_matches_recursion_on_every_region(m, n):
+    for seed in range(3):
+        C = np.random.default_rng([83, seed]).uniform(0.0, 3.0, (m, n))
+        same_simplex_sets(*region_lattices(C))
+
+
+def test_walk_matches_recursion_past_one_mask_word():
+    # regions of 69 to 169 vertices: each face is two or three uint64 words
+    facets, vertices = region_lattices(np.random.default_rng(11).uniform(0.0, 3.0, (6, 7)))
+    assert max(len(v) for v in vertices) > 128
+    same_simplex_sets(facets, vertices)
+
+
+def test_walk_does_not_depend_on_chunks_or_hash(monkeypatch):
+    # one face per chunk, and every hash key equal, so that each dedup
+    # falls back to its exact sort
+    facets, vertices = region_lattices(np.random.default_rng([83, 0]).uniform(0.0, 3.0, (5, 6)))
+    monkeypatch.setattr("conirep.region.WALK_CHUNK_WORDS", 1)
+    monkeypatch.setattr("conirep.region._KEY_MIX", np.uint64(0))
+    same_simplex_sets(facets, vertices)
+
+
+def test_walk_rejects_masks_that_are_not_a_face_lattice():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    # a "facet" of three vertices in the plane: its chain is too long
+    with pytest.raises(DegenerateConeError, match="does not have 3 vertices"):
+        triangulate_polytope([[0b1110, 0b1001, 0b0011]], [square])
+    tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # {1, 2, 3} meets the second mask in vertex 2 alone: its chain is too short
+    with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
+        triangulate_polytope([[0b1110, 0b0101]], [tetra])
+
+
+def all_regions(C):
+    cone = cone_sub_elements(coni_facets(C))
+    return build_region([adjacent_cone(e, cone) for elems in cone.elements.values()
+                         for e in elems])
+
+
+def region_volume_total(C):
+    return all_regions(C).volume
 
 
 def test_region_volumes_match_monte_carlo_coverage():
@@ -238,14 +305,12 @@ def test_fan_volume_matches_hull_volume():
     # triangulation (Qt) of the hull once missed a region of seed 15 by
     # 6.8e-5; the pulling triangulation must tile each region exactly
     for seed in (10, 15, 17, 34):
-        C = np.random.default_rng(seed).uniform(0.0, 3.0, (5, 6))
-        cone = cone_sub_elements(coni_facets(C))
-        for elems in cone.elements.values():
-            for e in elems:
-                region = build_region(adjacent_cone(e, cone))
-                if not len(region.vertices):
-                    assert region.volume == 0.0
-                    continue
-                fan = simplex_volumes(region.vertices[region.simplices]).sum()
-                assert fan == pytest.approx(region.volume, abs=1e-15)
-                assert fan == pytest.approx(ConvexHull(region.vertices).volume, abs=1e-12)
+        regions = all_regions(np.random.default_rng(seed).uniform(0.0, 3.0, (5, 6)))
+        for i in range(len(regions)):
+            region = regions[i:i + 1]
+            if not len(region.vertices):
+                assert region.volume == 0.0
+                continue
+            fan = simplex_volumes(region.vertices[region.simplices]).sum()
+            assert fan == pytest.approx(region.volume, abs=1e-15)
+            assert fan == pytest.approx(ConvexHull(region.vertices).volume, abs=1e-12)

@@ -29,8 +29,6 @@ from .region import build_region
 # builds any.
 MAX_DIM = 10
 MAX_SIMPLICES = 1_000_000
-# Regions are integrated in runs that hold at least this many simplices.
-INTEGRATE_BLOCK = 4096
 # Region volumes may sum past 1 (at rank r < m: differ from 1) by this much.
 TOL_PARTITION = 1e-9
 
@@ -118,18 +116,10 @@ def _evaluate(C, force_regions) -> EvaluationResult:
     todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
 
     adjs = [adjacent_cone(elem, cone) for _, elem in todo]
-    regions = build_region(adjs, MAX_SIMPLICES)
-    bases = [adj.basis for adj in adjs]
-    ends = regions.simplex_start.tolist()
-    integrals: list[float] = []
-    block_start = 0
-    for k in range(1, len(todo) + 1):
-        if ends[k] - ends[block_start] >= INTEGRATE_BLOCK or k == len(todo):
-            integrals += region_integral(regions[block_start:k], bases[block_start:k]).tolist()
-            block_start = k
-    volumes = regions.totals(regions.volumes).tolist()
+    volumes, integrals = region_integral(build_region(adjs, MAX_SIMPLICES),
+                                         [adj.basis for adj in adjs])
     records = [RegionRecord(tuple(i + 1 for i in sorted(e)), d, volume, value)
-               for (d, e), volume, value in zip(todo, volumes, integrals)]
+               for (d, e), volume, value in zip(todo, volumes.tolist(), integrals.tolist())]
     covered = sum(r.volume for r in records)
     if covered - 1.0 > TOL_PARTITION or (not full_rank and 1.0 - covered > TOL_PARTITION):
         raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")

@@ -21,16 +21,21 @@ import numpy as np
 from .linalg import gram_schmidt, simplex_volumes  # noqa: F401
 from .region import Regions
 
+# Simplices are integrated this many at a time.
+INTEGRATE_BLOCK = 4096
 
-def region_integral(regions: Regions, bases) -> np.ndarray:
-    """Integral of the squared distance to span(basis) over each region.
+
+def region_integral(regions: Regions, bases):
+    """Volume of each region, and integral of the squared distance to span(basis) over it.
 
     `bases` are the (m, d) orthonormal bases of the element spans the
     regions project onto (AdjacentCone.basis), one per region; with d = 0 the
     element is the apex and the distance is measured to the origin. Returns
-    one value per region, 0 for a region without simplices.
+    two arrays of one float per region, both 0 for a region without simplices.
 
-    All regions are integrated together. Each vertex v gets a row
+    All regions are integrated together, INTEGRATE_BLOCK simplices at a
+    time whatever regions they belong to, so that the gathers stay bounded
+    however many simplices one region has. Each vertex v gets a row
     [v, B^T v padded to m, q(v)] in one array; summing those rows over each
     simplex's vertices then gives both the vertex sum, whose q is
     |sum v|^2 - |sum B^T v|^2, and the sum of the q values. Zero-volume
@@ -49,21 +54,24 @@ def region_integral(regions: Regions, bases) -> np.ndarray:
         return np.einsum("ij,ij->i", x, x) - np.einsum("ij,ij->i", z, z)
 
     rows[:, 2 * m] = q(rows)
-    # one vertex position at a time: an (s, m+1, 2m+1) gather takes MBs at m = 6
     simplices = regions.simplices
-    sums = rows[simplices[:, 0]]
-    for col in simplices.T[1:]:
-        sums += rows[col]
-    # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
-    pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
-    vol = regions.volumes
-    values = np.where(vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
-    return regions.totals(values)
+    volumes, values = np.empty(len(simplices)), np.empty(len(simplices))
+    for a in range(0, len(simplices), INTEGRATE_BLOCK):
+        block = simplices[a:a + INTEGRATE_BLOCK]
+        vol = volumes[a:a + len(block)] = simplex_volumes(regions.vertices[block])
+        # one vertex position at a time: an (s, m+1, 2m+1) gather takes MBs at m = 6
+        sums = rows[block[:, 0]]
+        for col in block.T[1:]:
+            sums += rows[col]
+        # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
+        pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
+        values[a:a + len(block)] = np.where(
+            vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+    return regions.totals(volumes), regions.totals(values)
 
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of the squared distance to span(basis) over one simplex, exactly."""
     P = np.asarray(vertices, dtype=float)
-    simplex = Regions(P, np.arange(len(P))[None], simplex_volumes(P[None]),
-                      np.array([0, len(P)]), np.array([0, 1]))
-    return float(region_integral(simplex, [basis])[0])
+    simplex = Regions(P, np.arange(len(P))[None], np.array([0, len(P)]), np.array([0, 1]))
+    return float(region_integral(simplex, [basis])[1][0])

@@ -33,11 +33,7 @@ from .nnls import nnls
 # each level of the triangulation matches its faces against their polytopes'
 # facet masks in chunks of at most this many uint64 words
 WALK_CHUNK_WORDS = 1 << 16
-# simplex volumes are taken this many simplices at a time, to bound the gather
-VOLUME_BLOCK = 4096
 _WORD = (1 << 64) - 1
-# multiply-xorshift steps that hash a mask's words into one sort key
-_KEY_MIX, _KEY_SHIFT = np.uint64(0x9E3779B97F4A7C15), np.uint64(29)
 # set bits of each byte value: np.bitwise_count needs numpy 2.0
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -48,32 +44,24 @@ class Regions:
 
     Region i owns the rows vertex_start[i]:vertex_start[i+1] of vertices
     (k, m), its origin first, and the rows simplex_start[i]:simplex_start[i+1]
-    of simplices (s, m+1), indices into `vertices`. volumes: (s,) simplex
-    volumes, kept for the integration. A slice of regions is a Regions too.
+    of simplices (s, m+1), indices into `vertices`.
     """
 
     vertices: np.ndarray
     simplices: np.ndarray
-    volumes: np.ndarray
     vertex_start: np.ndarray
     simplex_start: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vertex_start) - 1
 
-    def __getitem__(self, part: slice) -> Regions:
-        a, b, _ = part.indices(len(self))
-        if (a, b) == (0, len(self)):
-            return self
-        v, s = self.vertex_start[[a, b]], self.simplex_start[[a, b]]
-        return Regions(self.vertices[v[0]:v[1]],
-                       self.simplices[s[0]:s[1]] - v[0], self.volumes[s[0]:s[1]],
-                       self.vertex_start[a:b + 1] - v[0], self.simplex_start[a:b + 1] - s[0])
-
     @property
     def volume(self) -> float:
-        """Volume of all the regions together."""
-        return float(self.volumes.sum())
+        """Volume of all the regions together, from every simplex at once.
+
+        region_integral takes each region's volume in bounded blocks.
+        """
+        return float(simplex_volumes(self.vertices[self.simplices]).sum())
 
     def totals(self, values: np.ndarray) -> np.ndarray:
         """A value per simplex summed over each region, as floats even with no simplices."""
@@ -212,30 +200,12 @@ def _runs(starts: np.ndarray, counts: np.ndarray):
     return (starts + counts - counts.cumsum())[run] + np.arange(len(run)), run
 
 
-def _first_of_pairs(groups: np.ndarray, masks: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Which entries, taken in `order`, differ from the entry before them."""
+def _distinct(groups: np.ndarray, masks: np.ndarray):
+    """An order that puts equal (group, mask) pairs together, and which entries start a pair."""
+    order = np.lexsort((*masks[::-1], groups))
     g, r = groups[order], masks.take(order, axis=1)
     first = np.ones(len(order), dtype=bool)
     first[1:] = (g[1:] != g[:-1]) | (r[:, 1:] != r[:, :-1]).any(axis=0)
-    return first
-
-
-def _distinct(groups: np.ndarray, masks: np.ndarray):
-    """An order that puts equal (group, mask) pairs together, and which entries start a pair.
-
-    One argsort of a 64-bit hash per pair does it unless two pairs share a
-    hash; then a lexsort over every word does.
-    """
-    keys = groups.astype(np.uint64)
-    for word in masks:
-        keys = (keys * _KEY_MIX ^ word) * _KEY_MIX
-        keys ^= keys >> _KEY_SHIFT
-    order = keys.argsort()
-    first = _first_of_pairs(groups, masks, order)
-    keys = keys[order]
-    if (first[1:] & (keys[1:] == keys[:-1])).any():
-        order = np.lexsort((*masks[::-1], groups))
-        first = _first_of_pairs(groups, masks, order)
     return order, first
 
 
@@ -349,17 +319,8 @@ def triangulate_polytope(facets: list[list[int]], vertices: list[np.ndarray],
         masks += subs
         counts.append(len(subs))
     tag = np.array(owner, dtype=np.intp)
-    if m == 2:
-        # a polygon's facets are edges, and each closes one chain
-        if len(kids) > budget:
-            raise _budget_error(budget)
-        rows = []
-        for g in kids:
-            if g.bit_count() != 2:
-                raise _chain_error(m)
-            rows.append((0, (g & -g).bit_length() - 1, g.bit_length() - 1))
-        return (np.array(rows, dtype=np.int32).reshape(-1, 3),
-                np.bincount(tag, minlength=len(sizes)))
+    if len(tag) > budget:
+        raise _budget_error(budget)
     faces, paths = _words(kids, n_words), np.ones(len(tag))
     count = np.array(counts)
     lattice = (_words(masks, n_words), count.cumsum() - count, count,
@@ -418,8 +379,5 @@ def build_region(adjs: list[AdjacentCone], budget: float = math.inf) -> Regions:
     vertex_start = np.add.accumulate([0] + [len(v) for v in verts])
     vertices = np.concatenate(verts)
     simplices += vertex_start[:-1].repeat(counts)[:, None]
-    # one block at least, so that no simplices give an empty volume array
-    volumes = [simplex_volumes(vertices[simplices[a:a + VOLUME_BLOCK]])
-               for a in range(0, max(len(simplices), 1), VOLUME_BLOCK)]
-    return Regions(vertices, simplices, np.concatenate(volumes), vertex_start,
+    return Regions(vertices, simplices, vertex_start,
                    np.add.accumulate([0, *counts.tolist()]))

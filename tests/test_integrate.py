@@ -110,37 +110,42 @@ def test_region_integral_unit_cube_against_origin():
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
     simplices, _ = triangulate_polytope([facet_masks(cube)], [cube])
-    region = Regions(cube, simplices, simplex_volumes(cube[simplices]),
-                     np.array([0, len(cube)]), np.array([0, len(simplices)]))
+    region = Regions(cube, simplices, np.array([0, len(cube)]), np.array([0, len(simplices)]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
+    volume, value = region_integral(region, [EMPTY3])
+    assert volume[0] == pytest.approx(1.0, abs=1e-15)
     # integral of |x|^2 over the unit cube is m/3
-    assert region_integral(region, [EMPTY3])[0] == pytest.approx(1.0, abs=1e-12)
+    assert value[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_integral_empty_region():
-    region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.zeros(0),
-                     np.array([0, 0]), np.array([0, 0]))
-    assert region_integral(region, [np.array([[1.0], [0.0]])])[0] == 0.0
+    region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.array([0, 0]),
+                     np.array([0, 0]))
+    volume, value = region_integral(region, [np.array([[1.0], [0.0]])])
+    assert volume.tolist() == value.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("C, empty", [
     (WEDGE, 1), (TILTED, 1), (SQUARE_PYRAMID, 6),
     (np.random.default_rng(97).uniform(0.0, 3.0, (4, 6)), 0),
 ], ids=["wedge", "tilted", "square-pyramid", "m4"])
-def test_blocked_integral_matches_each_region_on_its_own(C, empty):
+def test_blocked_integral_matches_each_region_on_its_own(C, empty, monkeypatch):
     # one call over all of a matrix's regions, empty ones among them (the
-    # wedge's is its axis region), against one stack of simplices per region
+    # wedge's is its axis region), in blocks of 3 simplices that cut across
+    # regions, against one stack of simplices per region
+    monkeypatch.setattr("conirep.integrate.INTEGRATE_BLOCK", 3)
     cone = cone_sub_elements(coni_facets(C))
     adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
     regions = build_region(adjs)
-    assert np.sum(np.diff(regions.simplex_start) == 0) == empty
-    got = region_integral(regions, [adj.basis for adj in adjs])
-    assert got.shape == (len(regions),)
-    for i, (value, adj) in enumerate(zip(got, adjs)):
-        region = regions[i:i + 1]
-        if not len(region.simplices):
-            assert value == 0.0
+    start = regions.simplex_start
+    assert np.sum(np.diff(start) == 0) == empty
+    volumes, got = region_integral(regions, [adj.basis for adj in adjs])
+    assert volumes.shape == got.shape == (len(regions),)
+    for i, (volume, value, adj) in enumerate(zip(volumes, got, adjs)):
+        points = regions.vertices[regions.simplices[start[i]:start[i + 1]]]
+        if not len(points):
+            assert volume == value == 0.0
             continue
-        points = region.vertices[region.simplices]
-        alone = simplex_integrals(points, region.volumes, adj.basis).sum()
-        assert value == pytest.approx(alone, abs=1e-14)
+        vols = simplex_volumes(points)
+        assert volume == pytest.approx(vols.sum(), abs=1e-15)
+        assert value == pytest.approx(simplex_integrals(points, vols, adj.basis).sum(), abs=1e-14)

@@ -159,6 +159,11 @@ def test_triangulation_stops_at_its_budget():
     # the budget covers every polytope of the call together
     with pytest.raises(BudgetExceededError, match="budget of 11 simplices"):
         triangulate_polytope([facets, facets], [cube, cube], 11)
+    # at m = 2 no level is walked: the square's 2 edges off vertex 0 are its simplices
+    square = cube[:4, 1:]
+    assert len(triangulate_polytope([facet_masks(square)], [square], 2)[0]) == 2
+    with pytest.raises(BudgetExceededError, match="budget of 1 simplices"):
+        triangulate_polytope([facet_masks(square)], [square], 1)
 
 
 def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
@@ -251,12 +256,10 @@ def test_walk_matches_recursion_past_one_mask_word():
     same_simplex_sets(facets, vertices)
 
 
-def test_walk_does_not_depend_on_chunks_or_hash(monkeypatch):
-    # one face per chunk, and every hash key equal, so that each dedup
-    # falls back to its exact sort
+def test_walk_does_not_depend_on_chunks(monkeypatch):
+    # one face per chunk
     facets, vertices = region_lattices(np.random.default_rng([83, 0]).uniform(0.0, 3.0, (5, 6)))
     monkeypatch.setattr("conirep.region.WALK_CHUNK_WORDS", 1)
-    monkeypatch.setattr("conirep.region._KEY_MIX", np.uint64(0))
     same_simplex_sets(facets, vertices)
 
 
@@ -306,11 +309,11 @@ def test_fan_volume_matches_hull_volume():
     # 6.8e-5; the pulling triangulation must tile each region exactly
     for seed in (10, 15, 17, 34):
         regions = all_regions(np.random.default_rng(seed).uniform(0.0, 3.0, (5, 6)))
+        v, s = regions.vertex_start, regions.simplex_start
         for i in range(len(regions)):
-            region = regions[i:i + 1]
-            if not len(region.vertices):
-                assert region.volume == 0.0
+            fan = simplex_volumes(regions.vertices[regions.simplices[s[i]:s[i + 1]]]).sum()
+            if v[i] == v[i + 1]:
+                assert fan == 0.0
                 continue
-            fan = simplex_volumes(region.vertices[region.simplices]).sum()
-            assert fan == pytest.approx(region.volume, abs=1e-15)
-            assert fan == pytest.approx(ConvexHull(region.vertices).volume, abs=1e-12)
+            assert fan == pytest.approx(ConvexHull(regions.vertices[v[i]:v[i + 1]]).volume,
+                                        abs=1e-12)

@@ -46,7 +46,7 @@ def read_matrix(path) -> np.ndarray:
     """Matrix CSV: one row per state, comma-separated, '#' lines ignored."""
     rows: list[list[float]] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -81,7 +81,7 @@ def read_spike_file(path) -> SpikeTrain:
     neuron_count = None
     duration = None
     events: list[tuple[int, float]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -7,16 +7,18 @@ read off the cone lattice; for the rest, least-distance programming finds an
 interior point or shows that the region has none. One Qhull halfspace
 intersection around that point gives the vertices and, for each vertex, the
 halfspaces through it; that incidence is the whole face lattice, one vertex
-bitmask per facet. A pulling triangulation walks it from the origin, the
-apex of every adjacent cone and vertex 0 of every region. The origin lies on
-every facet but the cube's far faces x_j = 1, so only those give simplices
-at the top level. build_region takes every region of a call at once: one
-intersection per region, then one walk over all their face lattices, level
-by level in arrays of packed bitmasks, whose simplices are counted before
-any is built, and the regions stacked in one Regions.
+bitmask per facet. build_region takes every region of a call at once: one
+intersection per region, one pass that packs all their facet masks, one
+pulling triangulation of all their face lattices, level by level in arrays
+of packed bitmasks, whose simplices are counted before any is built, and the
+regions stacked in one Regions. The walk starts at the regions themselves
+and pulls the origin first, the apex of every adjacent cone and vertex 0 of
+every region: it lies on every facet but the cube's far faces x_j = 1, so
+only those reach the second level.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -33,7 +35,6 @@ from .nnls import nnls
 # each level of the triangulation matches its faces against their polytopes'
 # facet masks in chunks of at most this many uint64 words
 WALK_CHUNK_WORDS = 1 << 16
-_WORD = (1 << 64) - 1
 # set bits of each byte value: np.bitwise_count needs numpy 2.0
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -155,27 +156,40 @@ def hypercube_intersect(adj: AdjacentCone) -> Intersection:
     return Intersection(pts, incidence)
 
 
-def polytope_facets(incidence: list[list[int]]) -> list[int]:
-    """Vertex bitmask of each non-redundant halfspace: bit j for vertex j on it.
+def _packed(on: np.ndarray) -> np.ndarray:
+    """Rows of booleans, 64 per word, as the columns of an (n_words, n) uint64 array.
 
-    An intersection around a strictly interior point is full-dimensional, so
-    these are exactly the facets of the polytope.
+    Bit j of column i is on[i, j], low word first. Each word is one
+    contiguous row, so an operation across a mask's words is a reduction
+    over axis 0, vectorized across the masks.
     """
-    masks: dict[int, int] = {}
-    for j, planes in enumerate(incidence):
-        for i in planes:
-            masks[i] = masks.get(i, 0) | 1 << j
-    return list(masks.values())
+    words = np.packbits(on, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(words.T, dtype=np.uint64)
 
 
-def _words(masks: list[int], n_words: int) -> np.ndarray:
-    """Bitmasks as the columns of an (n_words, len(masks)) uint64 array, low word first.
+def polytope_facets(inters: list[Intersection]) -> tuple[np.ndarray, np.ndarray]:
+    """Every region's facet masks, packed, and the number of each region's.
 
-    Each word is one contiguous row, so an operation across a mask's words
-    is a reduction over axis 0, vectorized across the masks.
+    A facet is a non-redundant halfspace: an intersection around a strictly
+    interior point is full-dimensional. Bit j of its mask is set for vertex
+    j of its region on it. The masks are the columns of an (n_words, F)
+    uint64 array, region by region, with the words the largest region needs.
     """
-    return np.array([[g >> s & _WORD for g in masks] for s in range(0, 64 * n_words, 64)],
-                    dtype=np.uint64).reshape(n_words, -1)
+    lists = [planes for inter in inters for planes in inter.incidence]
+    sizes = np.array([len(inter) for inter in inters], dtype=np.intp)
+    per_vertex = np.array([len(planes) for planes in lists], dtype=np.intp)
+    planes = np.fromiter(itertools.chain.from_iterable(lists), np.intp, int(per_vertex.sum()))
+    # each listed plane's vertex, numbered within its region, and (region, plane) key
+    vertex = (np.arange(len(lists)) - (sizes.cumsum() - sizes).repeat(sizes)).repeat(per_vertex)
+    n_planes = int(planes.max(initial=-1)) + 1
+    key = (np.arange(len(inters)) * n_planes).repeat(sizes).repeat(per_vertex) + planes
+    # a (region, plane) pair that some vertex lists is a facet
+    present = np.zeros(len(inters) * n_planes, dtype=bool)
+    present[key] = True
+    n_words = max(1, -(-int(sizes.max(initial=0)) // 64))
+    on = np.zeros((int(present.sum()), 64 * n_words), dtype=bool)
+    on[(present.cumsum() - 1)[key], vertex] = True
+    return _packed(on), present.reshape(len(inters), n_planes).sum(axis=1)
 
 
 def _bit_counts(masks: np.ndarray) -> np.ndarray:
@@ -228,8 +242,10 @@ def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
     the number of faces per chunk. Returns the pulled vertex of each face;
     for each (face, facet) edge, the face and the index of the facet among
     the next level's faces; and those faces, their polytopes and their
-    prefix counts. With `merge` false each edge keeps a face of its own: at
-    the last level, where every face is one chain, merging saves nothing.
+    prefix counts. With `merge` false each edge keeps a face of its own:
+    merging finds nothing at the first level, where each face is a whole
+    polytope with distinct facets, and saves nothing at the last, where
+    every face is one chain.
     """
     masks, start, count, step = lattice
     low, word, bit = _lowest_bit(faces)
@@ -271,69 +287,53 @@ def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
         np.bincount(child, paths[parent], minlength=faces.shape[1])
 
 
-def triangulate_polytope(facets: list[list[int]], vertices: list[np.ndarray],
+def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[np.ndarray],
                          budget: float = math.inf):
     """Pulling triangulations of polytopes from their facet masks, all at once.
 
-    facets[i] holds the vertex bitmasks of polytope i's facets, vertices[i]
-    its (k_i, m) vertices. Each face F is triangulated by joining its lowest
+    facets: every polytope's facet masks, packed as polytope_facets returns
+    them, and the number of each polytope's; vertices[i] holds polytope i's
+    (k_i, m) vertices. Each face F is triangulated by joining its lowest
     vertex v to the triangulations of the facets of F that miss v (De Loera,
     Rambau & Santos, Triangulations, 2010); the facets of F are the
     inclusion-maximal nonempty proper sets F & S over its polytope's facet
-    masks S. A simplex is then a chain of faces, from a facet of the polytope
+    masks S. A simplex is then a chain of faces, from the polytope itself
     down to an edge, that pulls one vertex per face and both ends of the edge.
 
-    The walk goes level by level over every polytope at once. The facets of
-    the polytopes themselves are found in Python, and at m = 2 they are the
-    edges that close the chains; each deeper face is a column of uint64
-    words tagged by its polytope, matched against its polytope's masks in
-    chunks of at most WALK_CHUNK_WORDS words, and found once per level
-    however many faces share it. Each chain prefix reaching a d-face of k
-    vertices ends in at least k - d simplices, the fewest that triangulate
-    it, so BudgetExceededError is raised as soon as that sum passes
-    `budget` on a level, or the prefixes themselves do while one is
-    matched, before any chain is built; the prefixes reaching the last
-    level are the simplices. The chains are then counted bottom-up and
-    written top-down, one column per level. A face of one vertex above the
-    last level, or a last-level face that is not an edge, raises
+    The walk goes level by level over every polytope at once, starting from
+    one face per nonempty polytope that holds all of its vertices. Each face
+    is a column of uint64 words tagged by its polytope, matched against its
+    polytope's masks in chunks of at most WALK_CHUNK_WORDS words, and found
+    once per level however many faces share it. Each chain prefix reaching
+    a d-face of k vertices ends in at least k - d simplices, the fewest that
+    triangulate it, so BudgetExceededError is raised as soon as that sum
+    passes `budget` on a level, or the prefixes themselves do while one is
+    matched, before any chain is built; the prefixes reaching the last level
+    are the simplices. The chains are then counted bottom-up and written
+    top-down, one column per level. A face of one vertex above the last
+    level, or a last-level face that is not an edge, raises
     DegenerateConeError: the masks are not a face lattice.
 
     Returns an (s, m+1) array of vertex indices, each row starting with 0,
     polytope by polytope, and the number of rows of each polytope.
     """
+    masks, count = facets
     m = vertices[0].shape[1]
-    sizes = [len(v) for v in vertices]
-    n_words = max(1, -(-max(sizes) // 64))
-    kids, owner, masks, counts = [], [], [], []
-    for i, k in enumerate(sizes):
-        subs = set(facets[i]) - {0, (1 << k) - 1}
-        # the facets that miss vertex 0 and lie inside no other facet
-        for g in subs:
-            if not g & 1:
-                for h in subs:
-                    if g & h == g != h:
-                        break
-                else:
-                    kids.append(g)
-                    owner.append(i)
-        masks += subs
-        counts.append(len(subs))
-    tag = np.array(owner, dtype=np.intp)
-    if len(tag) > budget:
-        raise _budget_error(budget)
-    faces, paths = _words(kids, n_words), np.ones(len(tag))
-    count = np.array(counts)
-    lattice = (_words(masks, n_words), count.cumsum() - count, count,
-               max(1, WALK_CHUNK_WORDS // (n_words * max(1, *counts))))
+    sizes = np.array([len(v) for v in vertices], dtype=np.intp)
+    n_words = masks.shape[0]
+    tag = sizes.nonzero()[0]
+    faces, paths = _packed(np.arange(64 * n_words) < sizes[tag, None]), np.ones(len(tag))
+    lattice = (masks, count.cumsum() - count, count,
+               max(1, WALK_CHUNK_WORDS // (n_words * max(1, int(count.max(initial=0))))))
     levels = []  # per level: pulled vertex of each face, each edge's face and child
-    for dim in range(m - 1, 1, -1):
+    for dim in range(m, 1, -1):
         bits = _bit_counts(faces)
         if (bits < 2).any():
             raise _chain_error(m)
         # a triangulation of a d-polytope with k vertices has k - d simplices or more
         if paths @ np.maximum(bits - dim, 1) > budget:
             raise _budget_error(budget)
-        level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, dim > 2)
+        level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, 2 < dim < m)
         levels.append(level)
     # the last level's faces are edges, one chain each, already counted in
     # their level: clear both ends of each, and nothing may be left
@@ -351,9 +351,8 @@ def triangulate_polytope(facets: list[list[int]], vertices: list[np.ndarray],
     for pulled, parent, child in reversed(levels):
         below.append(np.bincount(parent, below[-1][child], minlength=len(pulled)).astype(np.intp))
     simplices = np.empty((int(paths.sum()), m + 1), dtype=np.int32)
-    simplices[:, 0] = 0
     cur = np.arange(len(below[-1]))
-    for j, (pulled, parent, child) in enumerate(levels, 1):
+    for j, (pulled, parent, child) in enumerate(levels):
         simplices[:, j] = pulled[cur].repeat(below[m - 1 - j][cur])
         deg = np.bincount(parent, minlength=len(pulled))
         cur = child[_runs((deg.cumsum() - deg)[cur], deg[cur])[0]]
@@ -374,8 +373,7 @@ def build_region(adjs: list[AdjacentCone], budget: float = math.inf) -> Regions:
             raise DegenerateConeError(
                 f"region of element {sorted(adj.element)}: {exc}") from exc
     verts = [inter.vertices for inter in inters]
-    simplices, counts = triangulate_polytope(
-        [polytope_facets(inter.incidence) for inter in inters], verts, budget)
+    simplices, counts = triangulate_polytope(polytope_facets(inters), verts, budget)
     vertex_start = np.add.accumulate([0] + [len(v) for v in verts])
     vertices = np.concatenate(verts)
     simplices += vertex_start[:-1].repeat(counts)[:, None]

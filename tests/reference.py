@@ -104,6 +104,20 @@ def facet_masks(vertices) -> list[int]:
     return sorted({sum(1 << int(j) for j in np.flatnonzero(row)) for row in on})
 
 
+def packed_facets(facets: list[list[int]], vertices):
+    """Lists of facet bitmasks, one per polytope, packed as polytope_facets packs them.
+
+    The masks become the columns of an (n_words, F) uint64 array, low word
+    first, with as many words as the polytope of most vertices needs; then
+    the number of facets of each polytope.
+    """
+    n_words = max(1, -(-max(len(v) for v in vertices) // 64))
+    words = [[g >> s & (1 << 64) - 1 for s in range(0, 64 * n_words, 64)]
+             for masks in facets for g in masks]
+    return np.array(words, dtype=np.uint64).reshape(-1, n_words).T.copy(), \
+        np.array([len(masks) for masks in facets])
+
+
 def triangulate_by_recursion(facets: list[int], vertices) -> np.ndarray:
     """Pulling triangulation of one polytope by a memoized recursion on its faces.
 

@@ -57,6 +57,13 @@ def test_read_matrix(tmp_path):
         read_matrix(tmp_path / "absent.csv")
 
 
+def test_read_matrix_with_byte_order_mark(tmp_path):
+    # spreadsheet tools save CSV as UTF-8 with a BOM in front of the first value
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1,3,1,2\n1,2,0,1\n")
+    np.testing.assert_array_equal(read_matrix(p), [[1.0, 3.0, 1.0, 2.0], [1.0, 2.0, 0.0, 1.0]])
+
+
 def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(107)
     matrix = rng.uniform(0.0, 5.0, size=(3, 4))

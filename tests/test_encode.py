@@ -92,6 +92,15 @@ def test_read_spike_file(tmp_path):
     assert t.events == ((1, 0.25), (2, 1.5))
 
 
+def test_read_spike_file_with_byte_order_mark(tmp_path):
+    # a BOM in front of the header must not hide its '#'
+    p = tmp_path / "spikes.txt"
+    p.write_bytes(b"\xef\xbb\xbf# neurons=2 duration=4.0\n1\t0.25\n2\t1.5\n")
+    t = read_spike_file(p)
+    assert (t.neuron_count, t.duration) == (2, 4.0)
+    assert t.events == ((1, 0.25), (2, 1.5))
+
+
 def test_read_spike_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1\t0.25\n")

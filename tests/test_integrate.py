@@ -12,7 +12,7 @@ from conirep.linalg import gram_schmidt, simplex_volumes
 from conirep.region import Regions, build_region, triangulate_polytope
 
 from conftest import SQUARE_PYRAMID, TILTED, WEDGE
-from reference import facet_masks, simplex_integrals
+from reference import facet_masks, packed_facets, simplex_integrals
 
 SQ2 = 1 / math.sqrt(2)
 EMPTY2 = np.zeros((2, 0))
@@ -109,7 +109,7 @@ def test_additive_under_centroid_split():
 def test_region_integral_unit_cube_against_origin():
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices, _ = triangulate_polytope([facet_masks(cube)], [cube])
+    simplices, _ = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]), [cube])
     region = Regions(cube, simplices, np.array([0, len(cube)]), np.array([0, len(simplices)]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
     volume, value = region_integral(region, [EMPTY3])

@@ -19,7 +19,7 @@ from conirep.region import (
 )
 
 from conftest import TILTED, WEDGE, random_activity
-from reference import cone_contains, facet_masks, triangulate_by_recursion
+from reference import cone_contains, facet_masks, packed_facets, triangulate_by_recursion
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -43,6 +43,23 @@ def adjacent(facet_normals, interior):
 
 def mask_vertices(mask):
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def int_facets(packed):
+    """polytope_facets' packed columns back to each polytope's list of int bitmasks."""
+    masks, counts = packed
+    ints = [sum(int(w) << 64 * i for i, w in enumerate(col)) for col in masks.T]
+    ends = np.cumsum(counts).tolist()
+    return [ints[end - c:end] for end, c in zip(ends, counts.tolist())]
+
+
+def incidence_masks(incidence):
+    """Each plane's vertex bitmask, read off the incidence lists one vertex at a time."""
+    masks = {}
+    for j, planes in enumerate(incidence):
+        for i in planes:
+            masks[i] = masks.get(i, 0) | 1 << j
+    return sorted(masks.values())
 
 
 def sorted_rows(a):
@@ -109,7 +126,7 @@ def test_polytope_facets_square_triangle_cube():
         verts = inter.vertices
         assert verts.shape == (2 ** m, m)
         assert np.all(verts[0] == 0.0)
-        facets = polytope_facets(inter.incidence)
+        [facets] = int_facets(polytope_facets([inter]))
         # each facet holds the 2^(m-1) vertices of one face x_axis = side
         assert len(facets) == count
         faces = set()
@@ -121,15 +138,16 @@ def test_polytope_facets_square_triangle_cube():
         assert len(faces) == count
 
     # the wedge's diagonal region is the triangle (0,0), (0,1), (1,1)
-    facets = polytope_facets(hypercube_intersect(wedge_adjacent(0)).incidence)
+    [facets] = int_facets(polytope_facets([hypercube_intersect(wedge_adjacent(0))]))
     assert sorted(bin(mask).count("1") for mask in facets) == [2, 2, 2]
 
 
 def test_polytope_facets_degenerate():
     # an empty region has no facets and no simplices
     inter = hypercube_intersect(wedge_adjacent(1))
-    assert polytope_facets(inter.incidence) == []
-    simplices, counts = triangulate_polytope([[]], [inter.vertices])
+    facets = polytope_facets([inter])
+    assert facets[0].shape[1] == 0 and facets[1].tolist() == [0]
+    simplices, counts = triangulate_polytope(facets, [inter.vertices])
     assert simplices.shape == (0, 3) and counts.tolist() == [0]
 
     # the pyramid's apex lies on four facets: one vertex, four masks
@@ -138,10 +156,11 @@ def test_polytope_facets_degenerate():
     np.testing.assert_allclose(sorted_rows(verts), [[0, 0, 0], [0, 0, 1], [0, 1, 1],
                                                     [1, 0, 1], [1, 1, 1]], atol=1e-12)
     assert np.all(verts[0] == 0.0)
-    facets = polytope_facets(inter.incidence)
+    packed = polytope_facets([inter])
+    [facets] = int_facets(packed)
     assert sorted(bin(mask).count("1") for mask in facets) == [3, 3, 3, 3, 4]
     assert sum(mask & 1 for mask in facets) == 4
-    simplices, _ = triangulate_polytope([facets], [verts])
+    simplices, _ = triangulate_polytope(packed, [verts])
     # the base is the one facet that misses the apex: two triangles, two tetrahedra
     assert len(simplices) == 2 and all(s[0] == 0 for s in simplices)
     assert simplex_volumes(verts[simplices]).sum() == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -149,21 +168,34 @@ def test_polytope_facets_degenerate():
 
 def test_triangulation_stops_at_its_budget():
     cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    facets = facet_masks(cube)
-    simplices, _ = triangulate_polytope([facets], [cube])
+    facets = packed_facets([facet_masks(cube)], [cube])
+    simplices, _ = triangulate_polytope(facets, [cube])
     assert len(simplices) == 6
     # the simplices are counted before any is built: exactly 6 fit a budget of 6
-    np.testing.assert_array_equal(triangulate_polytope([facets], [cube], 6)[0], simplices)
+    np.testing.assert_array_equal(triangulate_polytope(facets, [cube], 6)[0], simplices)
     with pytest.raises(BudgetExceededError, match="budget of 5 simplices"):
-        triangulate_polytope([facets], [cube], 5)
+        triangulate_polytope(facets, [cube], 5)
     # the budget covers every polytope of the call together
     with pytest.raises(BudgetExceededError, match="budget of 11 simplices"):
-        triangulate_polytope([facets, facets], [cube, cube], 11)
-    # at m = 2 no level is walked: the square's 2 edges off vertex 0 are its simplices
+        triangulate_polytope(packed_facets([facet_masks(cube)] * 2, [cube, cube]),
+                             [cube, cube], 11)
+    # at m = 2 the one level walked is the last: the square's 2 edges off
+    # vertex 0 close its 2 simplices
     square = cube[:4, 1:]
-    assert len(triangulate_polytope([facet_masks(square)], [square], 2)[0]) == 2
+    facets = packed_facets([facet_masks(square)], [square])
+    assert len(triangulate_polytope(facets, [square], 2)[0]) == 2
     with pytest.raises(BudgetExceededError, match="budget of 1 simplices"):
-        triangulate_polytope([facet_masks(square)], [square], 1)
+        triangulate_polytope(facets, [square], 1)
+
+
+def test_walk_ignores_repeated_and_full_masks_at_the_top():
+    # the walk starts at the square itself: a facet listed twice, and a mask
+    # of every vertex, are no facets of it
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    facets = facet_masks(square) + [0b0110, 0b1111]
+    simplices, counts = triangulate_polytope(packed_facets([facets], [square]), [square])
+    assert sorted(map(tuple, simplices.tolist())) == [(0, 1, 2), (0, 2, 3)]
+    assert counts.tolist() == [2]
 
 
 def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
@@ -187,14 +219,14 @@ def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
 
 def test_triangulation_volumes():
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    simplices, _ = triangulate_polytope([facet_masks(rect)], [rect])
+    simplices, _ = triangulate_polytope(packed_facets([facet_masks(rect)], [rect]), [rect])
     vols = simplex_volumes(rect[simplices])
     assert len(vols) == 2
     assert sum(vols) == pytest.approx(2.0, abs=1e-12)
 
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices, _ = triangulate_polytope([facet_masks(cube)], [cube])
+    simplices, _ = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]), [cube])
     # pulled from the origin: only the faces x_j = 1 miss it, two triangles each
     assert len(simplices) == 6
     assert all(s[0] == 0 for s in simplices)
@@ -209,14 +241,15 @@ def test_triangulation_matches_qhull_volume():
             pts = rng.uniform(0.0, 1.0, size=(rng.integers(m + 2, 16), m))
             hull = ConvexHull(pts)
             verts = pts[hull.vertices]
-            simplices, _ = triangulate_polytope([facet_masks(verts)], [verts])
+            simplices, _ = triangulate_polytope(packed_facets([facet_masks(verts)], [verts]),
+                                                [verts])
             total = simplex_volumes(verts[simplices]).sum()
             assert total == pytest.approx(hull.volume, abs=1e-9)
 
 
 def same_simplex_sets(facets, vertices):
     """The walk over all polytopes at once against the recursion over each alone."""
-    simplices, counts = triangulate_polytope(facets, vertices)
+    simplices, counts = triangulate_polytope(packed_facets(facets, vertices), vertices)
     starts = np.concatenate([[0], np.cumsum(counts)])
     for i, (f, v) in enumerate(zip(facets, vertices)):
         ref = triangulate_by_recursion(f, v)
@@ -238,8 +271,10 @@ def region_lattices(C):
     cone = cone_sub_elements(coni_facets(C))
     inters = [hypercube_intersect(adjacent_cone(e, cone))
               for elems in cone.elements.values() for e in elems]
-    return [polytope_facets(inter.incidence) for inter in inters], \
-        [inter.vertices for inter in inters]
+    facets = int_facets(polytope_facets(inters))
+    # packed all at once, each region's masks are those of its own incidence
+    assert [sorted(f) for f in facets] == [incidence_masks(inter.incidence) for inter in inters]
+    return facets, [inter.vertices for inter in inters]
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
@@ -267,11 +302,11 @@ def test_walk_rejects_masks_that_are_not_a_face_lattice():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     # a "facet" of three vertices in the plane: its chain is too long
     with pytest.raises(DegenerateConeError, match="does not have 3 vertices"):
-        triangulate_polytope([[0b1110, 0b1001, 0b0011]], [square])
+        triangulate_polytope(packed_facets([[0b1110, 0b1001, 0b0011]], [square]), [square])
     tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # {1, 2, 3} meets the second mask in vertex 2 alone: its chain is too short
     with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
-        triangulate_polytope([[0b1110, 0b0101]], [tetra])
+        triangulate_polytope(packed_facets([[0b1110, 0b0101]], [tetra]), [tetra])
 
 
 def all_regions(C):
@@ -315,5 +350,8 @@ def test_fan_volume_matches_hull_volume():
             if v[i] == v[i + 1]:
                 assert fan == 0.0
                 continue
+            # the origin is each region's first vertex, exactly, and pulled first
+            assert np.all(regions.vertices[v[i]] == 0.0)
+            assert np.all(regions.simplices[s[i]:s[i + 1], 0] == v[i])
             assert fan == pytest.approx(ConvexHull(regions.vertices[v[i]:v[i + 1]]).volume,
                                         abs=1e-12)

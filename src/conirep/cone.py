@@ -13,11 +13,12 @@ of one ray against the others.
 The boundary elements are the facets closed under intersection, and one
 batched Gram-Schmidt per ray count gives every face's basis. Each
 element's adjacent cone has one facet per Hasse-diagram edge at the element,
-so cone_sub_elements builds all of them in one batched pass over the edges.
-Every cone takes these steps in the coordinates of its rays' span.
+so cone_sub_elements builds all of them at once into one AdjacentCones
+table. Every cone takes these steps in the coordinates of its rays' span.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,26 +78,48 @@ class Cone:
     facets: ray-index sets of the (r-1)-dimensional boundary elements.
     normals: (len(facets), m) outward unit facet normals, in facet order,
         each in the span of the rays.
-    elements: dim -> ray-index sets, for dims 1..r-1, plus the whole cone
-        at dim r when r < m (filled by cone_sub_elements; facets appear
-        again under dim r-1).
     cone_rank: r, the rank of the ray span. At r < m the cone has measure
         zero, and its lattice and regions are those within its span.
-    adjacent: element -> its AdjacentCone (filled by cone_sub_elements).
+    adjacent: every lattice element's adjacent cone, stacked in one table
+        (filled by cone_sub_elements).
     """
 
     rays: np.ndarray
     ray_origins: tuple[tuple[int, ...], ...]
     facets: tuple[frozenset[int], ...]
     normals: np.ndarray
-    elements: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     cone_rank: int = 0
-    adjacent: dict[frozenset[int], AdjacentCone] = field(
-        default_factory=dict, repr=False, compare=False)
+    adjacent: AdjacentCones | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.rays.shape[1]
+
+    @property
+    def elements(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """dim -> ray-index sets of the table's elements, in its order; none before it."""
+        table = self.adjacent
+        members, dims = ([], []) if table is None else (table.members, table.dims.tolist())
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+        return {d: tuple(e for e, de in zip(sets, dims) if de == d) for d in dict.fromkeys(dims)}
+
+
+@dataclass(frozen=True)
+class AdjacentCones:
+    """Every element's adjacent cone (see AdjacentCone), by dimension, then sorted rays.
+
+    Row i is element i: members (E, k) ray masks, dims, bases (E, m, m)
+    zero-padded after dims[i] columns, facet_normals rows[row_start[i]:
+    row_start[i+1]], and interior (E, m), meaningless where on_face is set.
+    """
+
+    members: np.ndarray
+    dims: np.ndarray
+    bases: np.ndarray
+    rows: np.ndarray
+    row_start: np.ndarray
+    interior: np.ndarray
+    on_face: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,9 +152,10 @@ def _unit_dedup(columns: np.ndarray):
 
     Each column joins the first earlier representative whose unit has a dot
     product above DEDUP_DOT with its own, read from a Gram matrix formed
-    DEDUP_BLOCK columns at a time; only columns with such an earlier twin go
-    through the greedy pass. Returns (units, origins): units is a (k, m)
-    array of unit rows, origins the 0-based column indices behind each one.
+    DEDUP_BLOCK columns at a time; each unit's own product is a hit, so only
+    a block with more hits than columns goes through the greedy pass.
+    Returns (units, origins): units is a (k, m) array of unit rows, origins
+    the 0-based column indices behind each one.
     """
     nonzero = np.flatnonzero(columns.any(axis=0))
     # scaled to a largest entry of 1 first, so the norm's squares neither
@@ -142,16 +166,21 @@ def _unit_dedup(columns: np.ndarray):
     units = scaled / row_norms(scaled)[:, None]
     k = nonzero.size
     rep = np.ones(k, dtype=bool)
-    origins = [[j] for j in nonzero.tolist()]
+    origins = nonzero[:, None].tolist()
     for s in range(0, k, DEDUP_BLOCK):
         cols = np.arange(s, min(s + DEDUP_BLOCK, k))
+        close = units[:cols[-1] + 1] @ units[cols].T > DEDUP_DOT
+        if np.count_nonzero(close) == len(cols):
+            continue
         # close[i, c]: column i comes before cols[c] and is within DEDUP_DOT of it
-        close = (units @ units[cols].T > DEDUP_DOT) & (np.arange(k)[:, None] < cols)
+        close &= np.arange(len(close))[:, None] < cols
         for c in np.flatnonzero(close.any(axis=0)):
-            hits = np.flatnonzero(close[:, c] & rep)
+            hits = np.flatnonzero(close[:, c] & rep[:len(close)])
             if hits.size:
                 rep[cols[c]] = False
                 origins[hits[0]] += origins[cols[c]]
+    if rep.all():
+        return units, origins
     return units[rep], [o for o, r in zip(origins, rep) if r]
 
 
@@ -245,33 +274,33 @@ def coni_facets(C) -> Cone:
                 facets=facets, normals=normals, cone_rank=rank)
 
 
-def _face_bases(facets, rays: np.ndarray, rank: int) -> dict[frozenset[int], np.ndarray]:
-    """Faces of dims 1..rank-1, each with an orthonormal basis of its span.
+def _closure(facets: np.ndarray) -> np.ndarray:
+    """Every face's ray mask: the (F, k) boolean facet masks closed under intersection.
 
-    Every proper face of a pointed cone is an intersection of facets, and the
-    ray set of an intersection of faces is the intersection of their ray
-    sets, so closing the facet list under pairwise intersection enumerates
-    the whole lattice. A lattice of more than MAX_ELEMENTS faces is refused
-    before any basis is formed. The faces are grouped by ray count, and one
-    batched gram_schmidt per group gives each face's basis, the same one a
-    call on that face alone gives; its number of columns is the face's
-    dimension.
+    Each round meets the faces new in the last round with every facet, at
+    most MAX_ELEMENTS pairs at a time so that memory stays bounded; a
+    lattice past MAX_ELEMENTS faces is refused as soon as a round finds it.
     """
-    all_faces = set(facets)
-    frontier = set(facets)
-    while frontier:
-        frontier = {e & f for f in facets for e in frontier} - all_faces - {frozenset()}
-        all_faces |= frontier
-    if len(all_faces) > MAX_ELEMENTS:
-        raise BudgetExceededError(
-            f"{len(all_faces)} cone elements exceed the limit of {MAX_ELEMENTS}")
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for face in all_faces:
-        by_size.setdefault(len(face), []).append(face)
-    bases = {}
-    for faces in by_size.values():
-        bases.update(zip(faces, gram_schmidt(rays[[sorted(f) for f in faces]])))
-    return {face: b for face, b in bases.items() if 1 <= b.shape[1] < rank}
+    n, k = facets.shape
+    found = facets
+    step = max(1, MAX_ELEMENTS // n)
+    # a face of one ray meets a facet in itself or in nothing
+    frontier = found[found.sum(axis=1) > 1]
+    while len(frontier):
+        known = len(found)
+        for a in range(0, len(frontier), step):
+            meet = (frontier[a:a + step, None] & facets).reshape(-1, k)
+            every = np.concatenate([found, meet[meet.any(axis=1)]])
+            order = np.lexsort(every.T[::-1])
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (every[order[1:]] != every[order[:-1]]).any(axis=1)
+            found = every[np.sort(order[first])]
+        frontier = found[known:]
+        frontier = frontier[frontier.sum(axis=1) > 1]
+        if len(found) > MAX_ELEMENTS:
+            raise BudgetExceededError(
+                f"{len(found)} cone elements exceed the limit of {MAX_ELEMENTS}")
+    return found
 
 
 def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -280,7 +309,7 @@ def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 
 def cone_sub_elements(cone: Cone) -> Cone:
-    """Return the cone with its element lattice (dims 1..r-1) and adjacent cones.
+    """Return the cone with every lattice element's adjacent cone, in one table.
 
     For an element E with basis B, cone(E) + N(E) has exactly one facet per
     edge E' < E or E < G of the lattice's Hasse diagram (faces whose dims
@@ -299,84 +328,93 @@ def cone_sub_elements(cone: Cone) -> Cone:
     with a coordinate of e at most TOL_GEOM lies on a coordinate face (up to
     roundoff) and gets no point.
 
+    No step runs per element: one gram_schmidt per ray count gives every
+    face's basis and dimension, and one containment product the Hasse edges.
+
     At rank r < m the lattice is that of the cone within its span L, and
     every row lies in L, so each adjacent cone also holds L's orthogonal
     complement (Moreau's decomposition; Rockafellar, Convex Analysis, 1970,
-    sections 14-15). The whole cone is then an element too: its region is
+    sections 14-15). The whole cone is then the last element: its region is
     the cone plus that complement, cut by the facet normals alone, and its
     interior point is the ray sum.
     """
     if not cone.facets:
         raise DegenerateConeError("cone has no facets; build with coni_facets first")
-    rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
-    bases = _face_bases(facets, rays, r)
-    flat = sorted(bases, key=lambda e: (bases[e].shape[1], sorted(e)))
-    dims = [bases[e].shape[1] for e in flat]
-    index = {e: i for i, e in enumerate(flat)}
-    apex, whole = len(flat), len(flat) + 1
-
-    def ray_mask(sets):
-        mask = np.zeros((len(sets), len(rays)), dtype=bool)
-        for i, s in enumerate(sets):
-            mask[i, sorted(s)] = True
-        return mask
+    rays, normals, m, r = cone.rays, cone.normals, cone.dim, cone.cone_rank
+    k = len(rays)
+    facets = np.zeros((len(cone.facets), k), dtype=bool)
+    facets[np.arange(len(facets)).repeat([len(f) for f in cone.facets]),
+           np.fromiter(itertools.chain.from_iterable(cone.facets), np.intp)] = True
+    member = _closure(facets)
+    # each face's rays in ascending order, padded with -1
+    count = member.sum(axis=1)
+    index = np.where(np.arange(k) < count[:, None], (~member).argsort(axis=1, kind="stable"), -1)
+    bases = np.empty((len(member), m, m))
+    for c in np.bincount(count).nonzero()[0].tolist():
+        group = count == c
+        bases[group] = gram_schmidt(rays[index[group, :c]])
+    dims = (bases != 0.0).any(axis=1).sum(axis=1)
+    # by dimension, then by ray indices as tuples compare: a prefix first
+    order = np.lexsort((*index.T[::-1], dims))
+    order = order[dims[order] < r]
+    member, dims, bases = member[order], dims[order], bases[order]
+    apex, whole = len(order), len(order) + 1
 
     # nodes: the elements, then the apex (no rays) and the whole cone
-    member = ray_mask(flat + [frozenset(), frozenset(range(len(rays)))])
-    incident = ~(member @ ~ray_mask(facets).T)  # node i lies in facet j
-    lo, hi = [], []  # Hasse edges lo < hi, by hi then lo
-    for i, e in enumerate(flat):
-        subs = {index.get(e & facets[j]) for j in np.flatnonzero(~incident[i])}
-        subs = ([apex] if dims[i] == 1 else
-                sorted(s for s in subs if s is not None and dims[s] == dims[i] - 1))
-        tops = [whole] if dims[i] == r - 1 else []
-        lo += subs + [i] * len(tops)
-        hi += [i] * len(subs) + tops
-    lo, hi = np.array(lo), np.array(hi)
+    nodes = np.concatenate([member, np.zeros((1, k), dtype=bool), np.ones((1, k), dtype=bool)])
+    incident = ~(nodes @ ~facets.T)  # node i lies in facet j
+    # Hasse edges, element by element, at most MAX_ELEMENTS pairs at a time:
+    # its faces one dimension down (the apex below a ray), then the whole cone
+    level = np.concatenate([dims, [0, r]])
+    chunk = max(1, MAX_ELEMENTS // len(nodes))
+    pairs = []
+    for a in range(0, apex, chunk):
+        # edge[i, j]: node j holds no ray outside element a + i, one dimension down
+        edge = ~(~member[a:a + chunk] @ nodes.T) & (level + 1 == dims[a:a + chunk, None])
+        edge[:, whole] = dims[a:a + chunk] == r - 1
+        i, j = edge.nonzero()
+        pairs.append((i + a, j))
+    i, j = (np.concatenate(p) for p in zip(*pairs))
+    top = j == whole
+    lo, hi = np.where(top, i, j), np.where(top, whole, i)
 
-    B = np.zeros((len(flat), m, m))
-    for i, e in enumerate(flat):
-        B[i, :, :dims[i]] = bases[e]
-    up, down = hi != whole, lo != apex
+    up, down = ~top, lo != apex
     leaving = (incident[lo[up]] & ~incident[hi[up]]) @ normals
-    outer = (member[hi[down]] & ~member[lo[down]]) @ rays
-    rows = np.vstack([_project(leaving, B[hi[up]]), outer - _project(outer, B[lo[down]])])
+    outer = (nodes[hi[down]] & ~nodes[lo[down]]) @ rays
+    rows = np.concatenate([_project(leaving, bases[hi[up]]),
+                           outer - _project(outer, bases[lo[down]])])
     owner = np.concatenate([hi[up], lo[down]])
-    rows = rows[np.argsort(owner, kind="stable")]
+    rows = rows[owner.argsort(kind="stable")]
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    rows = np.split(rows, np.cumsum(np.bincount(owner, minlength=len(flat)))[:-1])
+    row_start = np.concatenate([[0], np.bincount(owner, minlength=apex).cumsum()])
 
-    e_sum = member[:apex] @ rays
+    e_sum = member @ rays
     v_sum = incident[:apex] @ normals
     with np.errstate(divide="ignore", invalid="ignore"):
         step = 0.5 * np.where(v_sum < 0.0, e_sum / -v_sum, np.inf).min(axis=1)
         interior = e_sum + step[:, None] * v_sum
-    adjacent = {e: AdjacentCone(element=e, element_rays=rays[sorted(e)],
-                                normals=normals[incident[i]], basis=bases[e],
-                                facet_normals=rows[i],
-                                interior=interior[i] if e_sum[i].min() > TOL_GEOM else None)
-                for i, e in enumerate(flat)}
-    elements = {}
-    for e, d in zip(flat, dims):
-        elements.setdefault(d, []).append(e)
+    on_face = ~(e_sum.min(axis=1) > TOL_GEOM)
     if r < m:
-        cone_set, e = frozenset(range(len(rays))), rays.sum(axis=0)
-        adjacent[cone_set] = AdjacentCone(
-            element=cone_set, element_rays=rays, normals=np.zeros((0, m)),
-            basis=gram_schmidt(rays), facet_normals=normals,
-            interior=e if e.min() > TOL_GEOM else None)
-        elements[r] = [cone_set]
-    return replace(cone, elements={d: tuple(f) for d, f in elements.items()}, adjacent=adjacent)
+        e = rays.sum(axis=0)
+        member, dims, bases = (np.vstack([member, nodes[-1]]), np.append(dims, r),
+                               np.concatenate([bases, gram_schmidt(rays[None])]))
+        rows, row_start = np.vstack([rows, normals]), np.append(row_start, len(rows) + len(normals))
+        interior, on_face = np.vstack([interior, e]), np.append(on_face, not e.min() > TOL_GEOM)
+    return replace(cone, adjacent=AdjacentCones(member, dims, bases, rows, row_start,
+                                                interior, on_face))
 
 
 def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
-    """Adjacent cone of a lattice element, as cone_sub_elements built it.
-
-    Raises ValueError when the element is not in the cone's lattice, or the
-    lattice was never built.
-    """
-    adj = cone.adjacent.get(frozenset(element))
-    if adj is None:
+    """One element's adjacent cone, read off the table; ValueError for an element not in it."""
+    element, table = frozenset(element), cone.adjacent
+    flat = [e for sets in cone.elements.values() for e in sets]
+    if element not in flat:
         raise ValueError(f"element {sorted(element)} is not in the cone's lattice"
                          " (build it with cone_sub_elements)")
-    return adj
+    i = flat.index(element)
+    return AdjacentCone(
+        element=element, element_rays=cone.rays[sorted(element)],
+        normals=cone.normals[np.array([element <= f for f in cone.facets], dtype=bool)],
+        basis=np.ascontiguousarray(table.bases[i, :, :table.dims[i]]),
+        facet_normals=table.rows[table.row_start[i]:table.row_start[i + 1]],
+        interior=None if table.on_face[i] else table.interior[i])

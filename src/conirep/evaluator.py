@@ -11,13 +11,14 @@ volume.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .cone import (TOL_MEMBER, Cone, adjacent_cone, as_state_matrix, cone_sub_elements,
-                   coni_facets)
+from .cone import TOL_MEMBER, Cone, as_state_matrix, cone_sub_elements, coni_facets
+# not used here; bench/tracer.py wraps conirep.evaluator.adjacent_cone
+from .cone import adjacent_cone  # noqa: F401
 from .errors import BudgetExceededError, DegenerateConeError
 from .integrate import region_integral
 # not used here; bench/tracer.py wraps conirep.evaluator.ir_num
@@ -112,14 +113,13 @@ def _evaluate(C, force_regions) -> EvaluationResult:
         return result(0.0, 1.0, [], METHOD_CLOSED_FORM,
                       "cone contains every hypercube vertex: full coverage")
 
-    cone = cone_sub_elements(cone)
-    todo = [(dim, elem) for dim in sorted(cone.elements) for elem in cone.elements[dim]]
-
-    adjs = [adjacent_cone(elem, cone) for _, elem in todo]
-    volumes, integrals = region_integral(build_region(adjs, MAX_SIMPLICES),
-                                         [adj.basis for adj in adjs])
-    records = [RegionRecord(tuple(i + 1 for i in sorted(e)), d, volume, value)
-               for (d, e), volume, value in zip(todo, volumes.tolist(), integrals.tolist())]
+    table = cone_sub_elements(cone).adjacent
+    volumes, integrals = region_integral(build_region(table, MAX_SIMPLICES), table.bases)
+    # each element's 1-based rays, ascending, read off the table's ray masks
+    rays = (np.nonzero(table.members)[1] + 1).tolist()
+    ends = table.members.sum(axis=1).cumsum().tolist()
+    records = [RegionRecord(tuple(rays[a:b]), d, volume, value) for a, b, d, volume, value
+               in zip([0, *ends], ends, table.dims.tolist(), volumes.tolist(), integrals.tolist())]
     covered = sum(r.volume for r in records)
     if covered - 1.0 > TOL_PARTITION or (not full_rank and 1.0 - covered > TOL_PARTITION):
         raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")
@@ -134,5 +134,12 @@ def _covers_hypercube(cone: Cone) -> bool:
     cone must have full rank: lifted normals of a flat cone can lean away
     from every vertex.
     """
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=cone.dim)))
-    return bool(np.all(corners @ cone.normals.T < TOL_MEMBER))
+    return bool(np.all(_cube_corners(cone.dim) @ cone.normals.T < TOL_MEMBER))
+
+
+@cache
+def _cube_corners(m: int) -> np.ndarray:
+    """The 2^m vertices of the unit cube as rows, the first coordinate slowest; read-only."""
+    corners = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(float)
+    corners.flags.writeable = False
+    return corners

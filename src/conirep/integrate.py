@@ -25,29 +25,31 @@ from .region import Regions
 INTEGRATE_BLOCK = 4096
 
 
-def region_integral(regions: Regions, bases):
+def region_integral(regions: Regions, bases: np.ndarray):
     """Volume of each region, and integral of the squared distance to span(basis) over it.
 
-    `bases` are the (m, d) orthonormal bases of the element spans the
-    regions project onto (AdjacentCone.basis), one per region; with d = 0 the
-    element is the apex and the distance is measured to the origin. Returns
-    two arrays of one float per region, both 0 for a region without simplices.
+    `bases` is an (E, m, d) stack, one per region, each the orthonormal
+    basis of the element span the region projects onto, zero-padded to d
+    columns (AdjacentCones.bases); with none the distance is measured to
+    the origin. Returns two arrays of one float per region, both 0 for a
+    region without simplices.
 
     All regions are integrated together, INTEGRATE_BLOCK simplices at a
     time whatever regions they belong to, so that the gathers stay bounded
     however many simplices one region has. Each vertex v gets a row
-    [v, B^T v padded to m, q(v)] in one array; summing those rows over each
-    simplex's vertices then gives both the vertex sum, whose q is
-    |sum v|^2 - |sum B^T v|^2, and the sum of the q values. Zero-volume
-    simplices give 0, and each simplex's value is clamped at 0: roundoff can
-    otherwise produce a tiny negative for simplices lying in the span.
+    [v, B^T v, q(v)] in one array, every B^T v from one batched product;
+    summing those rows over each simplex's vertices then gives both the
+    vertex sum, whose q is |sum v|^2 - |sum B^T v|^2, and the sum of the q
+    values. Zero-volume simplices give 0, and each simplex's value is
+    clamped at 0: roundoff can otherwise produce a tiny negative for
+    simplices lying in the span.
     """
     m = regions.vertices.shape[1]
     rows = np.zeros((len(regions.vertices), 2 * m + 1))
     rows[:, :m] = regions.vertices
-    start = regions.vertex_start.tolist()
-    for a, b, B in zip(start, start[1:], bases):
-        rows[a:b, m:m + B.shape[1]] = rows[a:b, :m] @ B
+    start = regions.vertex_start
+    owner = np.arange(len(regions)).repeat(start[1:] - start[:-1])
+    rows[:, m:m + bases.shape[2]] = (regions.vertices[:, None, :] @ bases[owner])[:, 0]
 
     def q(X):
         x, z = X[:, :m], X[:, m:2 * m]
@@ -74,4 +76,4 @@ def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of the squared distance to span(basis) over one simplex, exactly."""
     P = np.asarray(vertices, dtype=float)
     simplex = Regions(P, np.arange(len(P))[None], np.array([0, len(P)]), np.array([0, 1]))
-    return float(region_integral(simplex, [basis])[1][0])
+    return float(region_integral(simplex, np.asarray(basis)[None])[1][0])

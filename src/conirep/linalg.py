@@ -30,8 +30,9 @@ def gram_schmidt(rays):
     """Orthonormal basis of span(rays) as an (m, r) column matrix.
 
     `rays` is one (k, m) set, or a (b, k, m) stack of b sets, each
-    orthonormalized on its own and all in one pass; a stack gives a list of b
-    bases. Linearly dependent inputs are dropped: a ray whose residual after
+    orthonormalized on its own and all in one pass; a stack gives a (b, m, m)
+    array, each set's basis in its first rank-many columns and zeros after.
+    Linearly dependent inputs are dropped: a ray whose residual after
     projection onto the earlier columns has norm below ``TOL_GEOM`` (relative
     to the ray's own norm) contributes no column, so each basis has exactly
     rank-many columns. Re-orthogonalization keeps the columns orthonormal to
@@ -56,11 +57,16 @@ def gram_schmidt(rays):
             for j in range(i):
                 dots = Q[:, j, None, :] @ v[:, :, None]
                 np.subtract(v, dots[:, 0] * Q[:, j], out=v, where=kept[:, j, None])
-        norm = row_norms(v)
+        norm = row_norms(v) if i else scale
         kept[:, i] = norm > TOL_GEOM * np.maximum(scale, 1.0)
         np.divide(v, norm[:, None], out=Q[:, i], where=kept[:, i, None])
-    bases = [np.ascontiguousarray(q[keep].T) for q, keep in zip(Q, kept)]
-    return bases if R.ndim == 3 else bases[0]
+    if R.ndim == 2:
+        return np.ascontiguousarray(Q[0, kept[0]].T)
+    # each kept column goes to the next free column of its set's basis
+    s, i = kept.nonzero()
+    bases = np.zeros((len(stack), stack.shape[2], stack.shape[2]))
+    bases[s, :, (kept.cumsum(axis=1) - 1)[s, i]] = Q[s, i]
+    return bases
 
 
 def simplex_volumes(points) -> np.ndarray:

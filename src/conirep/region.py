@@ -7,14 +7,16 @@ read off the cone lattice; for the rest, least-distance programming finds an
 interior point or shows that the region has none. One Qhull halfspace
 intersection around that point gives the vertices and, for each vertex, the
 halfspaces through it; that incidence is the whole face lattice, one vertex
-bitmask per facet. build_region takes every region of a call at once: one
-intersection per region, one pass that packs all their facet masks, one
-pulling triangulation of all their face lattices, level by level in arrays
-of packed bitmasks, whose simplices are counted before any is built, and the
-regions stacked in one Regions. The walk starts at the regions themselves
-and pulls the origin first, the apex of every adjacent cone and vertex 0 of
-every region: it lies on every facet but the cube's far faces x_j = 1, so
-only those reach the second level.
+bitmask per facet. build_region takes every region of an AdjacentCones
+table at once: one pass that forms every region's halfspaces and interior
+point, one intersection per region, one pass that stacks their vertices,
+origin first, and packs all their facet masks, one pulling triangulation of
+all their face lattices, level by level in arrays of packed bitmasks, whose
+simplices are counted before any is built, and the regions stacked in one
+Regions. The walk starts at the regions themselves and pulls the origin
+first, the apex of every adjacent cone and vertex 0 of every region: it
+lies on every facet but the cube's far faces x_j = 1, so only those reach
+the second level.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from functools import cache
 import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError
 
-from .cone import AdjacentCone
+from .cone import AdjacentCones
 from .errors import BudgetExceededError, DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
 from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
@@ -98,7 +100,7 @@ def _interior_point(G: np.ndarray):
 
 @dataclass(frozen=True)
 class Intersection:
-    """Vertices of one region, the origin first, and the halfspaces through each.
+    """Vertices of one region, in Qhull's order, and the halfspaces through each.
 
     vertices: (k, m). incidence: for each vertex, the indices of the
     non-redundant halfspaces through it, as Qhull's dual_facets lists them;
@@ -120,40 +122,10 @@ def _cube_halfspaces(m: int) -> np.ndarray:
     return block
 
 
-def hypercube_intersect(adj: AdjacentCone) -> Intersection:
-    """Vertices of (adjacent cone) intersect [0,1]^m and their halfspaces.
-
-    The halfspaces are adj.facet_normals, then x >= 0, then x <= 1; all but
-    the last m pass through the origin, so the origin is the one vertex on
-    none of the last m. The interior point is adj.interior, or for an element
-    on a coordinate face the least-distance point strictly inside the cone
-    and the orthant; either is scaled into the cube. Returns no vertices when
-    the cone meets the positive orthant only on its boundary. Qhull failures
-    propagate as QhullError.
-    """
-    normals = adj.facet_normals
-    k, m = normals.shape
-    x = adj.interior
-    if x is None:
-        # x >= 1 row-wise, so it is strictly inside the cone and the orthant
-        x = _interior_point(np.vstack([-normals, np.eye(m)]))
-        if x is None:
-            return Intersection(np.zeros((0, m)), [])
-    halfspaces = np.empty((k + 2 * m, m + 1))
-    halfspaces[:k, :m] = normals  # n . x <= 0
-    halfspaces[:k, m] = 0.0
-    halfspaces[k:] = _cube_halfspaces(m)
-    hs = HalfspaceIntersection(halfspaces, x / (2.0 * x.max()))
-    incidence = hs.dual_facets
-    through_origin = k + m
-    o = next(j for j, planes in enumerate(incidence) if max(planes) < through_origin)
-    pts = hs.intersections
-    if o:
-        order = [o, *range(o), *range(o + 1, len(incidence))]
-        pts, incidence = pts[order], [incidence[j] for j in order]
-    np.clip(pts, 0.0, 1.0, out=pts)
-    pts[0] = 0.0
-    return Intersection(pts, incidence)
+def hypercube_intersect(halfspaces: np.ndarray, point: np.ndarray) -> Intersection:
+    """One Qhull intersection of halfspaces [a, b] (a . x + b <= 0) around a point inside them."""
+    hs = HalfspaceIntersection(halfspaces, point)
+    return Intersection(hs.intersections, hs.dual_facets)
 
 
 def _packed(on: np.ndarray) -> np.ndarray:
@@ -167,29 +139,43 @@ def _packed(on: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype=np.uint64)
 
 
-def polytope_facets(inters: list[Intersection]) -> tuple[np.ndarray, np.ndarray]:
-    """Every region's facet masks, packed, and the number of each region's.
+def polytope_facets(inters: list[Intersection]):
+    """Every region's vertices, stacked, clipped and origin first, and its facet masks, packed.
 
     A facet is a non-redundant halfspace: an intersection around a strictly
     interior point is full-dimensional. Bit j of its mask is set for vertex
     j of its region on it. The masks are the columns of an (n_words, F)
-    uint64 array, region by region, with the words the largest region needs.
+    uint64 array, region by region, with the words the largest region needs;
+    the number of each region's comes with them.
     """
     lists = [planes for inter in inters for planes in inter.incidence]
     sizes = np.array([len(inter) for inter in inters], dtype=np.intp)
     per_vertex = np.array([len(planes) for planes in lists], dtype=np.intp)
     planes = np.fromiter(itertools.chain.from_iterable(lists), np.intp, int(per_vertex.sum()))
-    # each listed plane's vertex, numbered within its region, and (region, plane) key
-    vertex = (np.arange(len(lists)) - (sizes.cumsum() - sizes).repeat(sizes)).repeat(per_vertex)
+    qhull = np.concatenate([inter.vertices for inter in inters])
+    # each region's origin, its first vertex with every coordinate below 1/2
+    # (each other lies on a face x_j = 1), goes first; the rest keep their order
+    region = np.arange(len(inters)).repeat(sizes)
+    start = sizes.cumsum() - sizes
+    origin, near = start + sizes, (qhull.max(axis=1) < 0.5).nonzero()[0]
+    np.minimum.at(origin, region[near], near)
+    index, origin = np.arange(len(qhull)), origin[region]
+    vertex = np.where(index == origin, 0, index - start[region] + (index < origin))
+    vertices = np.empty_like(qhull)
+    vertices[start[region] + vertex] = qhull
+    vertices.clip(0.0, 1.0, out=vertices)
+    vertices[start[sizes > 0]] = 0.0
+    # each listed plane's vertex, and its (region, plane) key
+    vertex = vertex.repeat(per_vertex)
     n_planes = int(planes.max(initial=-1)) + 1
-    key = (np.arange(len(inters)) * n_planes).repeat(sizes).repeat(per_vertex) + planes
+    key = (region * n_planes).repeat(per_vertex) + planes
     # a (region, plane) pair that some vertex lists is a facet
     present = np.zeros(len(inters) * n_planes, dtype=bool)
     present[key] = True
     n_words = max(1, -(-int(sizes.max(initial=0)) // 64))
     on = np.zeros((int(present.sum()), 64 * n_words), dtype=bool)
     on[(present.cumsum() - 1)[key], vertex] = True
-    return _packed(on), present.reshape(len(inters), n_planes).sum(axis=1)
+    return vertices, (_packed(on), present.reshape(len(inters), n_planes).sum(axis=1))
 
 
 def _bit_counts(masks: np.ndarray) -> np.ndarray:
@@ -336,15 +322,17 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
         level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, 2 < dim < m)
         levels.append(level)
     # the last level's faces are edges, one chain each, already counted in
-    # their level: clear both ends of each, and nothing may be left
-    ends = []
-    for _ in range(2):
-        pulled, word, bit = _lowest_bit(faces)
-        faces[word, np.arange(len(tag))] ^= bit
-        ends.append(pulled)
-    if faces.any() or not bit.all():
+    # their level: read both ends of each in one pass, the lowest bit and
+    # the one left in the highest nonzero word, and nothing else may be set
+    cols = np.arange(len(tag))
+    low, word, bit = _lowest_bit(faces)
+    faces[word, cols] ^= bit
+    top = len(faces) - 1 - (faces[::-1] != 0).argmax(axis=0)
+    rest = faces[top, cols]
+    faces[top, cols] = 0
+    if faces.any() or not (bit.all() and rest.all()) or (rest & (rest - np.uint64(1))).any():
         raise _chain_error(m)
-    low, high = ends
+    high = np.frexp(rest.astype(np.float64))[1] + (top * 64 - 1)
     # chains below each face, bottom-up, then each level's column top-down:
     # a prefix's pulled vertex once per chain below its face
     below = [np.ones(len(tag), dtype=np.intp)]
@@ -360,22 +348,40 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     return simplices, np.bincount(tag[cur], minlength=len(sizes))
 
 
-def build_region(adjs: list[AdjacentCone], budget: float = math.inf) -> Regions:
-    """Intersect each adjacent cone with the cube and triangulate them together.
+def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
+    """Intersect every adjacent cone of the table with the cube and triangulate them together.
 
-    `budget` caps the simplices of all the regions (see triangulate_polytope).
+    Region i's halfspaces, rows first[i]:first[i+1] of one stacked array, are
+    its table rows (n . x <= 0), then x >= 0, then x <= 1. An element on a
+    coordinate face takes the least-distance point strictly inside the cone
+    and the orthant, and has no region without one. The loop over the
+    regions holds only their Qhull calls. `budget` caps the simplices of all
+    the regions (see triangulate_polytope).
     """
-    inters = []
-    for adj in adjs:
+    rows, start = table.rows, table.row_start
+    count = start[1:] - start[:-1]
+    n, m = len(count), rows.shape[1]
+    first = start + 2 * m * np.arange(n + 1)
+    halfspaces = np.zeros((first[-1], m + 1))
+    halfspaces[np.arange(len(rows)) + 2 * m * np.arange(n).repeat(count), :m] = rows
+    halfspaces[(first[:-1] + count)[:, None] + np.arange(2 * m)] = _cube_halfspaces(m)
+    points, live = np.where(table.on_face[:, None], 1.0, table.interior), ~table.on_face
+    for i in table.on_face.nonzero()[0].tolist():
+        # x >= 1 row-wise, so it is strictly inside the cone and the orthant
+        x = _interior_point(np.vstack([-rows[start[i]:start[i + 1]], np.eye(m)]))
+        if x is not None:
+            points[i], live[i] = x, True
+    points /= 2.0 * points.max(axis=1, keepdims=True)
+    inters = [Intersection(np.zeros((0, m)), [])] * n
+    for i in live.nonzero()[0].tolist():
         try:
-            inters.append(hypercube_intersect(adj))
+            inters[i] = hypercube_intersect(halfspaces[first[i]:first[i + 1]], points[i])
         except QhullError as exc:
-            raise DegenerateConeError(
-                f"region of element {sorted(adj.element)}: {exc}") from exc
-    verts = [inter.vertices for inter in inters]
-    simplices, counts = triangulate_polytope(polytope_facets(inters), verts, budget)
-    vertex_start = np.add.accumulate([0] + [len(v) for v in verts])
-    vertices = np.concatenate(verts)
+            element = np.flatnonzero(table.members[i]).tolist()
+            raise DegenerateConeError(f"region of element {element}: {exc}") from exc
+    vertices, facets = polytope_facets(inters)
+    simplices, counts = triangulate_polytope(facets, [inter.vertices for inter in inters], budget)
+    vertex_start = np.add.accumulate([0] + [len(inter) for inter in inters])
     simplices += vertex_start[:-1].repeat(counts)[:, None]
     return Regions(vertices, simplices, vertex_start,
                    np.add.accumulate([0, *counts.tolist()]))

@@ -2,21 +2,25 @@
 
 The pipeline takes facet normals from Qhull's hull equations, never asks
 whether a point lies in a cone, reads a region's vertex-facet incidence off
-Qhull's halfspace intersection, triangulates every region of a call in one
-level-by-level walk over packed masks, builds every adjacent cone in one
-batched pass over the lattice's Hasse edges, integrates whole blocks of
-regions at once, merges collinear columns from one Gram matrix, reads the
-extreme rays off one hull, and forms the face bases in stacks by ray count.
-These references compute each of them another way: facet normals by
-cofactor expansion over the facet's rays, cone membership by an NNLS fit
-against the generators, incidence by a distance test against the facets of
-a convex hull, the triangulation of one polytope at a time by a memoized
-recursion on its faces, one adjacent cone at a time by scanning the
-lattice, the integral over one stack of simplices with one basis, the dedup
-by a greedy loop over the columns, the extreme rays by an NNLS fit of each
-unit ray against all the others, and one basis at a time by a loop of
-Gram-Schmidt steps. For `ir` itself, the Richardson extrapolation of two
-midpoint-quadrature grids needs no geometry at all.
+Qhull's halfspace intersection, puts every region's origin first in one
+pass over all their vertices, triangulates every region of a call in one
+level-by-level walk over packed masks, builds every adjacent cone into one
+stacked table with no step per element, integrates whole blocks of regions
+at once, merges collinear columns from one Gram matrix, reads the extreme
+rays off one hull, and forms the face bases in stacks by ray count. These
+references compute each of them another way: facet normals by cofactor
+expansion over the facet's rays, cone membership by an NNLS fit against
+the generators, incidence by a distance test against the facets of a
+convex hull, each region's origin by a scan of its own incidence, the
+triangulation of one polytope at a time by a memoized recursion on its
+faces, one adjacent cone at a time by scanning the lattice, and the whole
+lattice by the pass the table replaced (a set closure, a Hasse scan per
+element and one object per element), the integral over one stack of
+simplices with one basis, the dedup by a greedy loop over the columns, the
+extreme rays by an NNLS fit of each unit ray against all the others, and
+one basis at a time by a loop of Gram-Schmidt steps. For `ir` itself, the
+Richardson extrapolation of two midpoint-quadrature grids needs no geometry
+at all.
 """
 
 from math import comb
@@ -196,6 +200,102 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
         facet_normals=rows / np.linalg.norm(rows, axis=1, keepdims=True),
         interior=interior,
     )
+
+
+def lattice_by_element_scan(cone: Cone) -> list[AdjacentCone]:
+    """Every element's adjacent cone, one object each, in lattice order.
+
+    The lattice pass the stacked table replaced: the facets closed under
+    intersection as Python sets, each face's basis from gram_schmidt on its
+    rays alone, the elements sorted by (dimension, sorted rays), and each
+    element's faces one dimension below found by scanning E & F over the
+    facets F not containing it. The rows are formed, over all the Hasse
+    edges at once, by the same products as cone_sub_elements, so they and
+    the bases and interior points must match the table bit for bit. At rank
+    r < m the whole cone comes last.
+    """
+    rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
+    all_faces, frontier = set(facets), set(facets)
+    while frontier:
+        frontier = {e & f for f in facets for e in frontier} - all_faces - {frozenset()}
+        all_faces |= frontier
+    bases = {e: gram_schmidt(rays[sorted(e)]) for e in all_faces}
+    flat = sorted((e for e in all_faces if 1 <= bases[e].shape[1] < r),
+                  key=lambda e: (bases[e].shape[1], sorted(e)))
+    dims = [bases[e].shape[1] for e in flat]
+    index = {e: i for i, e in enumerate(flat)}
+    apex, whole = len(flat), len(flat) + 1
+
+    def ray_mask(sets):
+        mask = np.zeros((len(sets), len(rays)), dtype=bool)
+        for i, s in enumerate(sets):
+            mask[i, sorted(s)] = True
+        return mask
+
+    # nodes: the elements, then the apex (no rays) and the whole cone
+    member = ray_mask(flat + [frozenset(), frozenset(range(len(rays)))])
+    incident = ~(member @ ~ray_mask(facets).T)  # node i lies in facet j
+    lo, hi = [], []  # Hasse edges lo < hi, by hi then lo
+    for i, e in enumerate(flat):
+        subs = {index.get(e & facets[j]) for j in np.flatnonzero(~incident[i])}
+        subs = ([apex] if dims[i] == 1 else
+                sorted(s for s in subs if s is not None and dims[s] == dims[i] - 1))
+        tops = [whole] if dims[i] == r - 1 else []
+        lo += subs + [i] * len(tops)
+        hi += [i] * len(subs) + tops
+    lo, hi = np.array(lo), np.array(hi)
+
+    B = np.zeros((len(flat), m, m))
+    for i, e in enumerate(flat):
+        B[i, :, :dims[i]] = bases[e]
+
+    def project(vectors, stack):
+        return ((vectors[:, None, :] @ stack) @ stack.transpose(0, 2, 1))[:, 0]
+
+    up, down = hi != whole, lo != apex
+    leaving = (incident[lo[up]] & ~incident[hi[up]]) @ normals
+    outer = (member[hi[down]] & ~member[lo[down]]) @ rays
+    rows = np.vstack([project(leaving, B[hi[up]]), outer - project(outer, B[lo[down]])])
+    owner = np.concatenate([hi[up], lo[down]])
+    rows = rows[np.argsort(owner, kind="stable")]
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.split(rows, np.cumsum(np.bincount(owner, minlength=len(flat)))[:-1])
+
+    e_sum = member[:apex] @ rays
+    v_sum = incident[:apex] @ normals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 0.5 * np.where(v_sum < 0.0, e_sum / -v_sum, np.inf).min(axis=1)
+        interior = e_sum + step[:, None] * v_sum
+    adjs = [AdjacentCone(element=e, element_rays=rays[sorted(e)], normals=normals[incident[i]],
+                         basis=bases[e], facet_normals=rows[i],
+                         interior=interior[i] if e_sum[i].min() > TOL_GEOM else None)
+            for i, e in enumerate(flat)]
+    if r < m:
+        e = rays.sum(axis=0)
+        adjs.append(AdjacentCone(
+            element=frozenset(range(len(rays))), element_rays=rays, normals=np.zeros((0, m)),
+            basis=gram_schmidt(rays), facet_normals=normals,
+            interior=e if e.min() > TOL_GEOM else None))
+    return adjs
+
+
+def origin_first(inter, through_origin: int):
+    """One region's vertices and incidence, its origin first, clipped into the cube.
+
+    The per-region step polytope_facets replaced: the origin is the first
+    vertex whose planes all lie among the first through_origin, which pass
+    through it; it moves to the front, is set to 0 exactly, and the rest
+    keep their order.
+    """
+    pts, incidence = inter.vertices.copy(), list(inter.incidence)
+    if not len(pts):
+        return pts, incidence
+    o = next(j for j, planes in enumerate(incidence) if max(planes) < through_origin)
+    order = [o, *range(o), *range(o + 1, len(incidence))]
+    pts, incidence = pts[order], [incidence[j] for j in order]
+    np.clip(pts, 0.0, 1.0, out=pts)
+    pts[0] = 0.0
+    return pts, incidence
 
 
 def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:

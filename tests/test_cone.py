@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull
 
 import conirep.cone
 from conirep.cone import (
+    DEDUP_BLOCK,
     StateMatrix,
     _unit_dedup,
     adjacent_cone,
@@ -25,7 +26,8 @@ from conirep.nnls import nnls
 
 from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE, perturbed, random_activity
 from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
-                       origins_by_fitting_every_unit, unit_dedup_by_loop)
+                       lattice_by_element_scan, origins_by_fitting_every_unit,
+                       unit_dedup_by_loop)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -235,8 +237,28 @@ def test_adjacent_cone_rows_match_its_hull(C):
         assert 0 < points < total
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _check_against_element_scan(C):
     cone = cone_sub_elements(coni_facets(C))
+    # the table, bit for bit, against the lattice pass one element at a time
+    table, ref = cone.adjacent, lattice_by_element_scan(cone)
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in table.members] == \
+        [adj.element for adj in ref]
+    assert [e for elems in cone.elements.values() for e in elems] == [adj.element for adj in ref]
+    assert table.dims.tolist() == [adj.basis.shape[1] for adj in ref]
+    assert table.row_start[-1] == len(table.rows)
+    for i, adj in enumerate(ref):
+        d = adj.basis.shape[1]
+        assert _same_bits(table.rows[table.row_start[i]:table.row_start[i + 1]],
+                          adj.facet_normals)
+        assert _same_bits(np.ascontiguousarray(table.bases[i, :, :d]), adj.basis)
+        assert not table.bases[i, :, d:].any()
+        assert table.on_face[i] == (adj.interior is None)
+        if adj.interior is not None:
+            assert _same_bits(table.interior[i], adj.interior)
     for elems in cone.elements.values():
         for e in elems:
             got, ref = adjacent_cone(e, cone), adjacent_cone_by_element(e, cone)
@@ -380,6 +402,28 @@ def test_unit_dedup_matches_greedy_loop():
     ref_units, ref_origins = unit_dedup_by_loop(C)
     assert origins == ref_origins
     assert units.tobytes() == np.array(ref_units).tobytes()
+
+
+def test_unit_dedup_twins_of_an_earlier_block():
+    # every twin in the second Gram block has its representative in the
+    # first, so only that block takes the greedy pass; twins of twins too
+    rng = np.random.default_rng(89)
+    dirs = rng.uniform(0.0, 1.0, size=(3, DEDUP_BLOCK))
+    u = np.ones(3) / math.sqrt(3)
+    w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+    dirs[:, 0] = u
+    later = rng.integers(0, DEDUP_BLOCK, size=40)
+    twins = dirs[:, later] * rng.uniform(0.1, 10.0, size=40)
+    near = np.stack([_rotated(u, w, a) for a in (1.0e-6, 1.0e-6, 2.0e-6)], axis=1)
+    fresh = rng.uniform(0.0, 1.0, size=(3, 30))
+    C = np.hstack([dirs, twins, near, fresh, np.zeros((3, 2))])
+    units, origins = _unit_dedup(C)
+    ref_units, ref_origins = unit_dedup_by_loop(C)
+    assert origins == ref_origins
+    assert units.tobytes() == np.array(ref_units).tobytes()
+    assert origins[0] == [0, DEDUP_BLOCK + 40, DEDUP_BLOCK + 41]
+    assert len(origins) == DEDUP_BLOCK + 1 + 30
+    assert all(o[0] < DEDUP_BLOCK for o in origins if len(o) > 1)
 
 
 @st.composite

@@ -16,7 +16,6 @@ from reference import facet_masks, packed_facets, simplex_integrals
 
 SQ2 = 1 / math.sqrt(2)
 EMPTY2 = np.zeros((2, 0))
-EMPTY3 = np.zeros((3, 0))
 
 
 def symbolic_integral(verts, basis):
@@ -112,7 +111,7 @@ def test_region_integral_unit_cube_against_origin():
     simplices, _ = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]), [cube])
     region = Regions(cube, simplices, np.array([0, len(cube)]), np.array([0, len(simplices)]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
-    volume, value = region_integral(region, [EMPTY3])
+    volume, value = region_integral(region, np.zeros((1, 3, 3)))
     assert volume[0] == pytest.approx(1.0, abs=1e-15)
     # integral of |x|^2 over the unit cube is m/3
     assert value[0] == pytest.approx(1.0, abs=1e-12)
@@ -121,7 +120,7 @@ def test_region_integral_unit_cube_against_origin():
 def test_region_integral_empty_region():
     region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.array([0, 0]),
                      np.array([0, 0]))
-    volume, value = region_integral(region, [np.array([[1.0], [0.0]])])
+    volume, value = region_integral(region, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
     assert volume.tolist() == value.tolist() == [0.0]
 
 
@@ -136,10 +135,10 @@ def test_blocked_integral_matches_each_region_on_its_own(C, empty, monkeypatch):
     monkeypatch.setattr("conirep.integrate.INTEGRATE_BLOCK", 3)
     cone = cone_sub_elements(coni_facets(C))
     adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
-    regions = build_region(adjs)
+    regions = build_region(cone.adjacent)
     start = regions.simplex_start
     assert np.sum(np.diff(start) == 0) == empty
-    volumes, got = region_integral(regions, [adj.basis for adj in adjs])
+    volumes, got = region_integral(regions, cone.adjacent.bases)
     assert volumes.shape == got.shape == (len(regions),)
     for i, (volume, value, adj) in enumerate(zip(volumes, got, adjs)):
         points = regions.vertices[regions.simplices[start[i]:start[i + 1]]]

@@ -92,7 +92,12 @@ def test_gram_schmidt_stack_matches_single_sets():
             stack[5] = 0.0
             bases = gram_schmidt(stack)
             assert len(bases) == len(stack)
-            for rays, basis in zip(stack, bases):
+            # each basis fills the first rank-many columns of its (m, m) slot
+            assert bases.shape == (len(stack), m, m)
+            for rays, padded in zip(stack, bases):
+                d = int(padded.any(axis=0).sum())
+                basis = np.ascontiguousarray(padded[:, :d])
+                assert not padded[:, d:].any()
                 assert _same_bits(basis, gram_schmidt(rays))
                 assert _same_bits(basis, gram_schmidt_by_loop(rays))
                 assert basis.shape[1] == rank_by_row_reduction(rays)

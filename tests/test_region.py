@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from conirep.cone import AdjacentCone, adjacent_cone, cone_sub_elements, coni_facets
+import conirep.region
+from conirep.cone import (AdjacentCone, AdjacentCones, adjacent_cone, cone_sub_elements,
+                          coni_facets)
 from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.linalg import simplex_volumes
 from conirep.nnls import nnls_batch
 from conirep.region import (
+    Intersection,
     _interior_point,
     build_region,
     hypercube_intersect,
@@ -19,7 +22,8 @@ from conirep.region import (
 )
 
 from conftest import TILTED, WEDGE, random_activity
-from reference import cone_contains, facet_masks, packed_facets, triangulate_by_recursion
+from reference import (cone_contains, facet_masks, origin_first, packed_facets,
+                       triangulate_by_recursion)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -39,6 +43,39 @@ def adjacent(facet_normals, interior):
     m = facet_normals.shape[1]
     return AdjacentCone(frozenset(), np.zeros((0, m)), np.zeros((0, m)), np.zeros((m, 0)),
                         facet_normals, interior)
+
+
+def stacked(adjs):
+    """A table of the given adjacent cones, in order, as cone_sub_elements stacks them."""
+    m = adjs[0].facet_normals.shape[1]
+    members = np.zeros((len(adjs), 1 + max(max(a.element, default=0) for a in adjs)), dtype=bool)
+    bases = np.zeros((len(adjs), m, m))
+    for i, a in enumerate(adjs):
+        members[i, sorted(a.element)] = True
+        bases[i, :, :a.basis.shape[1]] = a.basis
+    return AdjacentCones(
+        members=members, dims=np.array([a.basis.shape[1] for a in adjs]), bases=bases,
+        rows=np.vstack([a.facet_normals for a in adjs]),
+        row_start=np.cumsum([0] + [len(a.facet_normals) for a in adjs]),
+        interior=np.array([np.ones(m) if a.interior is None else a.interior for a in adjs]),
+        on_face=np.array([a.interior is None for a in adjs]))
+
+
+def intersections(table):
+    """Each region's Qhull intersection as build_region makes it; empty for a region it skips."""
+    made = []
+
+    def keep(*args):
+        made.append(hypercube_intersect(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conirep.region, "hypercube_intersect", keep)
+        sizes = np.diff(build_region(table).vertex_start)
+    assert len(made) == np.count_nonzero(sizes)
+    made.reverse()
+    m = table.rows.shape[1]
+    return [made.pop() if size else Intersection(np.zeros((0, m)), []) for size in sizes]
 
 
 def mask_vertices(mask):
@@ -67,7 +104,8 @@ def sorted_rows(a):
 
 
 def test_wedge_diagonal_region_vertices():
-    verts = hypercube_intersect(wedge_adjacent(0)).vertices
+    [inter] = intersections(stacked([wedge_adjacent(0)]))
+    verts = inter.vertices
     np.testing.assert_allclose(
         sorted_rows(verts), [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], atol=1e-9)
 
@@ -75,15 +113,15 @@ def test_wedge_diagonal_region_vertices():
 def test_wedge_axis_region_is_degenerate():
     # the cone below the x-axis meets the cube only in a segment: no
     # interior point, so no vertices are enumerated
-    inter = hypercube_intersect(wedge_adjacent(1))
+    [inter] = intersections(stacked([wedge_adjacent(1)]))
     assert inter.vertices.shape == (0, 2) and inter.incidence == []
-    region = build_region([wedge_adjacent(1)])
+    region = build_region(stacked([wedge_adjacent(1)]))
     assert region.volume == 0.0
     assert len(region.simplices) == 0
 
 
 def test_wedge_diagonal_region_build():
-    region = build_region([wedge_adjacent(0)])
+    region = build_region(stacked([wedge_adjacent(0)]))
     assert region.volume == pytest.approx(0.5, abs=1e-12)
     assert len(region.simplices) == 1
 
@@ -111,22 +149,21 @@ def test_region_vertices_stay_in_cube_and_cone():
         if cone.cone_rank < 3:
             continue
         cone = cone_sub_elements(cone)
-        for elems in cone.elements.values():
-            for e in elems:
-                adj = adjacent_cone(e, cone)
-                for v in hypercube_intersect(adj).vertices:
-                    assert v.min() > -1e-9 and v.max() < 1 + 1e-9
-                    assert cone_contains(v, adj.generators, tol_member=1e-7)
+        adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
+        for adj, inter in zip(adjs, intersections(cone.adjacent)):
+            for v in inter.vertices:
+                assert v.min() > -1e-9 and v.max() < 1 + 1e-9
+                assert cone_contains(v, adj.generators, tol_member=1e-7)
 
 
 def test_polytope_facets_square_triangle_cube():
     # the whole cube as a region: no facet rows, every point inside
     for m, count in ((2, 4), (3, 6)):
-        inter = hypercube_intersect(adjacent(np.zeros((0, m)), np.ones(m)))
-        verts = inter.vertices
+        verts, packed = polytope_facets(intersections(stacked([adjacent(np.zeros((0, m)),
+                                                                         np.ones(m))])))
         assert verts.shape == (2 ** m, m)
         assert np.all(verts[0] == 0.0)
-        [facets] = int_facets(polytope_facets([inter]))
+        [facets] = int_facets(packed)
         # each facet holds the 2^(m-1) vertices of one face x_axis = side
         assert len(facets) == count
         faces = set()
@@ -138,25 +175,25 @@ def test_polytope_facets_square_triangle_cube():
         assert len(faces) == count
 
     # the wedge's diagonal region is the triangle (0,0), (0,1), (1,1)
-    [facets] = int_facets(polytope_facets([hypercube_intersect(wedge_adjacent(0))]))
+    [facets] = int_facets(polytope_facets(intersections(stacked([wedge_adjacent(0)])))[1])
     assert sorted(bin(mask).count("1") for mask in facets) == [2, 2, 2]
 
 
 def test_polytope_facets_degenerate():
     # an empty region has no facets and no simplices
-    inter = hypercube_intersect(wedge_adjacent(1))
-    facets = polytope_facets([inter])
+    inters = intersections(stacked([wedge_adjacent(1)]))
+    verts, facets = polytope_facets(inters)
+    assert verts.shape == (0, 2)
     assert facets[0].shape[1] == 0 and facets[1].tolist() == [0]
-    simplices, counts = triangulate_polytope(facets, [inter.vertices])
+    simplices, counts = triangulate_polytope(facets, [inters[0].vertices])
     assert simplices.shape == (0, 3) and counts.tolist() == [0]
 
     # the pyramid's apex lies on four facets: one vertex, four masks
-    inter = hypercube_intersect(adjacent(PYRAMID_NORMALS, np.array([0.25, 0.25, 1.0])))
-    verts = inter.vertices
+    verts, packed = polytope_facets(intersections(stacked([
+        adjacent(PYRAMID_NORMALS, np.array([0.25, 0.25, 1.0]))])))
     np.testing.assert_allclose(sorted_rows(verts), [[0, 0, 0], [0, 0, 1], [0, 1, 1],
                                                     [1, 0, 1], [1, 1, 1]], atol=1e-12)
     assert np.all(verts[0] == 0.0)
-    packed = polytope_facets([inter])
     [facets] = int_facets(packed)
     assert sorted(bin(mask).count("1") for mask in facets) == [3, 3, 3, 3, 4]
     assert sum(mask & 1 for mask in facets) == 4
@@ -199,9 +236,10 @@ def test_walk_ignores_repeated_and_full_masks_at_the_top():
 
 
 def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
-    # hypercube_intersect relies on this: the origin is found as the vertex
-    # whose planes all pass through 0, and the facet masks come from these
-    # lists, so a degenerate vertex must arrive once and name every plane
+    # polytope_facets relies on this, and the test reference origin_first
+    # finds the origin as the vertex whose planes all pass through 0: the
+    # facet masks come from these lists, so a degenerate vertex must arrive
+    # once and name every plane
     eye = np.eye(3)
     halfspaces = np.vstack([
         np.hstack([PYRAMID_NORMALS, np.zeros((2, 1))]),  # 0, 1: x1 <= x3, x2 <= x3
@@ -268,13 +306,18 @@ def test_walk_matches_recursion_on_hull_polytopes(m):
 
 
 def region_lattices(C):
-    cone = cone_sub_elements(coni_facets(C))
-    inters = [hypercube_intersect(adjacent_cone(e, cone))
-              for elems in cone.elements.values() for e in elems]
-    facets = int_facets(polytope_facets(inters))
-    # packed all at once, each region's masks are those of its own incidence
-    assert [sorted(f) for f in facets] == [incidence_masks(inter.incidence) for inter in inters]
-    return facets, [inter.vertices for inter in inters]
+    table = cone_sub_elements(coni_facets(C)).adjacent
+    inters = intersections(table)
+    vertices, packed = polytope_facets(inters)
+    facets = int_facets(packed)
+    # stacked and packed all at once, each region's vertices and masks are
+    # those of its own incidence, with its origin, the vertex on none of the
+    # planes x_j = 1, put first on its own
+    through_origin = (table.row_start[1:] - table.row_start[:-1] + C.shape[0]).tolist()
+    regions = [origin_first(inter, t) for inter, t in zip(inters, through_origin)]
+    assert vertices.tobytes() == np.concatenate([v for v, _ in regions]).tobytes()
+    assert [sorted(f) for f in facets] == [incidence_masks(incidence) for _, incidence in regions]
+    return facets, [v for v, _ in regions]
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
@@ -309,10 +352,26 @@ def test_walk_rejects_masks_that_are_not_a_face_lattice():
         triangulate_polytope(packed_facets([[0b1110, 0b0101]], [tetra]), [tetra])
 
 
+def test_walk_reads_both_ends_of_an_edge_across_words():
+    # a triangle on vertices 0, 3 and 70 of 71: pulled from 0, its one
+    # last-level edge has its low end in the first word, its high end in the second
+    verts = np.zeros((71, 2))
+    masks = [1 | 1 << 3, 1 << 3 | 1 << 70, 1 | 1 << 70]
+    simplices, counts = triangulate_polytope(packed_facets([masks], [verts]), [verts])
+    assert simplices.tolist() == [[0, 3, 70]]
+    assert counts.tolist() == [1]
+
+
+def test_walk_rejects_a_last_level_face_of_three_vertices_across_words():
+    # the face that misses vertex 0 holds 3 in the first word, 69 and 70 in the second
+    verts = np.zeros((71, 2))
+    masks = [1 | 1 << 3, 1 << 3 | 1 << 69 | 1 << 70, 1 | 1 << 70]
+    with pytest.raises(DegenerateConeError, match="does not have 3 vertices"):
+        triangulate_polytope(packed_facets([masks], [verts]), [verts])
+
+
 def all_regions(C):
-    cone = cone_sub_elements(coni_facets(C))
-    return build_region([adjacent_cone(e, cone) for elems in cone.elements.values()
-                         for e in elems])
+    return build_region(cone_sub_elements(coni_facets(C)).adjacent)
 
 
 def region_volume_total(C):

@@ -60,13 +60,11 @@ def gram_schmidt(rays):
         norm = row_norms(v) if i else scale
         kept[:, i] = norm > TOL_GEOM * np.maximum(scale, 1.0)
         np.divide(v, norm[:, None], out=Q[:, i], where=kept[:, i, None])
-    if R.ndim == 2:
-        return np.ascontiguousarray(Q[0, kept[0]].T)
     # each kept column goes to the next free column of its set's basis
     s, i = kept.nonzero()
     bases = np.zeros((len(stack), stack.shape[2], stack.shape[2]))
     bases[s, :, (kept.cumsum(axis=1) - 1)[s, i]] = Q[s, i]
-    return bases
+    return bases if R.ndim == 3 else np.ascontiguousarray(bases[0, :, :kept.sum()])
 
 
 def simplex_volumes(points) -> np.ndarray:

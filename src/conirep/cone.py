@@ -379,7 +379,10 @@ def cone_sub_elements(cone: Cone) -> Cone:
     lo, hi = np.where(top, i, j), np.where(top, whole, i)
 
     up, down = ~top, lo != apex
-    leaving = (incident[lo[up]] & ~incident[hi[up]]) @ normals
+    lo_up, hi_up, chunk = lo[up], hi[up], max(1, MAX_ELEMENTS // len(normals))
+    leaving = np.empty((len(lo_up), m))
+    for a in range(0, len(lo_up), chunk):  # at most MAX_ELEMENTS (edge, facet) pairs at a time
+        leaving[a:a + chunk] = (incident[lo_up[a:a + chunk]] & ~incident[hi_up[a:a + chunk]]) @ normals
     outer = (nodes[hi[down]] & ~nodes[lo[down]]) @ rays
     rows = np.concatenate([_project(leaving, bases[hi[up]]),
                            outer - _project(outer, bases[lo[down]])])

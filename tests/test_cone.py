@@ -279,6 +279,21 @@ def test_lattice_pass_matches_element_scan(C):
     _check_against_element_scan(C)
 
 
+@pytest.mark.parametrize("C", ROWS_CASES)
+def test_table_does_not_depend_on_the_element_limit(C, monkeypatch):
+    # the limit at its least, the lattice's own size: the Hasse edges are
+    # found one element at a time, and the summed leaving normals in blocks
+    # of elements // facets edges, fewer than the edges (at least one per
+    # element), so in more than one block
+    bare = coni_facets(C)
+    table = cone_sub_elements(bare).adjacent
+    assert len(bare.facets) >= 2
+    monkeypatch.setattr("conirep.cone.MAX_ELEMENTS", len(table.dims))
+    small = cone_sub_elements(bare).adjacent
+    for name in ("members", "dims", "bases", "rows", "row_start", "interior", "on_face"):
+        assert _same_bits(getattr(small, name), getattr(table, name)), name
+
+
 @st.composite
 def _full_rank_matrices(draw):
     m = draw(st.integers(2, 5))

@@ -9,7 +9,7 @@ from scipy.optimize import lsq_linear
 from scipy.optimize import nnls as scipy_nnls
 
 from conirep.errors import IterationLimitError
-from conirep.nnls import _solve_patterns, nnls, nnls_batch
+from conirep.nnls import _solve_group, _solve_patterns, nnls, nnls_batch
 from conirep.oracle import _grid_chunk
 
 from conftest import TILTED
@@ -81,23 +81,17 @@ def test_batch_matches_scalar():
                 rsq[i], abs=1e-10)
 
 
-def _solve_patterns_by_row_sort(G, H, passive, pending):
-    """Reference grouping: np.unique over the boolean pattern rows."""
+def _solve_patterns_by_row_sort(G, H, pats, pending):
+    """Reference grouping: np.unique over the boolean pattern rows, each
+    group solved as _solve_patterns solves it."""
     Z = np.zeros((G.shape[0], pending.size))
-    pats = passive[:, pending]
     uniq, inv = np.unique(pats.T, axis=0, return_inverse=True)
     for k in range(uniq.shape[0]):
         rows = np.flatnonzero(uniq[k])
         cols = np.flatnonzero(inv.ravel() == k)
         if rows.size == 0:
             continue
-        sub = G[np.ix_(rows, rows)]
-        rhs = H[np.ix_(rows, pending[cols])]
-        try:
-            sol = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-        Z[np.ix_(rows, cols)] = sol
+        Z[np.ix_(rows, cols)] = _solve_group(G[np.ix_(rows, rows)], H[np.ix_(rows, pending[cols])])
     return Z
 
 
@@ -118,9 +112,9 @@ def test_pattern_key_across_byte_and_word_boundaries(n):
         other[bit] ^= True
         pools.append(np.stack([base, other, np.zeros(n, dtype=bool)], axis=1))
     for pool in pools:
-        passive = pool[:, rng.integers(0, pool.shape[1], size=pts.shape[1])]
-        np.testing.assert_array_equal(_solve_patterns(G, H, passive, pending),
-                                      _solve_patterns_by_row_sort(G, H, passive, pending))
+        pats = pool[:, rng.integers(0, pool.shape[1], size=pts.shape[1])][:, pending]
+        np.testing.assert_array_equal(_solve_patterns(G, H, pats, pending),
+                                      _solve_patterns_by_row_sort(G, H, pats, pending))
 
     small = rng.uniform(0.0, 2.0, size=(4, n))
     b = rng.uniform(0.0, 1.0, size=(4, 40))
@@ -128,6 +122,32 @@ def test_pattern_key_across_byte_and_word_boundaries(n):
     assert xb.min() >= 0.0
     for i in range(b.shape[1]):
         assert rsq[i] == pytest.approx(nnls(small, b[:, i])[1] ** 2, abs=1e-10)
+
+
+def test_singular_group_falls_back_to_lstsq():
+    # columns 1 and 2 are equal, so the group whose passive set holds both
+    # has an exactly singular block of G, and the other two do not
+    rng = np.random.default_rng(59)
+    a = rng.uniform(0.0, 2.0, size=(3, 4))
+    a[:, 2] = a[:, 1]
+    pts = rng.uniform(0.0, 1.0, size=(3, 90))
+    G, H = a.T @ a, a.T @ pts
+    pending = np.arange(0, 90, 2)
+    patterns = np.array([[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=bool).T
+    group = np.arange(pending.size) % 3
+    Z = _solve_patterns(G, H, patterns[:, group], pending)
+    for g in range(3):
+        rows, cols = np.flatnonzero(patterns[:, g]), np.flatnonzero(group == g)
+        sub, rhs = G[np.ix_(rows, rows)], H[np.ix_(rows, pending[cols])]
+        if g == 0:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(sub)
+            expected = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+        else:
+            expected = np.linalg.inv(sub) @ rhs
+        np.testing.assert_array_equal(Z[np.ix_(rows, cols)], expected)
+        assert not np.delete(Z[:, cols], rows, axis=0).any()
+    _assert_batch_matches_scalar(a, pts)
 
 
 @st.composite
@@ -241,7 +261,8 @@ def test_batch_deterministic_and_chunking_stable():
     _, whole = nnls_batch(a, pts)
     _, again = nnls_batch(a, pts)
     np.testing.assert_array_equal(whole, again)
-    # chunk boundaries shift LAPACK's multi-rhs blocking by the last ulp
+    # chunk boundaries change how many columns share each group's product
+    # with its inverse, which can move BLAS's result by the last ulp
     parts = np.concatenate([nnls_batch(a, chunk)[1]
                             for chunk in np.array_split(pts, 7, axis=1)])
     np.testing.assert_allclose(whole, parts, atol=1e-14)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conirep.errors import BudgetExceededError
-from conirep.oracle import convergence_study, ir_num
+from conirep.oracle import CHUNK, convergence_study, ir_num
 
-from conftest import WEDGE
+from conftest import TILTED, WEDGE
 
 
 def wedge_midpoint_value(n):
@@ -75,6 +75,13 @@ def test_threads_do_not_change_the_value(wedge):
     multi = ir_num(wedge, 600, threads=4)
     assert base.ir_num == multi.ir_num
     assert base.total_samples == multi.total_samples == 360_000
+
+
+def test_tilted_value_over_two_chunks():
+    # 80^3 = 512,000 samples: the one pinned value whose grid spans more than one chunk
+    q = ir_num(TILTED, 80)
+    assert q.total_samples > CHUNK
+    assert q.ir_num == pytest.approx(0.02485971408555016, abs=1e-15)
 
 
 def test_convergence_study_rows(wedge):

@@ -8,7 +8,9 @@ Commands:
     sweep     evaluate every matrix file in a directory or glob
 
 Each command takes only the flags its cmd_* function reads (see
-`conirep <command> --help`); any other flag is a usage error.
+`conirep <command> --help`); any other flag is a usage error. Each cmd_*
+returns its report text, and main writes it to --output, or to stdout when
+--output is omitted or "-"; warnings and errors go to stderr.
 
 Exit codes: 0 success, 1 input error (usage errors included), 3 budget
 exceeded, 4 numerical failure (degenerate geometry, a solver that did not
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -65,11 +68,6 @@ def read_matrix(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_matrix(matrix: np.ndarray, stream) -> None:
-    for row in matrix:
-        stream.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def result_to_report(result: EvaluationResult) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -80,59 +78,19 @@ def result_to_report(result: EvaluationResult) -> dict:
         "extreme_ray_columns": list(result.extreme_ray_columns),
         "redundant_columns": list(result.redundant_columns),
         "zero_columns": list(result.zero_columns),
-        "regions": [
-            {"element": list(r.element), "dim": r.dim, "volume": r.volume,
-             "integral": r.integral}
-            for r in result.regions
-        ],
+        "regions": [{"element": list(r.element), "dim": r.dim, "volume": r.volume,
+                     "integral": r.integral} for r in result.regions],
         "diagnostics": list(result.diagnostics),
     }
 
 
-def _open_output(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def csv_text(header, rows) -> str:
+    """One header row, then one line per row, each value written by str()."""
+    return "".join(",".join(str(v) for v in row) + "\n" for row in [header, *rows])
 
 
-def _emit(lines_or_text, out_path):
-    stream, close = _open_output(out_path)
-    try:
-        stream.write(lines_or_text)
-    finally:
-        if close:
-            stream.close()
-
-
-def _format_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt == "csv":
-        cols = ["ir", "irn", "output_volume", "method",
-                "extreme_ray_columns", "redundant_columns", "zero_columns"]
-        head = ",".join(cols)
-        row = ",".join(
-            ";".join(str(v) for v in report[c]) if isinstance(report[c], list)
-            else str(report[c])
-            for c in cols
-        )
-        return f"{head}\n{row}\n"
-    lines = [
-        f"ir            {report['ir']!r}",
-        f"irn           {report['irn']!r}",
-        f"output volume {report['output_volume']!r}",
-        f"method        {report['method']}",
-        f"extreme ray columns: {report['extreme_ray_columns']}",
-        f"redundant columns:   {report['redundant_columns']}",
-        f"zero columns:        {report['zero_columns']}",
-    ]
-    if report["regions"]:
-        lines.append("regions (element | dim | volume | integral):")
-        for r in report["regions"]:
-            lines.append(f"  {r['element']} | {r['dim']} | {r['volume']!r} | {r['integral']!r}")
-    for d in report["diagnostics"]:
-        lines.append(f"note: {d}")
-    return "\n".join(lines) + "\n"
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _parse_ns(text: str):
@@ -145,56 +103,63 @@ def _parse_ns(text: str):
     return ns
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> str:
     report = result_to_report(evaluate(read_matrix(args.input)))
-    _emit(_format_report(report, args.format), args.output)
-    return 0
+    if args.format == "json":
+        return json_text(report)
+    cols = ["ir", "irn", "output_volume", "method",
+            "extreme_ray_columns", "redundant_columns", "zero_columns"]
+    if args.format == "csv":
+        return csv_text(cols, [[";".join(map(str, report[c])) if isinstance(report[c], list)
+                                else report[c] for c in cols]])
+    lines = [
+        f"ir            {report['ir']!r}",
+        f"irn           {report['irn']!r}",
+        f"output volume {report['output_volume']!r}",
+        f"method        {report['method']}",
+        f"extreme ray columns: {report['extreme_ray_columns']}",
+        f"redundant columns:   {report['redundant_columns']}",
+        f"zero columns:        {report['zero_columns']}",
+    ]
+    if report["regions"]:
+        lines.append("regions (element | dim | volume | integral):")
+    lines += [f"  {r['element']} | {r['dim']} | {r['volume']!r} | {r['integral']!r}"
+              for r in report["regions"]]
+    lines += [f"note: {d}" for d in report["diagnostics"]]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_numeric(args) -> int:
+def cmd_numeric(args) -> str:
     matrix = read_matrix(args.input)
     ns = _parse_ns(args.n)
     if len(ns) != 1:
         raise InputFormatError("numeric expects a single --n value")
     q = ir_num(matrix, ns[0], budget=args.budget_samples)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "ir_num": q.ir_num,
-        "irn_num": q.irn_num,
-        "n": q.n,
-        "total_samples": q.total_samples,
-        "elapsed_s": q.elapsed_s,
-    }
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    elif args.format == "csv":
-        text = "n,ir_num,irn_num,total_samples\n" \
-               f"{q.n},{q.ir_num!r},{q.irn_num!r},{q.total_samples}\n"
-    else:
-        text = (f"ir_num  {q.ir_num!r}\nirn_num {q.irn_num!r}\n"
-                f"n {q.n}  samples {q.total_samples}  elapsed {q.elapsed_s:.3f}s\n")
-    _emit(text, args.output)
-    return 0
+        # the fields in declaration order: ir_num, irn_num, n, total_samples, elapsed_s
+        return json_text({"schema_version": SCHEMA_VERSION, **asdict(q)})
+    if args.format == "csv":
+        return csv_text(["n", "ir_num", "irn_num", "total_samples"],
+                        [[q.n, q.ir_num, q.irn_num, q.total_samples]])
+    return (f"ir_num  {q.ir_num!r}\nirn_num {q.irn_num!r}\n"
+            f"n {q.n}  samples {q.total_samples}  elapsed {q.elapsed_s:.3f}s\n")
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     matrix = read_matrix(args.input)
     result = evaluate(matrix)
     rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
                              budget=args.budget_samples)
     if args.format == "json":
-        text = json.dumps({
+        return json_text({
             "schema_version": SCHEMA_VERSION,
             "ir": result.ir,
             "rows": [{"n": n, "ir_num": v, "abs_error": e} for n, v, e in rows],
-        }, indent=2) + "\n"
-    else:
-        text = "n,ir_num,abs_error\n" + "".join(f"{n},{v!r},{e!r}\n" for n, v, e in rows)
-    _emit(text, args.output)
-    return 0
+        })
+    return csv_text(["n", "ir_num", "abs_error"], rows)
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> str:
     train = read_spike_file(args.input)
     cfg = SlotConfig(slot_length=args.slot_length, state_count=args.slots)
     with warnings.catch_warnings(record=True) as caught:
@@ -202,37 +167,23 @@ def cmd_encode(args) -> int:
         matrix = bin_spikes(train, cfg)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    stream, close = _open_output(args.output)
-    try:
-        stream.write(f"# encoded from {os.path.basename(args.input)}: "
-                     f"{cfg.state_count} slots of {cfg.slot_length}s\n")
-        write_matrix(matrix.entries, stream)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return csv_text([f"# encoded from {os.path.basename(args.input)}: "
+                     f"{cfg.state_count} slots of {cfg.slot_length}s"], matrix.entries.tolist())
 
 
-def cmd_sweep(args) -> int:
-    if os.path.isdir(args.input):
-        paths = sorted(glob.glob(os.path.join(args.input, "*.csv")))
-    else:
-        paths = sorted(glob.glob(args.input))
+def cmd_sweep(args) -> str:
+    pattern = os.path.join(args.input, "*.csv") if os.path.isdir(args.input) else args.input
+    paths = sorted(glob.glob(pattern))
     if not paths:
         raise InputFormatError(f"no matrix files match {args.input!r}")
     rows = [(path, evaluate(read_matrix(path))) for path in paths]
     if args.format == "json":
-        text = json.dumps({
+        return json_text({
             "schema_version": SCHEMA_VERSION,
             "results": [{"file": p, **result_to_report(r)} for p, r in rows],
-        }, indent=2) + "\n"
-    else:
-        lines = ["file,ir,irn,output_volume,method"]
-        for p, r in rows:
-            lines.append(f"{p},{r.ir!r},{r.irn!r},{r.output_volume!r},{r.method}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 0
+        })
+    return csv_text(["file", "ir", "irn", "output_volume", "method"],
+                    [[p, r.ir, r.irn, r.output_volume, r.method] for p, r in rows])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,19 +235,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        text = args.func(args)
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return 0
     # before the ValueError clause: LinAlgError subclasses ValueError, but
     # it is raised on valid input
     except (DegenerateConeError, IterationLimitError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (InputFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConirepError as exc:
+    # InputFormatError and every other package error
+    except (ConirepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,13 +55,16 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
 
     Deterministic: the grid order is fixed and per-chunk sums are reduced in
     index order, so the value is identical for any thread count. Raises
-    BudgetExceededError when n^m exceeds the sample budget.
+    ValueError when n or the budget is below 1, and BudgetExceededError when
+    n^m exceeds the budget.
     """
     sm = as_state_matrix(C)
     m = sm.m
     n = operator.index(n)  # a Python int, so n ** m cannot wrap
     if n < 1:
         raise ValueError("grid resolution must be at least 1")
+    if budget < 1:
+        raise ValueError("the sample budget must be at least 1")
     total = n ** m
     if total > budget:
         raise BudgetExceededError(f"{n}^{m} = {total} samples exceed the budget of {budget}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 
@@ -355,8 +356,9 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     its table rows (n . x <= 0), then x >= 0, then x <= 1. An element on a
     coordinate face takes the least-distance point strictly inside the cone
     and the orthant, and has no region without one. The loop over the
-    regions holds only their Qhull calls. `budget` caps the simplices of all
-    the regions (see triangulate_polytope).
+    regions holds only their Qhull calls; a point Qhull rejects is retried once
+    at the region's Chebyshev centre, and a region of Chebyshev radius 0 is
+    empty. `budget` caps the simplices of all the regions (triangulate_polytope).
     """
     rows, start = table.rows, table.row_start
     count = start[1:] - start[:-1]
@@ -374,9 +376,21 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     points /= 2.0 * points.max(axis=1, keepdims=True)
     inters = [Intersection(np.zeros((0, m)), [])] * n
     for i in live.nonzero()[0].tolist():
+        hs = halfspaces[first[i]:first[i + 1]]
         try:
-            inters[i] = hypercube_intersect(halfspaces[first[i]:first[i + 1]], points[i])
+            inters[i] = hypercube_intersect(hs, points[i])
         except QhullError as exc:
+            # not clearly inside: retry at the Chebyshev centre (max r with a . x + r |a| <= -b).
+            # Imported here: at module level scipy.optimize costs 0.12 s
+            from scipy.optimize import linprog
+            lp = linprog(-np.eye(m + 1)[m], b_ub=-hs[:, m], bounds=(None, None), method="highs",
+                         A_ub=np.c_[hs[:, :m], np.linalg.norm(hs[:, :m], axis=1)])
+            if lp.success and lp.x[m] <= 0.0:
+                continue  # no interior: zero volume, as when _interior_point finds no point
+            with suppress(QhullError):
+                if lp.success:
+                    inters[i] = hypercube_intersect(hs, lp.x[:m])
+                    continue
             element = np.flatnonzero(table.members[i]).tolist()
             raise DegenerateConeError(f"region of element {element}: {exc}") from exc
     vertices, facets = polytope_facets(inters)

@@ -1,15 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from conirep.cli import build_parser, main, read_matrix, write_matrix
+from conirep.cli import build_parser, csv_text, main, read_matrix
+from conirep.encode import SlotConfig, bin_spikes, read_spike_file
 from conirep.errors import DegenerateConeError, InputFormatError, IterationLimitError
-from conirep.oracle import ir_num
+from conirep.evaluator import evaluate
+from conirep.oracle import convergence_study, ir_num
 
 from conftest import TILTED, VERR, perturbed
 
@@ -68,8 +71,7 @@ def test_matrix_round_trip(tmp_path):
     rng = np.random.default_rng(107)
     matrix = rng.uniform(0.0, 5.0, size=(3, 4))
     p = tmp_path / "round.csv"
-    with open(p, "w") as fh:
-        write_matrix(matrix, fh)
+    p.write_text(csv_text(["# round trip"], matrix.tolist()))
     np.testing.assert_array_equal(read_matrix(p), matrix)
 
 
@@ -179,6 +181,17 @@ def test_budget_exit_code(capsys, tilted_csv):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["numeric --n 2", "compare --n 2,4"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_non_positive_budget_is_an_input_error(capsys, tilted_csv, command, budget):
+    # a bad flag exits 1, not 3 ("budget exceeded")
+    code = main(f"{command} --input {tilted_csv} --budget-samples={budget}".split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: the sample budget must be at least 1\n"
+
+
 @pytest.mark.parametrize("error", [DegenerateConeError, IterationLimitError])
 def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
     def fail(*args, **kwargs):
@@ -196,8 +209,7 @@ def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
 # pulling walk's chains came out ragged: a ValueError read as an input error
 def test_ragged_triangulation_exit_code(capsys, tmp_path):
     path = tmp_path / "verr.csv"
-    with open(path, "w") as fh:
-        write_matrix(perturbed(VERR, 1e-12, 0), fh)
+    path.write_text(csv_text(["# VERR at 1e-12, seed 0"], perturbed(VERR, 1e-12, 0).tolist()))
     code = main(["evaluate", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 4
@@ -297,3 +309,92 @@ def test_byte_identical_reruns(capsys, tilted_csv):
     code, second = run(capsys, ["evaluate", "--input", tilted_csv])
     assert code == 0
     assert first == second
+
+
+def expected_report(r):
+    return {"schema_version": 1, "ir": r.ir, "irn": r.irn, "output_volume": r.output_volume,
+            "method": r.method, "extreme_ray_columns": list(r.extreme_ray_columns),
+            "redundant_columns": list(r.redundant_columns), "zero_columns": list(r.zero_columns),
+            "regions": [{"element": list(g.element), "dim": g.dim, "volume": g.volume,
+                         "integral": g.integral} for g in r.regions],
+            "diagnostics": list(r.diagnostics)}
+
+
+def expected_output(command, fmt, matrix, path, spikes, out):
+    """The report text of one command and format, built from the library calls behind it."""
+    as_json = (lambda doc: json.dumps(doc, indent=2) + "\n")
+    if command == "encode":
+        cfg = SlotConfig(slot_length=1.0, state_count=matrix.shape[0])
+        entries = bin_spikes(read_spike_file(spikes), cfg).entries
+        return (f"# encoded from spikes.txt: {matrix.shape[0]} slots of 1.0s\n"
+                + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries))
+    if command == "numeric":
+        q = ir_num(matrix, 8)
+        if fmt == "json":
+            return as_json({"schema_version": 1, "ir_num": q.ir_num, "irn_num": q.irn_num,
+                            "n": 8, "total_samples": q.total_samples,
+                            "elapsed_s": json.loads(out)["elapsed_s"]})
+        if fmt == "csv":
+            return f"n,ir_num,irn_num,total_samples\n8,{q.ir_num!r},{q.irn_num!r},{q.total_samples}\n"
+        elapsed = re.search(r"elapsed (\S+)s\n\Z", out).group(1)
+        return (f"ir_num  {q.ir_num!r}\nirn_num {q.irn_num!r}\n"
+                f"n 8  samples {q.total_samples}  elapsed {elapsed}s\n")
+    r = evaluate(matrix)
+    if command == "compare":
+        rows = convergence_study(matrix, [4, 8])
+        if fmt == "json":
+            return as_json({"schema_version": 1, "ir": r.ir, "rows": [
+                {"n": n, "ir_num": v, "abs_error": e} for n, v, e in rows]})
+        return "n,ir_num,abs_error\n" + "".join(f"{n},{v!r},{e!r}\n" for n, v, e in rows)
+    if command == "sweep":
+        if fmt == "json":
+            return as_json({"schema_version": 1,
+                            "results": [{"file": path, **expected_report(r)}]})
+        return (f"file,ir,irn,output_volume,method\n"
+                f"{path},{r.ir!r},{r.irn!r},{r.output_volume!r},{r.method}\n")
+    if fmt == "json":
+        return as_json(expected_report(r))
+    cols = [";".join(map(str, c)) for c in
+            (r.extreme_ray_columns, r.redundant_columns, r.zero_columns)]
+    if fmt == "csv":
+        return ("ir,irn,output_volume,method,extreme_ray_columns,redundant_columns,zero_columns\n"
+                f"{r.ir!r},{r.irn!r},{r.output_volume!r},{r.method},{','.join(cols)}\n")
+    lines = [f"ir            {r.ir!r}", f"irn           {r.irn!r}",
+             f"output volume {r.output_volume!r}", f"method        {r.method}",
+             f"extreme ray columns: {list(r.extreme_ray_columns)}",
+             f"redundant columns:   {list(r.redundant_columns)}",
+             f"zero columns:        {list(r.zero_columns)}"]
+    if r.regions:
+        lines.append("regions (element | dim | volume | integral):")
+        lines += [f"  {list(g.element)} | {g.dim} | {g.volume!r} | {g.integral!r}"
+                  for g in r.regions]
+    lines += [f"note: {d}" for d in r.diagnostics]
+    return "\n".join(lines) + "\n"
+
+
+# every command and format, byte for byte; the only value read back from the
+# output is elapsed_s. The matrices hold counts, so encode reproduces each one
+@pytest.mark.parametrize("rows", ["1,3,1,2\n1,2,0,1\n", "1,0\n0,1\n0,0\n", "0,0\n0,0\n"],
+                         ids=["wedge", "flat", "zero"])
+@pytest.mark.parametrize("command, fmt", [
+    *[("evaluate", f) for f in ("json", "csv", "text")],
+    *[("numeric", f) for f in ("json", "csv", "text")],
+    *[(c, f) for c in ("compare", "sweep") for f in ("json", "csv")],
+    ("encode", None),
+])
+def test_report_text_per_command_and_format(capsys, tmp_path, rows, command, fmt):
+    path = tmp_path / "m.csv"
+    path.write_text(rows)
+    matrix = np.array([[float(v) for v in line.split(",")] for line in rows.split()])
+    spikes = tmp_path / "spikes.txt"
+    spikes.write_text(f"# neurons={matrix.shape[1]} duration={matrix.shape[0]}\n" + "".join(
+        f"{j + 1}\t{i + 0.5}\n" * int(matrix[i, j]) for i, j in np.ndindex(*matrix.shape)))
+    argv = {"evaluate": ["--input", str(path)],
+            "numeric": ["--input", str(path), "--n", "8"],
+            "compare": ["--input", str(path), "--n", "4,8"],
+            "sweep": ["--input", str(tmp_path)],
+            "encode": ["--input", str(spikes), "--slot-length", "1.0",
+                       "--slots", str(matrix.shape[0])]}[command]
+    code, out = run(capsys, [command, *argv, *(["--format", fmt] if fmt else [])])
+    assert code == 0
+    assert out == expected_output(command, fmt, matrix, str(path), spikes, out)

@@ -448,3 +448,15 @@ def test_quadrature_answers_on_a_near_flat_facet():
 def test_overlapping_regions_raise():
     with pytest.raises(DegenerateConeError, match="^region volumes sum to 1.3"):
         evaluate(perturbed(VERR, 3e-9, 15))
+
+
+# Qhull rejected the lattice's interior point of element [1, 2, 3]'s region
+# (QH6023). Seed 15 answers at the region's Chebyshev centre (radius 1.1e-9);
+# at seed 31 the radius is 0, so the region is empty. VERR's unperturbed ir
+# is 0.1163334.
+@pytest.mark.parametrize("seed", [15, 31])
+def test_interior_point_retries_at_the_chebyshev_centre(seed):
+    res = evaluate(perturbed(VERR, 1e-8, seed))
+    covered = math.fsum(r.volume for r in res.regions)
+    assert covered + res.output_volume == pytest.approx(1.0, abs=1e-9)
+    assert res.ir == pytest.approx(0.11633339151382503, abs=1e-8)

@@ -96,3 +96,9 @@ def test_convergence_study_rows(wedge):
 def test_convergence_study_derives_exact_value():
     rows = convergence_study(WEDGE, [8])
     assert rows[0][2] == pytest.approx(1.0 / (24.0 * 64.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_non_positive_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        ir_num(TILTED, 1, budget=budget)

@@ -28,11 +28,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .cone import as_state_matrix
 from .encode import SlotConfig, bin_spikes, read_spike_file
 from .errors import (BudgetExceededError, ConirepError, DegenerateConeError, InputFormatError,
                      IterationLimitError)
 from .evaluator import EvaluationResult, evaluate
-from .oracle import SAMPLE_BUDGET, convergence_study, ir_num
+from .oracle import SAMPLE_BUDGET, convergence_study, grid_samples, ir_num
 
 SCHEMA_VERSION = 1
 
@@ -146,10 +147,12 @@ def cmd_numeric(args) -> str:
 
 
 def cmd_compare(args) -> str:
-    matrix = read_matrix(args.input)
+    matrix = as_state_matrix(read_matrix(args.input))
+    ns = _parse_ns(args.n)
+    for n in ns:  # every grid within the budget before any work starts
+        grid_samples(matrix.m, n, args.budget_samples)
     result = evaluate(matrix)
-    rows = convergence_study(matrix, _parse_ns(args.n), ir_exact=result.ir,
-                             budget=args.budget_samples)
+    rows = convergence_study(matrix, ns, ir_exact=result.ir, budget=args.budget_samples)
     if args.format == "json":
         return json_text({
             "schema_version": SCHEMA_VERSION,

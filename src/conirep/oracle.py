@@ -50,6 +50,18 @@ def _grid_chunk(m: int, n: int, start: int, stop: int) -> np.ndarray:
     return pts
 
 
+def grid_samples(m: int, n: int, budget: int = SAMPLE_BUDGET) -> int:
+    """The n^m grid samples; ValueError if n or the budget is below 1, BudgetExceededError above."""
+    if n < 1:
+        raise ValueError("grid resolution must be at least 1")
+    if budget < 1:
+        raise ValueError("the sample budget must be at least 1")
+    total = n ** m
+    if total > budget:
+        raise BudgetExceededError(f"{n}^{m} = {total} samples exceed the budget of {budget}")
+    return total
+
+
 def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> QuadratureResult:
     """Average squared NNLS residual over the N^m midpoint grid.
 
@@ -61,13 +73,7 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     sm = as_state_matrix(C)
     m = sm.m
     n = operator.index(n)  # a Python int, so n ** m cannot wrap
-    if n < 1:
-        raise ValueError("grid resolution must be at least 1")
-    if budget < 1:
-        raise ValueError("the sample budget must be at least 1")
-    total = n ** m
-    if total > budget:
-        raise BudgetExceededError(f"{n}^{m} = {total} samples exceed the budget of {budget}")
+    total = grid_samples(m, n, budget)
     t0 = time.perf_counter()
     ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
 
@@ -83,14 +89,8 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     else:
         sums = [chunk_sum(r) for r in ranges]
     value = sum(sums) / total
-    elapsed = time.perf_counter() - t0
-    return QuadratureResult(
-        ir_num=value,
-        irn_num=value / (m / 3.0),
-        n=n,
-        total_samples=total,
-        elapsed_s=elapsed,
-    )
+    return QuadratureResult(ir_num=value, irn_num=value / (m / 3.0), n=n, total_samples=total,
+                            elapsed_s=time.perf_counter() - t0)
 
 
 def convergence_study(C, ns, ir_exact: float | None = None, budget: int = SAMPLE_BUDGET):

@@ -3,15 +3,15 @@
 A region is the polytope {x : n . x <= 0 for each outward facet normal n of
 the adjacent cone, 0 <= x <= 1}. The adjacent cone brings its facet normals
 and, unless its element lies on a coordinate face, an interior point, both
-read off the cone lattice; for the rest, least-distance programming finds an
-interior point or shows that the region has none. One Qhull halfspace
-intersection around that point gives the vertices and, for each vertex, the
-halfspaces through it; that incidence is the whole face lattice, one vertex
-bitmask per facet. build_region takes every region of an AdjacentCones
-table at once: one pass that forms every region's halfspaces and interior
-point, one intersection per region, one pass that stacks their vertices,
-origin first, and packs all their facet masks, one pulling triangulation of
-all their face lattices, level by level in arrays of packed bitmasks, whose
+read off the cone lattice; where it has none or Qhull rejects it, the
+least-distance point of the region's halfspaces through the origin stands in.
+One Qhull halfspace intersection around that point gives the vertices and,
+for each vertex, the halfspaces through it; that incidence is the whole face
+lattice, one vertex bitmask per facet. build_region takes every region of an
+AdjacentCones table at once: one pass that forms every region's halfspaces,
+one intersection per region, one pass that stacks their vertices, origin
+first, and packs all their facet masks, one pulling triangulation of all
+their face lattices, level by level in arrays of packed bitmasks, whose
 simplices are counted before any is built, and the regions stacked in one
 Regions. The walk starts at the regions themselves and pulls the origin
 first, the apex of every adjacent cone and vertex 0 of every region: it
@@ -127,6 +127,26 @@ def hypercube_intersect(halfspaces: np.ndarray, point: np.ndarray) -> Intersecti
     """One Qhull intersection of halfspaces [a, b] (a . x + b <= 0) around a point inside them."""
     hs = HalfspaceIntersection(halfspaces, point)
     return Intersection(hs.intersections, hs.dual_facets)
+
+
+def _region_intersection(halfspaces: np.ndarray, point, members: np.ndarray) -> Intersection:
+    """A region's intersection around `point`, scaled into the cube, when Qhull accepts it.
+
+    Otherwise around the least-distance x with a . x <= -1 for each of its
+    halfspaces [a, 0] through the origin, likewise scaled (no x <= 1 binds
+    it); with no such x the region is empty. A second Qhull failure raises.
+    """
+    m = halfspaces.shape[1] - 1
+    try:
+        if point is not None:
+            with suppress(QhullError):
+                return hypercube_intersect(halfspaces, point / (2.0 * point.max()))
+        point = _interior_point(-halfspaces[:-m, :m])
+        return Intersection(np.zeros((0, m)), []) if point is None else \
+            hypercube_intersect(halfspaces, point / (2.0 * point.max()))
+    except QhullError as exc:
+        element = np.flatnonzero(members).tolist()
+        raise DegenerateConeError(f"region of element {element}: {exc}") from exc
 
 
 def _packed(on: np.ndarray) -> np.ndarray:
@@ -353,12 +373,10 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     """Intersect every adjacent cone of the table with the cube and triangulate them together.
 
     Region i's halfspaces, rows first[i]:first[i+1] of one stacked array, are
-    its table rows (n . x <= 0), then x >= 0, then x <= 1. An element on a
-    coordinate face takes the least-distance point strictly inside the cone
-    and the orthant, and has no region without one. The loop over the
-    regions holds only their Qhull calls; a point Qhull rejects is retried once
-    at the region's Chebyshev centre, and a region of Chebyshev radius 0 is
-    empty. `budget` caps the simplices of all the regions (triangulate_polytope).
+    its table rows (n . x <= 0), then x >= 0, then x <= 1; each is intersected
+    around the lattice's interior point or, failing that, the least-distance
+    point of its cone and orthant rows (_region_intersection). `budget` caps the
+    simplices of all the regions (triangulate_polytope).
     """
     rows, start = table.rows, table.row_start
     count = start[1:] - start[:-1]
@@ -367,32 +385,9 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     halfspaces = np.zeros((first[-1], m + 1))
     halfspaces[np.arange(len(rows)) + 2 * m * np.arange(n).repeat(count), :m] = rows
     halfspaces[(first[:-1] + count)[:, None] + np.arange(2 * m)] = _cube_halfspaces(m)
-    points, live = np.where(table.on_face[:, None], 1.0, table.interior), ~table.on_face
-    for i in table.on_face.nonzero()[0].tolist():
-        # x >= 1 row-wise, so it is strictly inside the cone and the orthant
-        x = _interior_point(np.vstack([-rows[start[i]:start[i + 1]], np.eye(m)]))
-        if x is not None:
-            points[i], live[i] = x, True
-    points /= 2.0 * points.max(axis=1, keepdims=True)
-    inters = [Intersection(np.zeros((0, m)), [])] * n
-    for i in live.nonzero()[0].tolist():
-        hs = halfspaces[first[i]:first[i + 1]]
-        try:
-            inters[i] = hypercube_intersect(hs, points[i])
-        except QhullError as exc:
-            # not clearly inside: retry at the Chebyshev centre (max r with a . x + r |a| <= -b).
-            # Imported here: at module level scipy.optimize costs 0.12 s
-            from scipy.optimize import linprog
-            lp = linprog(-np.eye(m + 1)[m], b_ub=-hs[:, m], bounds=(None, None), method="highs",
-                         A_ub=np.c_[hs[:, :m], np.linalg.norm(hs[:, :m], axis=1)])
-            if lp.success and lp.x[m] <= 0.0:
-                continue  # no interior: zero volume, as when _interior_point finds no point
-            with suppress(QhullError):
-                if lp.success:
-                    inters[i] = hypercube_intersect(hs, lp.x[:m])
-                    continue
-            element = np.flatnonzero(table.members[i]).tolist()
-            raise DegenerateConeError(f"region of element {element}: {exc}") from exc
+    inters = [_region_intersection(halfspaces[first[i]:first[i + 1]],
+                                   None if table.on_face[i] else table.interior[i],
+                                   table.members[i]) for i in range(n)]
     vertices, facets = polytope_facets(inters)
     simplices, counts = triangulate_polytope(facets, [inter.vertices for inter in inters], budget)
     vertex_start = np.add.accumulate([0] + [len(inter) for inter in inters])

@@ -181,6 +181,18 @@ def test_budget_exit_code(capsys, tilted_csv):
     assert code == 3
 
 
+def test_compare_checks_every_grid_before_evaluating(capsys, tilted_csv, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("evaluate ran before the sample budget was checked")
+
+    monkeypatch.setattr("conirep.cli.evaluate", fail)
+    code = main(["compare", "--input", tilted_csv, "--n", "4,1000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: 1000^3 = 1000000000 samples exceed the budget of 10000000\n"
+
+
 @pytest.mark.parametrize("command", ["numeric --n 2", "compare --n 2,4"])
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_non_positive_budget_is_an_input_error(capsys, tilted_csv, command, budget):

@@ -1,6 +1,9 @@
 """Tests for the top-level evaluation dispatch and its invariants."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,7 +20,7 @@ from conirep.linalg import simplex_volumes
 from conirep.linalg import gram_schmidt
 from conirep.oracle import ir_num
 
-from conftest import JUMP, SQUARE_PYRAMID, VERR, perturbed, random_activity
+from conftest import JUMP, SQUARE_PYRAMID, TILTED, VERR, perturbed, random_activity
 from reference import facet_normal_outward, richardson
 
 
@@ -451,12 +454,29 @@ def test_overlapping_regions_raise():
 
 
 # Qhull rejected the lattice's interior point of element [1, 2, 3]'s region
-# (QH6023). Seed 15 answers at the region's Chebyshev centre (radius 1.1e-9);
-# at seed 31 the radius is 0, so the region is empty. VERR's unperturbed ir
-# is 0.1163334.
+# (QH6023). At both seeds the least-distance system of the region's
+# halfspaces through the origin has no solution (the Chebyshev radius is
+# 1.1e-9 at seed 15 and 0 at seed 31), so the region is empty. VERR's
+# unperturbed ir is 0.1163334.
 @pytest.mark.parametrize("seed", [15, 31])
-def test_interior_point_retries_at_the_chebyshev_centre(seed):
+def test_interior_point_retries_at_the_least_distance_point(seed):
     res = evaluate(perturbed(VERR, 1e-8, seed))
     covered = math.fsum(r.volume for r in res.regions)
     assert covered + res.output_volume == pytest.approx(1.0, abs=1e-9)
     assert res.ir == pytest.approx(0.11633339151382503, abs=1e-8)
+
+
+def test_evaluation_never_imports_scipy_optimize():
+    # on-face elements (TILTED) and regions whose lattice point Qhull rejects
+    # (VERR at 1e-8, seeds 15 and 31) both take the least-distance NNLS
+    # route; in a fresh interpreter, so no other test's import counts
+    matrices = [TILTED, perturbed(VERR, 1e-8, 15), perturbed(VERR, 1e-8, 31)]
+    script = (
+        "import sys\n"
+        "from conirep import evaluate\n"
+        f"for rows in {[C.tolist() for C in matrices]!r}:\n"
+        "    evaluate(rows)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

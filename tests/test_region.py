@@ -126,6 +126,29 @@ def test_wedge_diagonal_region_build():
     assert len(region.simplices) == 1
 
 
+@pytest.mark.parametrize("point", [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                         ids=["outside", "on-a-facet"])
+def test_rejected_point_falls_back_to_the_least_distance_point(point):
+    # Qhull refuses a point outside the square pyramid or on its facet
+    # x1 = x3; the region's own halfspaces still give one intersection
+    table = stacked([adjacent(PYRAMID_NORMALS, np.array(point))])
+    [inter] = intersections(table)
+    assert len(inter) == 5
+    assert build_region(table).volume == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("point", [None, np.array([1.0, 1.0])], ids=["on-face", "rejected"])
+def test_region_without_interior_has_no_vertices(point):
+    # x1 <= 0 meets the square only in the segment x1 = 0: no point is
+    # strictly inside, whether the lattice offers one or not
+    table = stacked([adjacent(np.array([[1.0, 0.0]]), point)])
+    [inter] = intersections(table)
+    assert len(inter) == 0 and inter.incidence == []
+    region = build_region(table)
+    assert region.vertex_start.tolist() == [0, 0]
+    assert region.volume == 0.0
+
+
 def test_interior_point_least_distance():
     # x >= 1 componentwise: the least-norm solution is the all-ones corner
     np.testing.assert_allclose(_interior_point(np.eye(3)), np.ones(3), atol=1e-12)

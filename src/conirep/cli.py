@@ -150,7 +150,7 @@ def cmd_compare(args) -> str:
     matrix = as_state_matrix(read_matrix(args.input))
     ns = _parse_ns(args.n)
     for n in ns:  # every grid within the budget before any work starts
-        grid_samples(matrix.m, n, args.budget_samples)
+        grid_samples(matrix.shape[0], n, args.budget_samples)
     result = evaluate(matrix)
     rows = convergence_study(matrix, ns, ir_exact=result.ir, budget=args.budget_samples)
     if args.format == "json":
@@ -171,7 +171,7 @@ def cmd_encode(args) -> str:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return csv_text([f"# encoded from {os.path.basename(args.input)}: "
-                     f"{cfg.state_count} slots of {cfg.slot_length}s"], matrix.entries.tolist())
+                     f"{cfg.state_count} slots of {cfg.slot_length}s"], matrix.tolist())
 
 
 def cmd_sweep(args) -> str:

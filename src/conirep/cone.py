@@ -10,16 +10,15 @@ alone; a redundant ray lies inside a larger face or on no facet at all.
 The same hull therefore names the extreme rays and the facets, with no fit
 of one ray against the others.
 
-The boundary elements are the facets closed under intersection, and one
-batched Gram-Schmidt per ray count gives every face's basis. Each
-element's adjacent cone has one facet per Hasse-diagram edge at the element,
-so cone_sub_elements builds all of them at once into one AdjacentCones
-table. Every cone takes these steps in the coordinates of its rays' span.
+The facets come as boolean ray masks, and the boundary elements are those
+masks closed under intersection; one batched Gram-Schmidt per ray count
+gives every face's basis. Each element's adjacent cone has one facet per
+Hasse-diagram edge at the element, so cone_sub_elements returns all of them
+as one AdjacentCones table. Every step works in the rays' span coordinates.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -38,79 +37,52 @@ DEDUP_BLOCK = 256
 MAX_ELEMENTS = 100_000
 
 
-@dataclass(frozen=True)
-class StateMatrix:
-    """Validated m x n activity matrix: rows are states, columns neurons."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("matrix needs at least one row and one column")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-
-def as_state_matrix(obj) -> StateMatrix:
-    return obj if isinstance(obj, StateMatrix) else StateMatrix(np.asarray(obj))
+def as_state_matrix(obj) -> np.ndarray:
+    """The validated m x n activity matrix as a float array: rows are states, columns neurons."""
+    arr = np.asarray(obj, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("matrix needs at least one row and one column")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError("matrix entries must be nonnegative")
+    return arr
 
 
 @dataclass(frozen=True)
 class Cone:
-    """Extreme-ray description of a conical hull plus its boundary lattice.
+    """Extreme-ray description of a conical hull.
 
     rays: (k, m) unit rows, lexicographically sorted.
     ray_origins: per ray, the 0-based input columns pointing along it.
-    facets: ray-index sets of the (r-1)-dimensional boundary elements.
-    normals: (len(facets), m) outward unit facet normals, in facet order,
-        each in the span of the rays.
+    facets: (f, k) boolean ray masks of the (r-1)-dimensional boundary
+        elements, ordered by their sorted ray indices.
+    normals: (f, m) outward unit facet normals, in facet order, each in the
+        span of the rays.
     cone_rank: r, the rank of the ray span. At r < m the cone has measure
         zero, and its lattice and regions are those within its span.
-    adjacent: every lattice element's adjacent cone, stacked in one table
-        (filled by cone_sub_elements).
     """
 
     rays: np.ndarray
     ray_origins: tuple[tuple[int, ...], ...]
-    facets: tuple[frozenset[int], ...]
+    facets: np.ndarray
     normals: np.ndarray
     cone_rank: int = 0
-    adjacent: AdjacentCones | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.rays.shape[1]
 
-    @property
-    def elements(self) -> dict[int, tuple[frozenset[int], ...]]:
-        """dim -> ray-index sets of the table's elements, in its order; none before it."""
-        table = self.adjacent
-        members, dims = ([], []) if table is None else (table.members, table.dims.tolist())
-        sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
-        return {d: tuple(e for e, de in zip(sets, dims) if de == d) for d in dict.fromkeys(dims)}
-
 
 @dataclass(frozen=True)
 class AdjacentCones:
-    """Every element's adjacent cone (see AdjacentCone), by dimension, then sorted rays.
+    """cone_sub_elements' table: every element's adjacent cone (see AdjacentCone).
 
-    Row i is element i: members (E, k) ray masks, dims, bases (E, m, m)
-    zero-padded after dims[i] columns, facet_normals rows[row_start[i]:
-    row_start[i+1]], and interior (E, m), meaningless where on_face is set.
+    Row i is element i, by dimension, then sorted rays: members (E, k) ray masks,
+    dims, bases (E, m, m) zero-padded after dims[i] columns, facet_normals
+    rows[row_start[i]:row_start[i+1]], interior (E, m), meaningless where on_face is set.
     """
 
     members: np.ndarray
@@ -120,6 +92,13 @@ class AdjacentCones:
     row_start: np.ndarray
     interior: np.ndarray
     on_face: np.ndarray
+
+    @property
+    def elements(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """dim -> ray-index sets of the elements, in table order."""
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in self.members]
+        dims = self.dims.tolist()
+        return {d: tuple(e for e, de in zip(sets, dims) if de == d) for d in dict.fromkeys(dims)}
 
 
 @dataclass(frozen=True)
@@ -200,9 +179,9 @@ def cone_halfspaces(rays: np.ndarray):
     set holds it strictly: no facet lies inside another, but a nearly flat
     facet that Qhull splits into planes can leave such a set. The first
     equation for a set gives its normal. Returns (extreme, facets,
-    normals): the sorted indices of the extreme rays, index sets into
-    rays[extreme] sorted by their indices, and a matching (facets, m) array,
-    so the cone is {x : normals @ x <= 0}.
+    normals): the sorted indices of the extreme rays, (f, len(extreme))
+    boolean masks over rays[extreme] ordered by their sorted ray indices,
+    and a matching (f, m) array, so the cone is {x : normals @ x <= 0}.
 
     The scale picks the hull's size: unit rays all lie on the sphere, so
     each is a hull vertex, while rays cut to one hyperplane make only the
@@ -226,14 +205,15 @@ def cone_halfspaces(rays: np.ndarray):
     # within[i, j]: plane i's rays all lie on plane j; keep the maximal rows
     within = ~(rows @ ~rows.T)
     keep = ~(within & ~within.T).any(axis=1)
-    found: dict[tuple[int, ...], np.ndarray] = {}
-    for normal, row in zip(planes[keep], rows[keep]):
-        found.setdefault(tuple(np.flatnonzero(row).tolist()), normal)
-    if not found:
+    if not keep.any():
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
-    facets = sorted(found)
-    return (extreme.tolist(), tuple(frozenset(f) for f in facets),
-            np.array([found[f] for f in facets]))
+    # no kept row holds another, so the inverted masks sort as the index sets
+    # do; of equal rows the stable sort leaves the first plane first
+    rows, planes = rows[keep], planes[keep]
+    order = np.lexsort((~rows).T[::-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    return extreme.tolist(), rows[order[first]], planes[order[first]]
 
 
 def coni_facets(C) -> Cone:
@@ -250,8 +230,9 @@ def coni_facets(C) -> Cone:
     at least acos(DEDUP_DOT) apart, so rank 1 means one ray and no facets.
     Rays come back unit-normalized and lexicographically sorted.
     """
-    sm = as_state_matrix(C)
-    units, origins = _unit_dedup(sm.entries)
+    C = as_state_matrix(C)
+    m = C.shape[0]
+    units, origins = _unit_dedup(C)
     if not origins:
         raise AllZeroMatrixError("matrix has no nonzero column")
     order = np.lexsort(units.T[::-1])
@@ -259,8 +240,8 @@ def coni_facets(C) -> Cone:
     _, sing, span = np.linalg.svd(units, full_matrices=False)
     rank = int(np.count_nonzero(sing > TOL_GEOM))
     if rank == 1:
-        keep, facets, normals = [0], (), np.zeros((0, sm.m))
-    elif sm.m == 2:
+        keep, facets, normals = [0], np.zeros((0, 1), dtype=bool), np.zeros((0, m))
+    elif m == 2:
         p = units[:, 0] / units.sum(axis=1)
         keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
         _, facets, normals = cone_halfspaces(units[keep])
@@ -308,8 +289,8 @@ def _project(vectors: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return ((vectors[:, None, :] @ bases) @ bases.transpose(0, 2, 1))[:, 0]
 
 
-def cone_sub_elements(cone: Cone) -> Cone:
-    """Return the cone with every lattice element's adjacent cone, in one table.
+def cone_sub_elements(cone: Cone) -> AdjacentCones:
+    """The AdjacentCones table of every lattice element, read off the cone's facet masks.
 
     For an element E with basis B, cone(E) + N(E) has exactly one facet per
     edge E' < E or E < G of the lattice's Hasse diagram (faces whose dims
@@ -338,13 +319,10 @@ def cone_sub_elements(cone: Cone) -> Cone:
     the cone plus that complement, cut by the facet normals alone, and its
     interior point is the ray sum.
     """
-    if not cone.facets:
+    if not len(cone.facets):
         raise DegenerateConeError("cone has no facets; build with coni_facets first")
-    rays, normals, m, r = cone.rays, cone.normals, cone.dim, cone.cone_rank
+    rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
     k = len(rays)
-    facets = np.zeros((len(cone.facets), k), dtype=bool)
-    facets[np.arange(len(facets)).repeat([len(f) for f in cone.facets]),
-           np.fromiter(itertools.chain.from_iterable(cone.facets), np.intp)] = True
     member = _closure(facets)
     # each face's rays in ascending order, padded with -1
     count = member.sum(axis=1)
@@ -403,21 +381,20 @@ def cone_sub_elements(cone: Cone) -> Cone:
                                np.concatenate([bases, gram_schmidt(rays[None])]))
         rows, row_start = np.vstack([rows, normals]), np.append(row_start, len(rows) + len(normals))
         interior, on_face = np.vstack([interior, e]), np.append(on_face, not e.min() > TOL_GEOM)
-    return replace(cone, adjacent=AdjacentCones(member, dims, bases, rows, row_start,
-                                                interior, on_face))
+    return AdjacentCones(member, dims, bases, rows, row_start, interior, on_face)
 
 
-def adjacent_cone(element: frozenset, cone: Cone) -> AdjacentCone:
-    """One element's adjacent cone, read off the table; ValueError for an element not in it."""
-    element, table = frozenset(element), cone.adjacent
-    flat = [e for sets in cone.elements.values() for e in sets]
-    if element not in flat:
-        raise ValueError(f"element {sorted(element)} is not in the cone's lattice"
-                         " (build it with cone_sub_elements)")
-    i = flat.index(element)
+def adjacent_cone(element: frozenset, cone: Cone, table: AdjacentCones) -> AdjacentCone:
+    """One element's adjacent cone, read off cone_sub_elements' table; ValueError if not in it."""
+    element = frozenset(element)
+    mask = np.isin(np.arange(len(cone.rays)), list(element))
+    hits = np.flatnonzero((table.members == mask).all(axis=1))
+    if not hits.size or np.count_nonzero(mask) != len(element):
+        raise ValueError(f"element {sorted(element)} is not in the cone's lattice")
+    i = hits[0]
     return AdjacentCone(
-        element=element, element_rays=cone.rays[sorted(element)],
-        normals=cone.normals[np.array([element <= f for f in cone.facets], dtype=bool)],
+        element=element, element_rays=cone.rays[mask],
+        normals=cone.normals[(cone.facets | ~mask).all(axis=1)],
         basis=np.ascontiguousarray(table.bases[i, :, :table.dims[i]]),
         facet_normals=table.rows[table.row_start[i]:table.row_start[i + 1]],
         interior=None if table.on_face[i] else table.interior[i])

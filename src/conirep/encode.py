@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import StateMatrix
 from .errors import InputFormatError
 
 _HEADER = re.compile(r"#\s*neurons\s*=\s*(\d+)\s+duration\s*=\s*([0-9.eE+-]+)")
@@ -53,12 +52,12 @@ class SlotConfig:
             raise ValueError("state count must be at least 1")
 
 
-def bin_spikes(train: SpikeTrain, cfg: SlotConfig) -> StateMatrix:
+def bin_spikes(train: SpikeTrain, cfg: SlotConfig) -> np.ndarray:
     """Count spikes of each neuron per half-open slot [(k-1) t_s, k t_s).
 
-    Entry (k, l) is the spike count of neuron l in slot k. Spikes at or
-    after state_count * slot_length fall outside every slot; they are
-    dropped with a warning that reports how many.
+    Returns an (m, n) float array: entry (k, l) is the spike count of
+    neuron l in slot k. Spikes at or after state_count * slot_length fall
+    outside every slot; they are dropped with a warning that reports how many.
     """
     if cfg.state_count * cfg.slot_length > train.duration + 1e-12:
         raise ValueError("slots extend past the recording duration")
@@ -73,7 +72,7 @@ def bin_spikes(train: SpikeTrain, cfg: SlotConfig) -> StateMatrix:
         counts[slot, nid - 1] += 1.0
     if ignored:
         warnings.warn(f"{ignored} spikes after the last slot were ignored", stacklevel=2)
-    return StateMatrix(counts)
+    return counts
 
 
 def read_spike_file(path) -> SpikeTrain:

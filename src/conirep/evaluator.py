@@ -80,13 +80,13 @@ def region_report(C) -> tuple[RegionRecord, ...]:
 
 
 def _evaluate(C, force_regions) -> EvaluationResult:
-    sm = as_state_matrix(C)
-    m, n = sm.m, sm.n
+    C = as_state_matrix(C)
+    m, n = C.shape
     if m > MAX_DIM:
         raise BudgetExceededError(f"m = {m} exceeds the supported maximum of {MAX_DIM}")
 
-    zero_cols = tuple((np.flatnonzero(~sm.entries.any(axis=0)) + 1).tolist())
-    cone = None if len(zero_cols) == n else coni_facets(sm)
+    zero_cols = tuple((np.flatnonzero(~C.any(axis=0)) + 1).tolist())
+    cone = None if len(zero_cols) == n else coni_facets(C)
     rank = 0 if cone is None else cone.cone_rank
     origins = () if cone is None else cone.ray_origins
     extreme_cols = tuple(sorted(j + 1 for cols in origins for j in cols))
@@ -113,7 +113,7 @@ def _evaluate(C, force_regions) -> EvaluationResult:
         return result(0.0, 1.0, [], METHOD_CLOSED_FORM,
                       "cone contains every hypercube vertex: full coverage")
 
-    table = cone_sub_elements(cone).adjacent
+    table = cone_sub_elements(cone)
     volumes, integrals = region_integral(build_region(table, MAX_SIMPLICES), table.bases)
     # each element's 1-based rays, ascending, read off the table's ray masks
     rays = (np.nonzero(table.members)[1] + 1).tolist()

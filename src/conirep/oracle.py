@@ -70,8 +70,8 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     ValueError when n or the budget is below 1, and BudgetExceededError when
     n^m exceeds the budget.
     """
-    sm = as_state_matrix(C)
-    m = sm.m
+    C = as_state_matrix(C)
+    m = C.shape[0]
     n = operator.index(n)  # a Python int, so n ** m cannot wrap
     total = grid_samples(m, n, budget)
     t0 = time.perf_counter()
@@ -80,7 +80,7 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     def chunk_sum(bounds):
         start, stop = bounds
         pts = _grid_chunk(m, n, start, stop)
-        _, rsq = nnls_batch(sm.entries, pts)
+        _, rsq = nnls_batch(C, pts)
         return float(rsq.sum())
 
     if threads > 1 and len(ranges) > 1:

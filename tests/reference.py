@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from conirep.cone import DEDUP_DOT, TOL_MEMBER, AdjacentCone, Cone
+from conirep.cone import DEDUP_DOT, TOL_MEMBER, AdjacentCone, AdjacentCones, Cone
 from conirep.errors import DegenerateConeError
 from conirep.linalg import TOL_GEOM, gram_schmidt
 from conirep.nnls import nnls
@@ -61,6 +61,11 @@ def normal_vector(vectors) -> np.ndarray:
     if nrm <= TOL_GEOM:
         raise ValueError("normal_vector inputs are rank-deficient")
     return n / nrm
+
+
+def facet_sets(cone: Cone) -> tuple[frozenset, ...]:
+    """The cone's facets as ray-index sets, in facet order."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in cone.facets)
 
 
 def facet_normal_outward(facet: frozenset, cone: Cone) -> np.ndarray:
@@ -161,7 +166,8 @@ def triangulate_by_recursion(facets: list[int], vertices) -> np.ndarray:
     return np.array(rows, dtype=int).reshape(-1, m + 1)
 
 
-def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
+def adjacent_cone_by_element(element: frozenset, cone: Cone,
+                             table: AdjacentCones) -> AdjacentCone:
     """Adjacent cone of one lattice element, its faces found by scanning the lattice.
 
     The rows are those cone_sub_elements writes, one element at a time: for
@@ -170,18 +176,20 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone) -> AdjacentCone:
     (d+1)-face G containing E (the whole cone when d = r-1 at rank r = m),
     the part orthogonal to span(E) of the summed rays of G outside E. The
     interior point is e + s v by the same formula, and e for the whole cone,
-    which is an element at r < m and lies in no facet.
+    which is an element at r < m and lies in no facet. The lattice's
+    elements by dimension come from `table`.
     """
     element = frozenset(element)
     rays = cone.rays[sorted(element)]
     basis = gram_schmidt(rays)
-    d = next(k for k, faces in cone.elements.items() if element in faces)
+    elements, facets = table.elements, facet_sets(cone)
+    d = next(k for k, faces in elements.items() if element in faces)
     m, k = cone.dim, len(cone.rays)
-    incident = np.array([element <= f for f in cone.facets])
-    below = ([f for f in cone.elements[d - 1] if f < element] if d > 1
+    incident = np.array([element <= f for f in facets])
+    below = ([f for f in elements[d - 1] if f < element] if d > 1
              else [frozenset()])
-    above = [f for f in cone.elements.get(d + 1, [frozenset(range(k))]) if element < f]
-    leaving = np.array([[sub <= f for f in cone.facets] for sub in below]) & ~incident
+    above = [f for f in elements.get(d + 1, [frozenset(range(k))]) if element < f]
+    leaving = np.array([[sub <= f for f in facets] for sub in below]) & ~incident
     outer = np.array([[i in sup and i not in element for i in range(k)]
                       for sup in above], dtype=bool).reshape(-1, k)
     rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
@@ -214,7 +222,8 @@ def lattice_by_element_scan(cone: Cone) -> list[AdjacentCone]:
     the bases and interior points must match the table bit for bit. At rank
     r < m the whole cone comes last.
     """
-    rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
+    rays, normals, m, r = cone.rays, cone.normals, cone.dim, cone.cone_rank
+    facets = facet_sets(cone)
     all_faces, frontier = set(facets), set(facets)
     while frontier:
         frontier = {e & f for f in facets for e in frontier} - all_faces - {frozenset()}

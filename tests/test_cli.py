@@ -204,6 +204,19 @@ def test_non_positive_budget_is_an_input_error(capsys, tilted_csv, command, budg
     assert captured.err == "error: the sample budget must be at least 1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("compare --n 4,x", "--n expects integers, got '4,x'"),
+    ("compare --n 0", "grid resolutions must be positive"),
+    ("numeric --n -1", "grid resolutions must be positive"),
+], ids=["not-integers", "zero", "negative"])
+def test_bad_grid_resolutions_are_input_errors(capsys, tilted_csv, argv, message):
+    code = main([*argv.split(), "--input", tilted_csv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("error", [DegenerateConeError, IterationLimitError])
 def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
     def fail(*args, **kwargs):
@@ -337,7 +350,7 @@ def expected_output(command, fmt, matrix, path, spikes, out):
     as_json = (lambda doc: json.dumps(doc, indent=2) + "\n")
     if command == "encode":
         cfg = SlotConfig(slot_length=1.0, state_count=matrix.shape[0])
-        entries = bin_spikes(read_spike_file(spikes), cfg).entries
+        entries = bin_spikes(read_spike_file(spikes), cfg)
         return (f"# encoded from spikes.txt: {matrix.shape[0]} slots of 1.0s\n"
                 + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in entries))
     if command == "numeric":

@@ -13,20 +13,20 @@ from scipy.spatial import ConvexHull
 import conirep.cone
 from conirep.cone import (
     DEDUP_BLOCK,
-    StateMatrix,
     _unit_dedup,
     adjacent_cone,
+    as_state_matrix,
     cone_halfspaces,
     cone_sub_elements,
     coni_facets,
 )
-from conirep.errors import AllZeroMatrixError
+from conirep.errors import AllZeroMatrixError, DegenerateConeError
 from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE, perturbed, random_activity
 from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
-                       lattice_by_element_scan, origins_by_fitting_every_unit,
+                       facet_sets, lattice_by_element_scan, origins_by_fitting_every_unit,
                        unit_dedup_by_loop)
 
 SQ2 = 1 / math.sqrt(2)
@@ -34,13 +34,13 @@ SQ2 = 1 / math.sqrt(2)
 
 def test_state_matrix_validation():
     with pytest.raises(ValueError):
-        StateMatrix(np.array([1.0, 2.0]))
+        as_state_matrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        StateMatrix(np.array([[1.0, -0.5]]))
+        as_state_matrix(np.array([[1.0, -0.5]]))
     with pytest.raises(ValueError):
-        StateMatrix(np.array([[np.nan, 1.0]]))
-    sm = StateMatrix(np.array([[1, 2], [3, 4], [5, 6]]))
-    assert (sm.m, sm.n) == (3, 2)
+        as_state_matrix(np.array([[np.nan, 1.0]]))
+    sm = as_state_matrix(np.array([[1, 2], [3, 4], [5, 6]]))
+    assert sm.shape == (3, 2) and sm.dtype == float
 
 
 def test_zero_matrix_rejected():
@@ -52,7 +52,7 @@ def test_wedge_rays_and_facets(wedge):
     cone = coni_facets(wedge)
     np.testing.assert_allclose(cone.rays, [[SQ2, SQ2], [1.0, 0.0]], atol=1e-12)
     assert cone.ray_origins == ((0,), (2,))
-    assert set(cone.facets) == {frozenset({0}), frozenset({1})}
+    assert set(facet_sets(cone)) == {frozenset({0}), frozenset({1})}
     assert cone.cone_rank == 2
 
 
@@ -60,8 +60,24 @@ def test_orthant_rays_and_facets():
     cone = coni_facets(np.eye(3))
     np.testing.assert_allclose(cone.rays, np.eye(3)[::-1], atol=1e-12)
     assert cone.ray_origins == ((2,), (1,), (0,))
-    assert set(cone.facets) == {frozenset({0, 1}), frozenset({0, 2}),
-                                frozenset({1, 2})}
+    assert set(facet_sets(cone)) == {frozenset({0, 1}), frozenset({0, 2}),
+                                     frozenset({1, 2})}
+
+
+def test_halfspaces_of_a_flat_or_unpointed_ray_set_are_refused():
+    # three rays in the plane z = 0: Qhull finds no full-dimensional hull
+    with pytest.raises(DegenerateConeError, match="facet enumeration failed"):
+        cone_halfspaces(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+    # the rays span the whole plane, so no hull facet passes through the origin
+    with pytest.raises(DegenerateConeError, match="not pointed"):
+        cone_halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+
+
+def test_rank_one_cone_has_no_lattice():
+    cone = coni_facets(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    assert cone.cone_rank == 1 and cone.facets.shape == (0, 1)
+    with pytest.raises(DegenerateConeError, match="cone has no facets"):
+        cone_sub_elements(cone)
 
 
 def test_collinear_columns_merge():
@@ -76,12 +92,13 @@ def test_zero_columns_dropped():
 
 
 def test_tilted_lattice(tilted):
-    cone = cone_sub_elements(coni_facets(tilted))
+    cone = coni_facets(tilted)
+    elements = cone_sub_elements(cone).elements
     assert cone.rays.shape == (3, 3)
     assert len(cone.facets) == 3
-    assert len(cone.elements[1]) == 3
-    assert len(cone.elements[2]) == 3
-    assert set(cone.elements[2]) == set(cone.facets)
+    assert len(elements[1]) == 3
+    assert len(elements[2]) == 3
+    assert set(elements[2]) == set(facet_sets(cone))
 
 
 def test_lattice_closed_under_intersection():
@@ -90,11 +107,11 @@ def test_lattice_closed_under_intersection():
         cone = coni_facets(random_activity(rng, 3, 5))
         if cone.cone_rank < 3:
             continue
-        cone = cone_sub_elements(cone)
-        members = {e for elems in cone.elements.values() for e in elems}
-        assert set(cone.facets) <= members
+        facets = facet_sets(cone)
+        members = {e for elems in cone_sub_elements(cone).elements.values() for e in elems}
+        assert set(facets) <= members
         for a in members:
-            for b in cone.facets:
+            for b in facets:
                 inter = a & b
                 if inter:
                     assert inter in members
@@ -103,9 +120,11 @@ def test_lattice_closed_under_intersection():
 # Qhull splits a nearly flat facet of this cone into planes holding rays
 # {0,1,3,4} and {0,3,4}; the smaller set is no facet
 def test_no_facet_inside_another_on_a_near_flat_facet():
-    facets = coni_facets(perturbed(JUMP, 1e-9, 0)).facets
+    facets = facet_sets(coni_facets(perturbed(JUMP, 1e-9, 0)))
     assert frozenset({0, 1, 3, 4}) in facets
     assert not any(f < g for f in facets for g in facets)
+    # the masks come in the order of their sorted ray indices
+    assert [sorted(f) for f in facets] == sorted(sorted(f) for f in facets)
 
 
 def test_extremality_matches_bounded_least_squares():
@@ -144,19 +163,20 @@ def test_column_scaling_keeps_the_cone():
         a = coni_facets(C)
         b = coni_facets(C @ D)
         np.testing.assert_allclose(a.rays, b.rays, atol=1e-9)
-        assert a.facets == b.facets
+        np.testing.assert_array_equal(a.facets, b.facets)
         assert a.ray_origins == b.ray_origins
 
 
 def test_adjacent_facets_lookup(tilted):
-    cone = cone_sub_elements(coni_facets(tilted))
-    for i, facet in enumerate(cone.facets):
-        np.testing.assert_array_equal(adjacent_cone(facet, cone).normals,
+    cone = coni_facets(tilted)
+    table = cone_sub_elements(cone)
+    for i, facet in enumerate(facet_sets(cone)):
+        np.testing.assert_array_equal(adjacent_cone(facet, cone, table).normals,
                                       cone.normals[[i]])
-    for edge in cone.elements[1]:
-        incident = [i for i, f in enumerate(cone.facets) if edge <= f]
+    for edge in table.elements[1]:
+        incident = [i for i, f in enumerate(facet_sets(cone)) if edge <= f]
         assert len(incident) == 2
-        np.testing.assert_array_equal(adjacent_cone(edge, cone).normals,
+        np.testing.assert_array_equal(adjacent_cone(edge, cone, table).normals,
                                       cone.normals[incident])
 
 
@@ -181,7 +201,7 @@ def test_outward_normal_properties():
         cone = coni_facets(random_activity(rng, 3, 5))
         if cone.cone_rank < 3:
             continue
-        for facet in cone.facets:
+        for facet in facet_sets(cone):
             n = facet_normal_outward(facet, cone)
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
             assert np.abs(cone.rays[sorted(facet)] @ n).max() < 1e-9
@@ -189,8 +209,8 @@ def test_outward_normal_properties():
 
 
 def test_orthant_edge_adjacent_cone():
-    cone = cone_sub_elements(coni_facets(np.eye(3)))
-    adj = adjacent_cone(frozenset({0}), cone)  # ray 0 is e3
+    cone = coni_facets(np.eye(3))
+    adj = adjacent_cone(frozenset({0}), cone, cone_sub_elements(cone))  # ray 0 is e3
     np.testing.assert_allclose(adj.element_rays, [[0.0, 0.0, 1.0]], atol=1e-12)
     gens = sorted(tuple(np.round(g, 9)) for g in adj.normals)
     assert gens == [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
@@ -211,11 +231,12 @@ ROWS_CASES = [pytest.param(random_activity(np.random.default_rng([71, m, i]), m,
 def test_adjacent_cone_rows_match_its_hull(C):
     # the lattice rows are the adjacent cone's own facets, none missing and
     # none redundant: the unit normals of a hull of its generators
-    cone = cone_sub_elements(coni_facets(C))
+    cone = coni_facets(C)
+    table = cone_sub_elements(cone)
     points = 0
-    for elems in cone.elements.values():
+    for elems in table.elements.values():
         for e in elems:
-            adj = adjacent_cone(e, cone)
+            adj = adjacent_cone(e, cone, table)
             rows = adj.facet_normals
             extreme, _, hull = cone_halfspaces(adj.generators)
             assert extreme == list(range(len(adj.generators)))
@@ -229,7 +250,7 @@ def test_adjacent_cone_rows_match_its_hull(C):
             assert (rows @ adj.interior).max() < 0.0
             x = adj.interior / (2.0 * adj.interior.max())
             assert x.min() > 0.0 and x.max() < 1.0
-    total = sum(len(v) for v in cone.elements.values())
+    total = sum(len(v) for v in table.elements.values())
     if np.all(C > 0):
         assert points == total
     else:
@@ -242,12 +263,12 @@ def _same_bits(a, b):
 
 
 def _check_against_element_scan(C):
-    cone = cone_sub_elements(coni_facets(C))
+    cone = coni_facets(C)
     # the table, bit for bit, against the lattice pass one element at a time
-    table, ref = cone.adjacent, lattice_by_element_scan(cone)
+    table, ref = cone_sub_elements(cone), lattice_by_element_scan(cone)
     assert [frozenset(np.flatnonzero(row).tolist()) for row in table.members] == \
         [adj.element for adj in ref]
-    assert [e for elems in cone.elements.values() for e in elems] == [adj.element for adj in ref]
+    assert [e for elems in table.elements.values() for e in elems] == [adj.element for adj in ref]
     assert table.dims.tolist() == [adj.basis.shape[1] for adj in ref]
     assert table.row_start[-1] == len(table.rows)
     for i, adj in enumerate(ref):
@@ -259,9 +280,9 @@ def _check_against_element_scan(C):
         assert table.on_face[i] == (adj.interior is None)
         if adj.interior is not None:
             assert _same_bits(table.interior[i], adj.interior)
-    for elems in cone.elements.values():
+    for elems in table.elements.values():
         for e in elems:
-            got, ref = adjacent_cone(e, cone), adjacent_cone_by_element(e, cone)
+            got, ref = adjacent_cone(e, cone, table), adjacent_cone_by_element(e, cone, table)
             assert got.element == e
             assert got.facet_normals.shape == ref.facet_normals.shape
             np.testing.assert_allclose(got.facet_normals, ref.facet_normals, rtol=0, atol=1e-12)
@@ -286,10 +307,10 @@ def test_table_does_not_depend_on_the_element_limit(C, monkeypatch):
     # of elements // facets edges, fewer than the edges (at least one per
     # element), so in more than one block
     bare = coni_facets(C)
-    table = cone_sub_elements(bare).adjacent
+    table = cone_sub_elements(bare)
     assert len(bare.facets) >= 2
     monkeypatch.setattr("conirep.cone.MAX_ELEMENTS", len(table.dims))
-    small = cone_sub_elements(bare).adjacent
+    small = cone_sub_elements(bare)
     for name in ("members", "dims", "bases", "rows", "row_start", "interior", "on_face"):
         assert _same_bits(getattr(small, name), getattr(table, name)), name
 
@@ -323,33 +344,35 @@ def test_lattice_in_the_span_of_a_flat_cone(m, r):
         C = rng.uniform(0.0, 3.0, (m, r)) @ rng.uniform(0.0, 1.0, (r, r + 3))
         if zeroed:
             C[rng.integers(m)] = 0.0
-        cone = cone_sub_elements(coni_facets(C))
+        cone = coni_facets(C)
+        table = cone_sub_elements(cone)
         assert cone.cone_rank == r
-        assert sorted(cone.elements) == list(range(1, r + 1))
+        assert sorted(table.elements) == list(range(1, r + 1))
         whole = frozenset(range(len(cone.rays)))
-        assert cone.elements[r] == (whole,)
+        assert table.elements[r] == (whole,)
         span = np.linalg.svd(cone.rays)[2][:r]
         off_span = np.eye(m) - span.T @ span
         assert np.abs(cone.normals @ off_span).max() < 1e-12
-        adj = adjacent_cone(whole, cone)
+        adj = adjacent_cone(whole, cone, table)
         np.testing.assert_array_equal(adj.facet_normals, cone.normals)
         assert adj.basis.shape == (m, r)
-        for elems in cone.elements.values():
+        for elems in table.elements.values():
             for e in elems:
-                assert np.abs(adjacent_cone(e, cone).facet_normals @ off_span).max() < 1e-12
+                assert np.abs(adjacent_cone(e, cone, table).facet_normals @ off_span).max() < 1e-12
         _check_against_element_scan(C)
 
 
 def test_adjacent_cone_outside_the_lattice(tilted):
-    bare = coni_facets(tilted)
-    with pytest.raises(ValueError, match=r"element \[0\] is not in the cone's lattice"):
-        adjacent_cone(frozenset({0}), bare)
-    cone = cone_sub_elements(bare)
-    assert adjacent_cone(frozenset({0}), cone).element == frozenset({0})
+    cone = coni_facets(tilted)
+    table = cone_sub_elements(cone)
+    assert adjacent_cone(frozenset({0}), cone, table).element == frozenset({0})
     with pytest.raises(ValueError, match=r"element \[0, 1, 2\] is not in the cone's lattice"):
-        adjacent_cone(frozenset({0, 1, 2}), cone)
+        adjacent_cone(frozenset({0, 1, 2}), cone, table)
     with pytest.raises(ValueError, match=r"element \[\] is not in the cone's lattice"):
-        adjacent_cone(frozenset(), cone)
+        adjacent_cone(frozenset(), cone, table)
+    # a ray index past the cone's rays is in no element, even beside one that is
+    with pytest.raises(ValueError, match=r"element \[0, 7\] is not in the cone's lattice"):
+        adjacent_cone(frozenset({0, 7}), cone, table)
 
 
 def test_cone_contains_examples():
@@ -370,9 +393,9 @@ def test_adjacent_cones_tile_the_complement():
         cone = coni_facets(C)
         if cone.cone_rank < cone.dim:
             continue
-        cone = cone_sub_elements(cone)
-        adjs = [adjacent_cone(e, cone)
-                for elems in cone.elements.values() for e in elems]
+        table = cone_sub_elements(cone)
+        adjs = [adjacent_cone(e, cone, table)
+                for elems in table.elements.values() for e in elems]
         pts = rng.uniform(0.0, 1.0, size=(200, cone.dim))
         for p in pts:
             hits = sum(cone_contains(p, a.generators) for a in adjs)
@@ -521,6 +544,6 @@ def test_hull_is_invariant_to_ray_scale(kind):
         for points, tol in ((units * factors[:, None], TOL_GEOM), (sliced, 1e-12)):
             got_extreme, got_facets, got_normals = cone_halfspaces(points)
             assert got_extreme == extreme
-            assert got_facets == facets
+            np.testing.assert_array_equal(got_facets, facets)
             np.testing.assert_allclose(got_normals, normals, rtol=0, atol=tol)
         done += 1

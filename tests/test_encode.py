@@ -13,24 +13,25 @@ def train(events, n=2, duration=4.0):
 
 def test_counts_fall_into_slots():
     t = train([(1, 0.1), (1, 0.2), (2, 0.9), (1, 1.5), (2, 3.9)])
-    sm = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=4))
-    np.testing.assert_array_equal(sm.entries, [[2.0, 1.0],
-                                               [1.0, 0.0],
-                                               [0.0, 0.0],
-                                               [0.0, 1.0]])
+    counts = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=4))
+    assert counts.dtype == float
+    np.testing.assert_array_equal(counts, [[2.0, 1.0],
+                                           [1.0, 0.0],
+                                           [0.0, 0.0],
+                                           [0.0, 1.0]])
 
 
 def test_slot_boundary_is_half_open():
     # a spike exactly at t_s belongs to the second slot
     t = train([(1, 1.0)], n=1)
-    sm = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=2))
-    np.testing.assert_array_equal(sm.entries, [[0.0], [1.0]])
+    counts = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=2))
+    np.testing.assert_array_equal(counts, [[0.0], [1.0]])
 
 
 def test_empty_train_gives_zero_matrix():
-    sm = bin_spikes(train([]), SlotConfig(slot_length=1.0, state_count=3))
-    assert sm.entries.shape == (3, 2)
-    assert not sm.entries.any()
+    counts = bin_spikes(train([]), SlotConfig(slot_length=1.0, state_count=3))
+    assert counts.shape == (3, 2)
+    assert not counts.any()
 
 
 def test_total_count_preserved():
@@ -38,8 +39,8 @@ def test_total_count_preserved():
     events = [(int(rng.integers(1, 4)), float(rng.uniform(0.0, 6.0)))
               for _ in range(200)]
     t = SpikeTrain(tuple(events), neuron_count=3, duration=6.0)
-    sm = bin_spikes(t, SlotConfig(slot_length=2.0, state_count=3))
-    assert sm.entries.sum() == 200.0
+    counts = bin_spikes(t, SlotConfig(slot_length=2.0, state_count=3))
+    assert counts.sum() == 200.0
 
 
 def test_time_shift_rolls_rows():
@@ -47,15 +48,15 @@ def test_time_shift_rolls_rows():
     base = bin_spikes(train(events), SlotConfig(1.0, 4))
     shifted = bin_spikes(train([(nid, t + 2.0) for nid, t in events]),
                          SlotConfig(1.0, 4))
-    np.testing.assert_array_equal(np.roll(base.entries, 2, axis=0),
-                                  shifted.entries)
+    np.testing.assert_array_equal(np.roll(base, 2, axis=0),
+                                  shifted)
 
 
 def test_spikes_past_last_slot_warn_and_drop():
     t = train([(1, 0.5), (2, 3.5)])
     with pytest.warns(UserWarning, match="1 spikes"):
-        sm = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=2))
-    assert sm.entries.sum() == 1.0
+        counts = bin_spikes(t, SlotConfig(slot_length=1.0, state_count=2))
+    assert counts.sum() == 1.0
 
 
 def test_slots_must_fit_duration():

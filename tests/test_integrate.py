@@ -133,12 +133,13 @@ def test_blocked_integral_matches_each_region_on_its_own(C, empty, monkeypatch):
     # wedge's is its axis region), in blocks of 3 simplices that cut across
     # regions, against one stack of simplices per region
     monkeypatch.setattr("conirep.integrate.INTEGRATE_BLOCK", 3)
-    cone = cone_sub_elements(coni_facets(C))
-    adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
-    regions = build_region(cone.adjacent)
+    cone = coni_facets(C)
+    table = cone_sub_elements(cone)
+    adjs = [adjacent_cone(e, cone, table) for elems in table.elements.values() for e in elems]
+    regions = build_region(table)
     start = regions.simplex_start
     assert np.sum(np.diff(start) == 0) == empty
-    volumes, got = region_integral(regions, cone.adjacent.bases)
+    volumes, got = region_integral(regions, table.bases)
     assert volumes.shape == got.shape == (len(regions),)
     for i, (volume, value, adj) in enumerate(zip(volumes, got, adjs)):
         points = regions.vertices[regions.simplices[start[i]:start[i + 1]]]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 import conirep.region
 from conirep.cone import (AdjacentCone, AdjacentCones, adjacent_cone, cone_sub_elements,
@@ -34,8 +34,8 @@ PYRAMID_NORMALS = np.array([[SQ2, 0.0, -SQ2], [0.0, SQ2, -SQ2]])
 
 
 def wedge_adjacent(index):
-    cone = cone_sub_elements(coni_facets(WEDGE))
-    return adjacent_cone(frozenset({index}), cone)
+    cone = coni_facets(WEDGE)
+    return adjacent_cone(frozenset({index}), cone, cone_sub_elements(cone))
 
 
 def adjacent(facet_normals, interior):
@@ -137,6 +137,19 @@ def test_rejected_point_falls_back_to_the_least_distance_point(point):
     assert build_region(table).volume == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def test_second_qhull_failure_names_the_element(monkeypatch):
+    # Qhull refuses the lattice's point and then the least-distance point;
+    # element [0] lies on a coordinate face with an empty region, so it
+    # never reaches Qhull, and [1] is the first that does
+    def refuse(*args, **kwargs):
+        raise QhullError("forced refusal")
+
+    table = cone_sub_elements(coni_facets(TILTED))
+    monkeypatch.setattr(conirep.region, "hypercube_intersect", refuse)
+    with pytest.raises(DegenerateConeError, match=r"^region of element \[1\]: forced refusal"):
+        build_region(table)
+
+
 @pytest.mark.parametrize("point", [None, np.array([1.0, 1.0])], ids=["on-face", "rejected"])
 def test_region_without_interior_has_no_vertices(point):
     # x1 <= 0 meets the square only in the segment x1 = 0: no point is
@@ -171,9 +184,9 @@ def test_region_vertices_stay_in_cube_and_cone():
         cone = coni_facets(random_activity(rng, 3, 4))
         if cone.cone_rank < 3:
             continue
-        cone = cone_sub_elements(cone)
-        adjs = [adjacent_cone(e, cone) for elems in cone.elements.values() for e in elems]
-        for adj, inter in zip(adjs, intersections(cone.adjacent)):
+        table = cone_sub_elements(cone)
+        adjs = [adjacent_cone(e, cone, table) for elems in table.elements.values() for e in elems]
+        for adj, inter in zip(adjs, intersections(table)):
             for v in inter.vertices:
                 assert v.min() > -1e-9 and v.max() < 1 + 1e-9
                 assert cone_contains(v, adj.generators, tol_member=1e-7)
@@ -246,6 +259,16 @@ def test_triangulation_stops_at_its_budget():
     assert len(triangulate_polytope(facets, [square], 2)[0]) == 2
     with pytest.raises(BudgetExceededError, match="budget of 1 simplices"):
         triangulate_polytope(facets, [square], 1)
+
+
+def test_triangulation_stops_inside_a_level_at_its_budget():
+    # the octahedron passes the bound before its first level (6 - 3 = 3
+    # simplices at least), but the 4 facets off vertex 0 already start 4 chains
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    facets = packed_facets([facet_masks(octahedron)], [octahedron])
+    assert len(triangulate_polytope(facets, [octahedron])[0]) == 4
+    with pytest.raises(BudgetExceededError, match="budget of 3 simplices"):
+        triangulate_polytope(facets, [octahedron], 3)
 
 
 def test_walk_ignores_repeated_and_full_masks_at_the_top():
@@ -329,7 +352,7 @@ def test_walk_matches_recursion_on_hull_polytopes(m):
 
 
 def region_lattices(C):
-    table = cone_sub_elements(coni_facets(C)).adjacent
+    table = cone_sub_elements(coni_facets(C))
     inters = intersections(table)
     vertices, packed = polytope_facets(inters)
     facets = int_facets(packed)
@@ -373,6 +396,9 @@ def test_walk_rejects_masks_that_are_not_a_face_lattice():
     # {1, 2, 3} meets the second mask in vertex 2 alone: its chain is too short
     with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
         triangulate_polytope(packed_facets([[0b1110, 0b0101]], [tetra]), [tetra])
+    # the one "facet" is vertex 1 alone: a face of one vertex above the last level
+    with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
+        triangulate_polytope(packed_facets([[0b0010]], [tetra]), [tetra])
 
 
 def test_walk_reads_both_ends_of_an_edge_across_words():
@@ -394,7 +420,7 @@ def test_walk_rejects_a_last_level_face_of_three_vertices_across_words():
 
 
 def all_regions(C):
-    return build_region(cone_sub_elements(coni_facets(C)).adjacent)
+    return build_region(cone_sub_elements(coni_facets(C)))
 
 
 def region_volume_total(C):

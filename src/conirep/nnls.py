@@ -10,8 +10,11 @@ normal equations (Van Benthem & Keenan, 2004); quadrature grids need
 A^T A in one product, as ``np.linalg.solve`` copies right-hand sides in and
 out one column at a time. Points are grouped by a byte key of their passive
 set in stable order, so no solve depends on how many patterns there are or
-on the order the groups are visited in. A batch point that fails its KKT
-verification, or is still live at the iteration cap, goes through :func:`nnls`.
+on the order the groups are visited in. Each point starts from the support
+of its unconstrained solution, pruned of nonpositive coefficients and
+re-solved until positive (:func:`_start`); from X = 0 that is all the
+ratio step would do. A batch point that fails its KKT verification, or is
+still live at the iteration cap, goes through :func:`nnls`.
 """
 from __future__ import annotations
 
@@ -80,10 +83,12 @@ def _lawson_hanson(A, P, solve):
     every residual stay the same, A^T A cannot underflow, and the KKT
     tolerance sees every column at one scale. Each point's passive set
     starts as the support of its unconstrained solution when A^T A is
-    nonsingular, else empty. Any start is sound: the inner loop first takes
-    X = 0 to a feasible point, and from there each step lowers the objective
-    until the KKT conditions hold. The entering variable is the most
-    negative gradient component, ties broken by the smallest index.
+    nonsingular, else empty. Any start is sound: :func:`_start` drops each
+    point's nonpositive coefficients and re-solves until the solution is
+    positive, and from there each step lowers the objective until the KKT
+    conditions hold. The entering variable is the most negative gradient
+    component: one max reduction finds the points still growing, and an
+    argmax over just those breaks ties by the smallest index.
     Returns ``(X, rsq, failed)``: the solutions in A's own units, the
     squared residuals in scaled units, and a mask of the points that fail
     the KKT conditions or are still live at the iteration cap.
@@ -103,17 +108,17 @@ def _lawson_hanson(A, P, solve):
     full = np.linalg.matrix_rank(G) == n  # the unconstrained solution is unique
     passive = np.linalg.inv(G) @ H > 0.0 if full else np.zeros(X.shape, dtype=bool)
     live = np.arange(P.shape[1])
-    _feasible(step, X, passive, live)
+    _start(step, X, passive, live)
     cols = slice(None)  # every point is live on the first pass: read it without a gather
     for _ in range(_max_iter(n)):
         W = H[:, cols] - G @ X[:, cols]
         W[passive[:, cols]] = -np.inf
-        t = np.argmax(W, axis=0)  # argmax takes the smallest index on ties
-        growing = W[t, np.arange(live.size)] > tol
+        growing = W.max(axis=0) > tol
         live = cols = live[growing]
         if live.size == 0:
             break
-        passive[t[growing], live] = True
+        # argmax takes the smallest index on ties
+        passive[np.argmax(W[:, growing], axis=0), live] = True
         del W  # n x p; free it before the solves, where memory peaks
         _feasible(step, X, passive, live)
 
@@ -127,9 +132,24 @@ def _lawson_hanson(A, P, solve):
     return X, np.einsum("ij,ij->j", R, R), failed
 
 
+def _start(step, X, passive, pending):
+    """The inner loop from X = 0, in place. Every step length is then 0, so
+    a pass only drops each point's nonpositive coefficients and re-solves."""
+    while pending.size:
+        cols = slice(None) if pending.size == X.shape[1] else pending
+        pats = passive[:, cols]
+        Z = step(pats, pending)
+        neg = pats & (Z <= 0.0)
+        has_neg = neg.any(axis=0)
+        X[:, cols] = np.where(has_neg, 0.0, Z)
+        pending = pending[has_neg]
+        passive[:, pending] = (pats & ~neg)[:, has_neg]
+
+
 def _feasible(step, X, passive, pending):
-    """Lawson-Hanson inner loop, in place: move each pending point from X to
-    a positive least-squares solution on a subset of its passive set."""
+    """Lawson-Hanson inner loop, in place: move each pending point from X,
+    positive on its passive set but for the coefficient that just entered
+    at 0, to a positive least-squares solution on a subset of that set."""
     while pending.size:
         # pending ascends, so at full size it is every point: read those through a slice
         cols = slice(None) if pending.size == X.shape[1] else pending

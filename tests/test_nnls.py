@@ -35,6 +35,27 @@ def test_active_bound():
     assert rnorm**2 == pytest.approx(1.0, abs=1e-14)
 
 
+# The three gradients tie exactly at x = 0. The smallest index enters
+# first, and then column 2 covers the rest; had column 1 entered first,
+# the answer would be (0, 1, 1).
+def test_ties_enter_the_smallest_index():
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    x, rnorm = nnls(a, np.ones(2))
+    np.testing.assert_array_equal(x, [1.0, 0.0, 1.0])
+    assert rnorm == 0.0
+    xb, rsq = nnls_batch(a, np.ones((2, 1)))
+    np.testing.assert_array_equal(xb[:, 0], [1.0, 0.0, 1.0])
+    assert rsq[0] == 0.0
+
+
+# A^T A singular (the batch starts empty) and nonsingular (it starts from
+# the unconstrained support); the gradient reduction sees an n x 0 block
+@pytest.mark.parametrize("a", [np.ones((3, 2)), np.eye(3)], ids=["singular", "nonsingular"])
+def test_empty_batch(a):
+    x, rsq = nnls_batch(a, np.empty((3, 0)))
+    assert x.shape == (a.shape[1], 0) and rsq.shape == (0,)
+
+
 def test_never_beaten_by_random_feasible_points():
     rng = np.random.default_rng(23)
     for _ in range(300):

@@ -84,6 +84,17 @@ def test_tilted_value_over_two_chunks():
     assert q.ir_num == pytest.approx(0.02485971408555016, abs=1e-15)
 
 
+def test_value_where_the_start_drops_coefficients():
+    # on this grid 45% of the first chunk's points start from a support
+    # whose least-squares solution has a nonpositive coefficient
+    rng = np.random.default_rng([200301588, 4])
+    while True:
+        C = rng.uniform(0.0, 3.0, size=(4, 4))
+        if np.linalg.matrix_rank(C) == 4:
+            break
+    assert ir_num(C, 26).ir_num == 0.10645398840460851
+
+
 def test_convergence_study_rows(wedge):
     rows = convergence_study(wedge, [4, 8], ir_exact=1.0 / 24.0)
     assert [r[0] for r in rows] == [4, 8]

@@ -89,6 +89,8 @@ def _lawson_hanson(A, P, solve):
     conditions hold. The entering variable is the most negative gradient
     component: one max reduction finds the points still growing, and an
     argmax over just those breaks ties by the smallest index.
+    Each point's KKT conditions are checked on the gradient of the pass
+    where it stops growing, so no pass over every point follows the loop.
     Returns ``(X, rsq, failed)``: the solutions in A's own units, the
     squared residuals in scaled units, and a mask of the points that fail
     the KKT conditions or are still live at the iteration cap.
@@ -105,26 +107,28 @@ def _lawson_hanson(A, P, solve):
         return solve(A, P, G, H, pats, pending)
 
     X = np.zeros((n, P.shape[1]))
-    full = np.linalg.matrix_rank(G) == n  # the unconstrained solution is unique
+    # the unconstrained solution is unique; G has rank at most m, so n > m rules that out
+    full = n <= A.shape[0] and np.linalg.matrix_rank(G) == n
     passive = np.linalg.inv(G) @ H > 0.0 if full else np.zeros(X.shape, dtype=bool)
     live = np.arange(P.shape[1])
     _start(step, X, passive, live)
+    failed = np.zeros(P.shape[1], dtype=bool)
     cols = slice(None)  # every point is live on the first pass: read it without a gather
     for _ in range(_max_iter(n)):
         W = H[:, cols] - G @ X[:, cols]
-        W[passive[:, cols]] = -np.inf
-        growing = W.max(axis=0) > tol
+        pats = passive[:, cols]
+        # KKT: gradient >= -10 tol everywhere, and <= 10 tol on the passive set;
+        # a point that stops growing here keeps this X, and so these flags
+        failed[cols] = ((W > 10 * tol) | pats & (W < -10 * tol)).any(axis=0)
+        W[pats] = -np.inf
+        growing = W.max(axis=0, initial=-np.inf) > tol
         live = cols = live[growing]
         if live.size == 0:
             break
         # argmax takes the smallest index on ties
         passive[np.argmax(W[:, growing], axis=0), live] = True
-        del W  # n x p; free it before the solves, where memory peaks
+        del W, pats  # n x p; free them before the solves, where memory peaks
         _feasible(step, X, passive, live)
-
-    # KKT: gradient >= -10 tol everywhere, and <= 10 tol on the passive set
-    W = H - G @ X
-    failed = ((W > 10 * tol) | passive & (W < -10 * tol)).any(axis=0)
     failed[live] = True
     R = A @ X - P
     with np.errstate(over="ignore"):
@@ -201,8 +205,10 @@ def _solve_patterns(G, H, pats, pending):
     """
     n = G.shape[0]
     Z = np.zeros((n, pending.size))
-    key = np.zeros((-(-n // 8), pending.size), dtype=np.uint8)
-    for i in range(n):  # np.packbits(pats, axis=0, bitorder="little"), 10x faster
+    key = np.zeros((max(1, -(-n // 8)), pending.size), dtype=np.uint8)  # lexsort needs a key
+    # np.packbits(pats, axis=0, bitorder="little"), 10x faster; a row that no
+    # pending point holds adds nothing, so wide A loops over far fewer than n
+    for i in np.flatnonzero(pats.any(axis=1)).tolist():
         key[i // 8] |= pats[i].view(np.uint8) << i % 8
     order = np.lexsort(key)
     key = key[:, order]

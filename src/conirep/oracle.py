@@ -3,6 +3,13 @@
 Independent of the analytical pipeline: the unit hypercube is covered by a
 uniform N^m grid and the squared NNLS residual is averaged over the cell
 midpoints. Used to cross-check analytical results.
+
+The grid is summed in chunks of CHUNK points, the unit of the reduction
+and of the thread pool, and each chunk is built and solved in blocks of
+at most BLOCK_WORDS words per solver array. A chunk-sized solve allocates
+temporaries of several megabytes each, and every one is a freshly mapped
+region whose pages fault in on first touch; block-sized ones are reused
+from the allocator's free lists.
 """
 from __future__ import annotations
 
@@ -21,8 +28,14 @@ __all__ = ["QuadratureResult", "ir_num", "convergence_study", "SAMPLE_BUDGET"]
 
 # Default ceiling on the total number of grid samples per call.
 SAMPLE_BUDGET = 10_000_000
-# Grid points solved per batch; bounds peak memory, not the result.
+# Grid points summed per chunk: the unit of the reduction and of the thread
+# pool, so it fixes the summation order and not the solve size.
 CHUNK = 1 << 18
+# Words (float64 entries) of each m x points or n x points array of one solve
+# block: small enough that the batch solver's temporaries are not mapped, and
+# page-faulted in, afresh on every call; large enough that per-block Python
+# overhead stays small.
+BLOCK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,13 +53,22 @@ def _grid_chunk(m: int, n: int, start: int, stop: int) -> np.ndarray:
     """Midpoints for flat grid indices [start, stop), lexicographic order.
 
     The first coordinate varies slowest; index decoding keeps the order
-    identical no matter how the range is chunked.
+    identical no matter how the range is chunked. The indices are float64,
+    which holds every integer below 2^53 exactly, and so does each step
+    below: floor(idx / n) is the exact quotient while idx + n < 2^53, far
+    past any grid a call can finish.
     """
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=float)
+    quot = np.empty_like(idx)
     pts = np.empty((m, stop - start))
-    for axis in range(m - 1, -1, -1):
-        pts[axis] = ((idx % n) + 0.5) / n
-        idx //= n
+    for axis in range(m - 1, 0, -1):
+        np.floor(np.divide(idx, n, out=quot), out=quot)
+        np.multiply(quot, -n, out=pts[axis])
+        pts[axis] += idx  # the digit idx - n floor(idx / n)
+        idx, quot = quot, idx
+    pts[0] = idx
+    pts += 0.5
+    pts /= n
     return pts
 
 
@@ -76,11 +98,14 @@ def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> Quadratu
     total = grid_samples(m, n, budget)
     t0 = time.perf_counter()
     ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
+    block = max(1, BLOCK_WORDS // max(C.shape))
 
     def chunk_sum(bounds):
         start, stop = bounds
-        pts = _grid_chunk(m, n, start, stop)
-        _, rsq = nnls_batch(C, pts)
+        rsq = np.empty(stop - start)
+        for lo in range(start, stop, block):
+            hi = min(lo + block, stop)
+            rsq[lo - start:hi - start] = nnls_batch(C, _grid_chunk(m, n, lo, hi))[1]
         return float(rsq.sum())
 
     if threads > 1 and len(ranges) > 1:

@@ -18,9 +18,10 @@ lattice by the pass the table replaced (a set closure, a Hasse scan per
 element and one object per element), the integral over one stack of
 simplices with one basis, the dedup by a greedy loop over the columns, the
 extreme rays by an NNLS fit of each unit ray against all the others, and
-one basis at a time by a loop of Gram-Schmidt steps. For `ir` itself, the
-Richardson extrapolation of two midpoint-quadrature grids needs no geometry
-at all.
+one basis at a time by a loop of Gram-Schmidt steps. The quadrature grid
+decodes its flat indices as float64 digits; the reference decodes them in
+int64 arithmetic. For `ir` itself, the Richardson extrapolation of two
+midpoint-quadrature grids needs no geometry at all.
 """
 
 from math import comb
@@ -380,6 +381,17 @@ def origins_by_fitting_every_unit(C):
     keep = [i for i in range(len(units))
             if len(units) == 1 or nnls(np.delete(U, i, axis=1), U[:, i])[1] >= TOL_GEOM]
     return sorted(tuple(origins[i]) for i in keep)
+
+
+def grid_chunk_by_int_digits(m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Midpoints for flat grid indices [start, stop), first coordinate slowest,
+    decoded one int64 digit at a time."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    pts = np.empty((m, stop - start))
+    for axis in range(m - 1, -1, -1):
+        pts[axis] = ((idx % n) + 0.5) / n
+        idx //= n
+    return pts
 
 
 def richardson(C, n1: int, n2: int) -> float:

@@ -56,6 +56,19 @@ def test_empty_batch(a):
     assert x.shape == (a.shape[1], 0) and rsq.shape == (0,)
 
 
+# no columns: x is empty and the residual is p itself
+def test_matrix_without_columns():
+    p = np.array([1.0, 2.0, 2.0])
+    x, rnorm = nnls(np.zeros((3, 0)), p)
+    assert x.shape == (0,) and rnorm == 3.0
+    pts = np.array([[1.0, 0.0, 3.0], [2.0, 0.0, 4.0]])
+    X, rsq = nnls_batch(np.zeros((2, 0)), pts)
+    assert X.shape == (0, 3)
+    np.testing.assert_array_equal(rsq, [5.0, 0.0, 25.0])
+    X, rsq = nnls_batch(np.zeros((2, 0)), np.empty((2, 0)))
+    assert X.shape == (0, 0) and rsq.shape == (0,)
+
+
 def test_never_beaten_by_random_feasible_points():
     rng = np.random.default_rng(23)
     for _ in range(300):
@@ -337,6 +350,25 @@ def test_points_live_at_the_cap_go_to_the_scalar_solver(monkeypatch):
     assert len(handed) == 3
     np.testing.assert_allclose(x, np.ones((2, 3)))
     np.testing.assert_allclose(rsq, 0.0, atol=1e-30)
+
+
+# Group solves off by a relative 1e-6 leave every point a gradient on its
+# passive set far above the KKT tolerance. Each point is checked on the
+# gradient of the pass where it stops growing, so every one is handed to
+# the scalar solver, which does not use the group solve.
+def test_points_failing_kkt_go_to_the_scalar_solver(monkeypatch):
+    exact = _solve_group
+    monkeypatch.setattr("conirep.nnls._solve_group",
+                        lambda sub, rhs: exact(sub, rhs) * (1.0 + 1e-6))
+    handed = []
+    monkeypatch.setattr("conirep.nnls.nnls", lambda a, b: handed.append(b) or nnls(a, b))
+    pts = _grid_chunk(3, 6, 0, 216)
+    x, rsq = nnls_batch(TILTED, pts)
+    assert len(handed) == 216
+    for j in range(216):
+        xs, rnorm = nnls(TILTED, pts[:, j])
+        np.testing.assert_array_equal(x[:, j], xs)
+        assert rsq[j] == rnorm * rnorm
 
 
 def test_scalar_deterministic():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conirep.errors import BudgetExceededError
-from conirep.oracle import CHUNK, convergence_study, ir_num
+from conirep.oracle import CHUNK, _grid_chunk, convergence_study, ir_num
 
-from conftest import TILTED, WEDGE
+from conftest import TILTED, WEDGE, random_activity
+from reference import grid_chunk_by_int_digits
 
 
 def wedge_midpoint_value(n):
@@ -93,6 +94,35 @@ def test_value_where_the_start_drops_coefficients():
         if np.linalg.matrix_rank(C) == 4:
             break
     assert ir_num(C, 26).ir_num == 0.10645398840460851
+
+
+# ranges that start and stop off the multiples of n, from one point up to
+# indices past 2^32 and the top of the default sample budget
+@pytest.mark.parametrize("m, n, start, stop", [
+    (1, 7, 3, 4), (2, 7, 5, 47), (3, 26, 17, 17_575), (4, 26, 262_141, 456_975),
+    (7, 10, 9_990_001, 9_999_999), (3, 2000, 7_999_990_001, 7_999_999_999)])
+def test_grid_matches_the_integer_digit_decoder(m, n, start, stop):
+    np.testing.assert_array_equal(_grid_chunk(m, n, start, stop),
+                                  grid_chunk_by_int_digits(m, n, start, stop))
+
+
+WIDE = random_activity(np.random.default_rng(2025), 2, 300)
+
+
+# One-point blocks (a word budget below max(m, n)), two-point blocks on
+# TILTED, and one block per chunk. Chunks of 301 points end in a short
+# two-point block and give threads=2 a pool. 7 // 300 = 0 makes the same
+# one-point blocks as 1 on the wide matrix, so it runs once.
+@pytest.mark.parametrize("C, n, words", [
+    (TILTED, 20, 1), (TILTED, 20, 7), (TILTED, 20, 1 << 40), (WIDE, 32, 1), (WIDE, 32, 1 << 40),
+], ids=["tilted-1", "tilted-7", "tilted-huge", "wide-1", "wide-huge"])
+def test_block_size_leaves_the_value(monkeypatch, C, n, words):
+    default = ir_num(C, n).ir_num
+    monkeypatch.setattr("conirep.oracle.BLOCK_WORDS", words)
+    monkeypatch.setattr("conirep.oracle.CHUNK", 301)
+    one = ir_num(C, n, threads=1).ir_num
+    assert one == pytest.approx(default, abs=1e-15)
+    assert ir_num(C, n, threads=2).ir_num == one
 
 
 def test_convergence_study_rows(wedge):

@@ -13,8 +13,8 @@ returns its report text, and main writes it to --output, or to stdout when
 --output is omitted or "-"; warnings and errors go to stderr.
 
 Exit codes: 0 success, 1 input error (usage errors included), 3 budget
-exceeded, 4 numerical failure (degenerate geometry, a solver that did not
-converge, or a failed linear-algebra routine).
+exceeded or MemoryError, 4 numerical failure (degenerate geometry, a
+solver that did not converge, or a failed linear-algebra routine).
 """
 from __future__ import annotations
 
@@ -252,6 +252,9 @@ def main(argv=None) -> int:
         return 4
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     # InputFormatError and every other package error
     except (ConirepError, ValueError, OSError) as exc:

@@ -18,11 +18,8 @@ from math import comb
 import numpy as np
 
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
-from .linalg import gram_schmidt, simplex_volumes  # noqa: F401
+from .linalg import block_size, gram_schmidt, simplex_volumes  # noqa: F401
 from .region import Regions
-
-# Simplices are integrated this many at a time.
-INTEGRATE_BLOCK = 4096
 
 
 def region_integral(regions: Regions, bases: np.ndarray):
@@ -34,9 +31,10 @@ def region_integral(regions: Regions, bases: np.ndarray):
     the origin. Returns two arrays of one float per region, both 0 for a
     region without simplices.
 
-    All regions are integrated together, INTEGRATE_BLOCK simplices at a
-    time whatever regions they belong to, so that the gathers stay bounded
-    however many simplices one region has. Each vertex v gets a row
+    All regions are integrated together, in blocks of block_size((m + 1) m)
+    simplices whatever regions they belong to, so that the (s, m+1, m)
+    vertex gather stays within linalg.BLOCK_WORDS words however many
+    simplices one region has. Each vertex v gets a row
     [v, B^T v, q(v)] in one array, every B^T v from one batched product;
     summing those rows over each simplex's vertices then gives both the
     vertex sum, whose q is |sum v|^2 - |sum B^T v|^2, and the sum of the q
@@ -58,8 +56,9 @@ def region_integral(regions: Regions, bases: np.ndarray):
     rows[:, 2 * m] = q(rows)
     simplices = regions.simplices
     volumes, values = np.empty(len(simplices)), np.empty(len(simplices))
-    for a in range(0, len(simplices), INTEGRATE_BLOCK):
-        block = simplices[a:a + INTEGRATE_BLOCK]
+    step = block_size((m + 1) * m)
+    for a in range(0, len(simplices), step):
+        block = simplices[a:a + step]
         vol = volumes[a:a + len(block)] = simplex_volumes(regions.vertices[block])
         # one vertex position at a time: an (s, m+1, 2m+1) gather takes MBs at m = 6
         sums = rows[block[:, 0]]

@@ -1,8 +1,11 @@
-"""Dense linear-algebra kernels for small ambient dimensions.
+"""Dense linear-algebra kernels for small ambient dimensions, and the block bound.
 
 Everything here operates on plain float arrays. Vectors are rows unless a
 function says otherwise; orthonormal bases are returned as column matrices
 so that ``basis.T @ point`` gives coordinates in the basis.
+
+The quadrature's solve blocks, the walk's chunks and the integral's blocks
+are all sized by block_size from one bound, BLOCK_WORDS.
 """
 from __future__ import annotations
 
@@ -13,6 +16,19 @@ import numpy as np
 # Geometric comparison tolerance (dot products, signs, coordinates), and the
 # relative size below which a singular value or Gram-Schmidt residual is zero.
 TOL_GEOM = 1e-9
+# Words (float64 or uint64 entries) of the largest array one block of a loop
+# forms: it bounds each block's memory and keeps per-block overhead small.
+# Whether freed blocks are reused or faulted in afresh is glibc's choice: it
+# keeps them only once the process has freed a larger array.
+BLOCK_WORDS = 1 << 16
+
+
+def block_size(words_per_item: int) -> int:
+    """Items per block, at least 1, when each takes `words_per_item` words of the largest array.
+
+    Reads BLOCK_WORDS at call time, so one patch of it reaches every blocked loop.
+    """
+    return max(1, BLOCK_WORDS // max(1, words_per_item))
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ def nnls_batch(A, points):
     Returns ``(X, rsq)``: X has one solution per column and rsq holds the
     squared residual norms, as :func:`nnls` measures them. Identical calls
     give bitwise-identical results; callers that need determinism across
-    thread counts must keep their chunk boundaries fixed (the quadrature
+    thread counts must keep their block boundaries fixed (the quadrature
     grid does).
     """
     A = np.asarray(A, dtype=float)

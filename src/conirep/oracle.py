@@ -4,12 +4,10 @@ Independent of the analytical pipeline: the unit hypercube is covered by a
 uniform N^m grid and the squared NNLS residual is averaged over the cell
 midpoints. Used to cross-check analytical results.
 
-The grid is summed in chunks of CHUNK points, the unit of the reduction
-and of the thread pool, and each chunk is built and solved in blocks of
-at most BLOCK_WORDS words per solver array. A chunk-sized solve allocates
-temporaries of several megabytes each, and every one is a freshly mapped
-region whose pages fault in on first touch; block-sized ones are reused
-from the allocator's free lists.
+The grid is built, solved and summed in blocks of block_size(max(m, n))
+points, so that no solver array passes linalg.BLOCK_WORDS words. A block is
+also the unit of the reduction and of the thread pool: the block sums are
+added in index order.
 """
 from __future__ import annotations
 
@@ -22,20 +20,13 @@ import numpy as np
 
 from .cone import as_state_matrix
 from .errors import BudgetExceededError
+from .linalg import block_size
 from .nnls import nnls_batch
 
 __all__ = ["QuadratureResult", "ir_num", "convergence_study", "SAMPLE_BUDGET"]
 
 # Default ceiling on the total number of grid samples per call.
 SAMPLE_BUDGET = 10_000_000
-# Grid points summed per chunk: the unit of the reduction and of the thread
-# pool, so it fixes the summation order and not the solve size.
-CHUNK = 1 << 18
-# Words (float64 entries) of each m x points or n x points array of one solve
-# block: small enough that the batch solver's temporaries are not mapped, and
-# page-faulted in, afresh on every call; large enough that per-block Python
-# overhead stays small.
-BLOCK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,32 +78,27 @@ def grid_samples(m: int, n: int, budget: int = SAMPLE_BUDGET) -> int:
 def ir_num(C, n: int, budget: int = SAMPLE_BUDGET, threads: int = 1) -> QuadratureResult:
     """Average squared NNLS residual over the N^m midpoint grid.
 
-    Deterministic: the grid order is fixed and per-chunk sums are reduced in
-    index order, so the value is identical for any thread count. Raises
-    ValueError when n or the budget is below 1, and BudgetExceededError when
-    n^m exceeds the budget.
+    Deterministic: the grid order and the blocks are fixed and per-block
+    sums are reduced in index order, so the value is identical for any
+    thread count. Raises ValueError when n or the budget is below 1, and
+    BudgetExceededError when n^m exceeds the budget.
     """
     C = as_state_matrix(C)
     m = C.shape[0]
     n = operator.index(n)  # a Python int, so n ** m cannot wrap
     total = grid_samples(m, n, budget)
     t0 = time.perf_counter()
-    ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
-    block = max(1, BLOCK_WORDS // max(C.shape))
+    block = block_size(max(C.shape))
+    starts = range(0, total, block)
 
-    def chunk_sum(bounds):
-        start, stop = bounds
-        rsq = np.empty(stop - start)
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
-            rsq[lo - start:hi - start] = nnls_batch(C, _grid_chunk(m, n, lo, hi))[1]
-        return float(rsq.sum())
+    def block_sum(start):
+        return float(nnls_batch(C, _grid_chunk(m, n, start, min(start + block, total)))[1].sum())
 
-    if threads > 1 and len(ranges) > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(chunk_sum, ranges))
+            sums = list(pool.map(block_sum, starts))
     else:
-        sums = [chunk_sum(r) for r in ranges]
+        sums = [block_sum(s) for s in starts]
     value = sum(sums) / total
     return QuadratureResult(ir_num=value, irn_num=value / (m / 3.0), n=n, total_samples=total,
                             elapsed_s=time.perf_counter() - t0)

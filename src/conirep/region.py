@@ -32,12 +32,9 @@ from scipy.spatial import HalfspaceIntersection, QhullError
 from .cone import AdjacentCones
 from .errors import BudgetExceededError, DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
-from .linalg import TOL_GEOM, gram_schmidt, simplex_volumes  # noqa: F401
+from .linalg import TOL_GEOM, block_size, gram_schmidt, simplex_volumes  # noqa: F401
 from .nnls import nnls
 
-# each level of the triangulation matches its faces against their polytopes'
-# facet masks in chunks of at most this many uint64 words
-WALK_CHUNK_WORDS = 1 << 16
 # set bits of each byte value: np.bitwise_count needs numpy 2.0
 _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -310,7 +307,7 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     The walk goes level by level over every polytope at once, starting from
     one face per nonempty polytope that holds all of its vertices. Each face
     is a column of uint64 words tagged by its polytope, matched against its
-    polytope's masks in chunks of at most WALK_CHUNK_WORDS words, and found
+    polytope's masks in chunks sized by linalg.block_size, and found
     once per level however many faces share it. Each chain prefix reaching
     a d-face of k vertices ends in at least k - d simplices, the fewest that
     triangulate it, so BudgetExceededError is raised as soon as that sum
@@ -331,7 +328,7 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     tag = sizes.nonzero()[0]
     faces, paths = _packed(np.arange(64 * n_words) < sizes[tag, None]), np.ones(len(tag))
     lattice = (masks, count.cumsum() - count, count,
-               max(1, WALK_CHUNK_WORDS // (n_words * max(1, int(count.max(initial=0))))))
+               block_size(n_words * int(count.max(initial=0))))
     levels = []  # per level: pulled vertex of each face, each edge's face and child
     for dim in range(m, 1, -1):
         bits = _bit_counts(faces)
@@ -343,17 +340,15 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
         level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, 2 < dim < m)
         levels.append(level)
     # the last level's faces are edges, one chain each, already counted in
-    # their level: read both ends of each in one pass, the lowest bit and
-    # the one left in the highest nonzero word, and nothing else may be set
+    # their level: clear the lowest bit of each, then the next lowest, and
+    # both must be there with nothing else set
     cols = np.arange(len(tag))
     low, word, bit = _lowest_bit(faces)
     faces[word, cols] ^= bit
-    top = len(faces) - 1 - (faces[::-1] != 0).argmax(axis=0)
-    rest = faces[top, cols]
-    faces[top, cols] = 0
-    if faces.any() or not (bit.all() and rest.all()) or (rest & (rest - np.uint64(1))).any():
+    high, word, rest = _lowest_bit(faces)
+    faces[word, cols] ^= rest
+    if faces.any() or not (bit.all() and rest.all()):
         raise _chain_error(m)
-    high = np.frexp(rest.astype(np.float64))[1] + (top * 64 - 1)
     # chains below each face, bottom-up, then each level's column top-down:
     # a prefix's pulled vertex once per chain below its face
     below = [np.ones(len(tag), dtype=np.intp)]

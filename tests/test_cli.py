@@ -241,6 +241,23 @@ def test_ragged_triangulation_exit_code(capsys, tmp_path):
     assert "a pulled chain does not have 5 vertices" in captured.err
 
 
+@pytest.mark.parametrize("command, target", [
+    (["evaluate"], "conirep.cli.evaluate"), (["numeric", "--n", "8"], "conirep.cli.ir_num"),
+], ids=["evaluate", "numeric"])
+def test_out_of_memory_exit_code(capsys, tilted_csv, monkeypatch, command, target):
+    # a valid input that runs out of memory (10x20 default_rng(1) under a
+    # 2.5 GB address-space limit) ends in one line on stderr, not a traceback
+    def fail(*args, **kwargs):
+        raise MemoryError("forced failure")
+
+    monkeypatch.setattr(target, fail)
+    code = main([command[0], "--input", tilted_csv, *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: forced failure\n"
+
+
 def test_linear_algebra_failure_exit_code(capsys, tilted_csv, monkeypatch):
     # LinAlgError subclasses ValueError; it must not read as an input error
     def fail(*args, **kwargs):

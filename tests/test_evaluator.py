@@ -15,9 +15,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from conirep.cone import cone_sub_elements, coni_facets
 from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.evaluator import MAX_DIM, RegionRecord, evaluate, output_volume, region_report
-from conirep.integrate import INTEGRATE_BLOCK
-from conirep.linalg import simplex_volumes
-from conirep.linalg import gram_schmidt
+from conirep.linalg import block_size, gram_schmidt, simplex_volumes
 from conirep.oracle import ir_num
 
 from conftest import JUMP, SQUARE_PYRAMID, TILTED, VERR, perturbed, random_activity
@@ -274,6 +272,24 @@ def test_invariances_at_m4_and_m5(m, seed):
     _check_invariances(C, base, rng)
 
 
+def test_invariances_on_spike_counts():
+    # the paper's own input: Poisson spike counts, with zero entries, equal
+    # and parallel columns, 15 draws at each m = 2..5 from one generator
+    rng = np.random.default_rng(20261021)
+    for m in range(2, 6):
+        for _ in range(15):
+            n = int(rng.integers(m, 2 * m + 4))
+            C = rng.poisson(rng.choice([0.3, 1.0, 3.0]), (m, n))
+            base = evaluate(C).ir
+            scaled = C * rng.uniform(0.25, 4.0, n)
+            permuted = C[rng.permutation(m)][:, rng.permutation(n)]
+            conic = np.hstack([C, C @ rng.uniform(0.0, 1.0, (n, 1))])
+            for variant in (scaled, permuted, conic):
+                assert abs(evaluate(variant).ir - base) < 1e-9
+            extra = np.hstack([C, rng.poisson(1.0, (m, 1))])
+            assert evaluate(extra).ir <= base + 1e-12
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("scales", ["tiny", "huge", "spread"])
 def test_column_scale_invariance_at_extreme_scales(m, scales):
@@ -334,7 +350,7 @@ def test_m6_value_across_many_integration_blocks(monkeypatch):
     C = np.random.default_rng(11).uniform(0.0, 3.0, (6, 7))
     assert evaluate(C).ir == pytest.approx(0.22325700051586972, abs=1e-12)
     assert len(blocks) > 10
-    assert set(blocks[:-1]) == {INTEGRATE_BLOCK}
+    assert set(blocks[:-1]) == {block_size(7 * 6)}
 
 
 def cone_in_cube_volume(C):

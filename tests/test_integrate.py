@@ -132,7 +132,8 @@ def test_blocked_integral_matches_each_region_on_its_own(C, empty, monkeypatch):
     # one call over all of a matrix's regions, empty ones among them (the
     # wedge's is its axis region), in blocks of 3 simplices that cut across
     # regions, against one stack of simplices per region
-    monkeypatch.setattr("conirep.integrate.INTEGRATE_BLOCK", 3)
+    m = C.shape[0]
+    monkeypatch.setattr("conirep.linalg.BLOCK_WORDS", 3 * (m + 1) * m)
     cone = coni_facets(C)
     table = cone_sub_elements(cone)
     adjs = [adjacent_cone(e, cone, table) for elems in table.elements.values() for e in elems]

@@ -241,7 +241,7 @@ def test_batch_matches_scalar_at_full_column_rank(a, pts):
     _assert_batch_matches_scalar(a, pts)
 
 
-# every point of a quadrature chunk passes the batch solver's KKT check, so
+# every point of a quadrature grid passes the batch solver's KKT check, so
 # none is handed to the scalar solver
 @pytest.mark.parametrize("a, n", [(TILTED, 24),
                                   (np.random.default_rng(53).uniform(0.0, 3.0, (4, 4)), 10)],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conirep.errors import BudgetExceededError
-from conirep.oracle import CHUNK, _grid_chunk, convergence_study, ir_num
+from conirep.linalg import block_size
+from conirep.oracle import _grid_chunk, convergence_study, ir_num
 
 from conftest import TILTED, WEDGE, random_activity
 from reference import grid_chunk_by_int_digits
@@ -79,14 +80,14 @@ def test_threads_do_not_change_the_value(wedge):
 
 
 def test_tilted_value_over_two_chunks():
-    # 80^3 = 512,000 samples: the one pinned value whose grid spans more than one chunk
+    # 80^3 = 512,000 samples: a pinned value whose grid spans 24 blocks
     q = ir_num(TILTED, 80)
-    assert q.total_samples > CHUNK
+    assert q.total_samples > 23 * block_size(3)
     assert q.ir_num == pytest.approx(0.02485971408555016, abs=1e-15)
 
 
 def test_value_where_the_start_drops_coefficients():
-    # on this grid 45% of the first chunk's points start from a support
+    # on this grid 45% of the first 2^18 points start from a support
     # whose least-squares solution has a nonpositive coefficient
     rng = np.random.default_rng([200301588, 4])
     while True:
@@ -110,16 +111,16 @@ WIDE = random_activity(np.random.default_rng(2025), 2, 300)
 
 
 # One-point blocks (a word budget below max(m, n)), two-point blocks on
-# TILTED, and one block per chunk. Chunks of 301 points end in a short
-# two-point block and give threads=2 a pool. 7 // 300 = 0 makes the same
-# one-point blocks as 1 on the wide matrix, so it runs once.
+# TILTED, 301-point blocks that end in a short one, and one block for the
+# whole grid. Every block size but the last gives threads=2 a pool. 7 // 300
+# = 0 makes the same one-point blocks as 1 on the wide matrix, so it runs once.
 @pytest.mark.parametrize("C, n, words", [
-    (TILTED, 20, 1), (TILTED, 20, 7), (TILTED, 20, 1 << 40), (WIDE, 32, 1), (WIDE, 32, 1 << 40),
-], ids=["tilted-1", "tilted-7", "tilted-huge", "wide-1", "wide-huge"])
+    (TILTED, 20, 1), (TILTED, 20, 7), (TILTED, 20, 903), (TILTED, 20, 1 << 40), (WIDE, 32, 1),
+    (WIDE, 32, 1 << 40),
+], ids=["tilted-1", "tilted-7", "tilted-903", "tilted-huge", "wide-1", "wide-huge"])
 def test_block_size_leaves_the_value(monkeypatch, C, n, words):
     default = ir_num(C, n).ir_num
-    monkeypatch.setattr("conirep.oracle.BLOCK_WORDS", words)
-    monkeypatch.setattr("conirep.oracle.CHUNK", 301)
+    monkeypatch.setattr("conirep.linalg.BLOCK_WORDS", words)
     one = ir_num(C, n, threads=1).ir_num
     assert one == pytest.approx(default, abs=1e-15)
     assert ir_num(C, n, threads=2).ir_num == one

@@ -383,7 +383,7 @@ def test_walk_matches_recursion_past_one_mask_word():
 def test_walk_does_not_depend_on_chunks(monkeypatch):
     # one face per chunk
     facets, vertices = region_lattices(np.random.default_rng([83, 0]).uniform(0.0, 3.0, (5, 6)))
-    monkeypatch.setattr("conirep.region.WALK_CHUNK_WORDS", 1)
+    monkeypatch.setattr("conirep.linalg.BLOCK_WORDS", 1)
     same_simplex_sets(facets, vertices)
 
 

@@ -31,7 +31,7 @@ from .nnls import nnls  # noqa: F401
 TOL_MEMBER = 1e-8
 # Unit rays with a mutual dot product above this merge into one ray.
 DEDUP_DOT = 1.0 - 1e-12
-# Gram-matrix columns formed at a time by the dedup, so memory stays O(n).
+# Gram-matrix rows formed at a time by the dedup, so memory stays O(n).
 DEDUP_BLOCK = 256
 # Cap on the boundary elements (faces of dims 1..r-1) of one cone of rank r.
 MAX_ELEMENTS = 100_000
@@ -131,8 +131,9 @@ def _unit_dedup(columns: np.ndarray):
 
     Each column joins the first earlier representative whose unit has a dot
     product above DEDUP_DOT with its own, read from a Gram matrix formed
-    DEDUP_BLOCK columns at a time; each unit's own product is a hit, so only
-    a block with more hits than columns goes through the greedy pass.
+    DEDUP_BLOCK rows at a time; each unit's own product is a hit, so only a
+    block with more hits than rows goes through the greedy pass, and in it
+    only the rows with another hit.
     Returns (units, origins): units is a (k, m) array of unit rows, origins
     the 0-based column indices behind each one.
     """
@@ -146,18 +147,17 @@ def _unit_dedup(columns: np.ndarray):
     k = nonzero.size
     rep = np.ones(k, dtype=bool)
     origins = nonzero[:, None].tolist()
+    rows = np.ascontiguousarray(units.T)
     for s in range(0, k, DEDUP_BLOCK):
-        cols = np.arange(s, min(s + DEDUP_BLOCK, k))
-        close = units[:cols[-1] + 1] @ units[cols].T > DEDUP_DOT
-        if np.count_nonzero(close) == len(cols):
+        # close[c, i]: column i, of this block or an earlier one, is within DEDUP_DOT of s + c
+        close = units[s:s + DEDUP_BLOCK] @ rows[:, :s + DEDUP_BLOCK] > DEDUP_DOT
+        if np.count_nonzero(close) == len(close):
             continue
-        # close[i, c]: column i comes before cols[c] and is within DEDUP_DOT of it
-        close &= np.arange(len(close))[:, None] < cols
-        for c in np.flatnonzero(close.any(axis=0)):
-            hits = np.flatnonzero(close[:, c] & rep[:len(close)])
+        for c in np.flatnonzero(np.count_nonzero(close, axis=1) > 1):
+            hits = np.flatnonzero(close[c, :s + c] & rep[:s + c])
             if hits.size:
-                rep[cols[c]] = False
-                origins[hits[0]] += origins[cols[c]]
+                rep[s + c] = False
+                origins[hits[0]] += origins[s + c]
     if rep.all():
         return units, origins
     return units[rep], [o for o, r in zip(origins, rep) if r]

@@ -6,6 +6,7 @@ are comments. Neuron ids are 1-based.
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ class SpikeTrain:
     def __post_init__(self):
         if self.neuron_count < 1:
             raise ValueError("neuron count must be at least 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
         for nid, t in self.events:
             if not 1 <= nid <= self.neuron_count:
                 raise ValueError(f"neuron id {nid} outside 1..{self.neuron_count}")
@@ -46,8 +47,8 @@ class SlotConfig:
     state_count: int
 
     def __post_init__(self):
-        if self.slot_length <= 0:
-            raise ValueError("slot length must be positive")
+        if not 0.0 < self.slot_length < math.inf:
+            raise ValueError("slot length must be finite and positive")
         if self.state_count < 1:
             raise ValueError("state count must be at least 1")
 
@@ -61,15 +62,12 @@ def bin_spikes(train: SpikeTrain, cfg: SlotConfig) -> np.ndarray:
     """
     if cfg.state_count * cfg.slot_length > train.duration + 1e-12:
         raise ValueError("slots extend past the recording duration")
-    m, n = cfg.state_count, train.neuron_count
-    counts = np.zeros((m, n))
-    ignored = 0
-    for nid, t in train.events:
-        slot = int(t // cfg.slot_length)
-        if slot >= m:
-            ignored += 1
-            continue
-        counts[slot, nid - 1] += 1.0
+    nid, t = np.array(train.events, dtype=float).reshape(-1, 2).T
+    slot = t // cfg.slot_length
+    inside = slot < cfg.state_count
+    counts = np.zeros((cfg.state_count, train.neuron_count))
+    np.add.at(counts, (slot[inside].astype(np.intp), nid[inside].astype(np.intp) - 1), 1.0)
+    ignored = np.count_nonzero(~inside)
     if ignored:
         warnings.warn(f"{ignored} spikes after the last slot were ignored", stacklevel=2)
     return counts
@@ -88,8 +86,10 @@ def read_spike_file(path) -> SpikeTrain:
             if line.startswith("#"):
                 found = _HEADER.search(line)
                 if found:
-                    neuron_count = int(found.group(1))
-                    duration = float(found.group(2))
+                    try:
+                        neuron_count, duration = int(found.group(1)), float(found.group(2))
+                    except ValueError as exc:
+                        raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -12,7 +12,6 @@ volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -128,18 +127,11 @@ def _evaluate(C, force_regions) -> EvaluationResult:
 
 
 def _covers_hypercube(cone: Cone) -> bool:
-    """Convexity shortcut: all 2^m cube vertices inside means the cube is.
+    """Convexity shortcut: all m unit vectors inside means the cube is.
 
-    A vertex is inside when no outward facet normal leans towards it. The
-    cone must have full rank: lifted normals of a flat cone can lean away
-    from every vertex.
+    Unit vector e_j is inside when column j of the outward facet normals is
+    below the tolerance, and a cone is closed under addition, so it then
+    holds every cube vertex, a sum of some e_j. The cone must have full
+    rank: lifted normals of a flat cone can lean away from every vertex.
     """
-    return bool(np.all(_cube_corners(cone.dim) @ cone.normals.T < TOL_MEMBER))
-
-
-@cache
-def _cube_corners(m: int) -> np.ndarray:
-    """The 2^m vertices of the unit cube as rows, the first coordinate slowest; read-only."""
-    corners = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(float)
-    corners.flags.writeable = False
-    return corners
+    return bool(np.all(cone.normals < TOL_MEMBER))

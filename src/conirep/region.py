@@ -171,20 +171,15 @@ def polytope_facets(inters: list[Intersection]):
     per_vertex = np.array([len(planes) for planes in lists], dtype=np.intp)
     planes = np.fromiter(itertools.chain.from_iterable(lists), np.intp, int(per_vertex.sum()))
     qhull = np.concatenate([inter.vertices for inter in inters])
-    # each region's origin, its first vertex with every coordinate below 1/2
-    # (each other lies on a face x_j = 1), goes first; the rest keep their order
     region = np.arange(len(inters)).repeat(sizes)
+    # each region's origin, its one vertex with every coordinate below 1/2
+    # (each other lies on a face x_j = 1), goes first; the rest keep their order
+    order = np.lexsort((qhull.max(axis=1) >= 0.5, region))
+    vertices = qhull[order].clip(0.0, 1.0)
     start = sizes.cumsum() - sizes
-    origin, near = start + sizes, (qhull.max(axis=1) < 0.5).nonzero()[0]
-    np.minimum.at(origin, region[near], near)
-    index, origin = np.arange(len(qhull)), origin[region]
-    vertex = np.where(index == origin, 0, index - start[region] + (index < origin))
-    vertices = np.empty_like(qhull)
-    vertices[start[region] + vertex] = qhull
-    vertices.clip(0.0, 1.0, out=vertices)
     vertices[start[sizes > 0]] = 0.0
-    # each listed plane's vertex, and its (region, plane) key
-    vertex = vertex.repeat(per_vertex)
+    # each listed plane's vertex, its place in the new order, and its (region, plane) key
+    vertex = (order.argsort() - start[region]).repeat(per_vertex)
     n_planes = int(planes.max(initial=-1)) + 1
     key = (region * n_planes).repeat(per_vertex) + planes
     # a (region, plane) pair that some vertex lists is a facet
@@ -374,12 +369,10 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     simplices of all the regions (triangulate_polytope).
     """
     rows, start = table.rows, table.row_start
-    count = start[1:] - start[:-1]
-    n, m = len(count), rows.shape[1]
+    n, m = len(start) - 1, rows.shape[1]
     first = start + 2 * m * np.arange(n + 1)
-    halfspaces = np.zeros((first[-1], m + 1))
-    halfspaces[np.arange(len(rows)) + 2 * m * np.arange(n).repeat(count), :m] = rows
-    halfspaces[(first[:-1] + count)[:, None] + np.arange(2 * m)] = _cube_halfspaces(m)
+    halfspaces = np.insert(np.hstack([rows, np.zeros((len(rows), 1))]), start[1:].repeat(2 * m),
+                           np.tile(_cube_halfspaces(m), (n, 1)), axis=0)
     inters = [_region_intersection(halfspaces[first[i]:first[i + 1]],
                                    None if table.on_face[i] else table.interior[i],
                                    table.members[i]) for i in range(n)]

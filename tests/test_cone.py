@@ -39,6 +39,10 @@ def test_state_matrix_validation():
         as_state_matrix(np.array([[1.0, -0.5]]))
     with pytest.raises(ValueError):
         as_state_matrix(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        as_state_matrix(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        as_state_matrix(np.zeros((3, 0)))
     sm = as_state_matrix(np.array([[1, 2], [3, 4], [5, 6]]))
     assert sm.shape == (3, 2) and sm.dtype == float
 
@@ -436,6 +440,13 @@ def test_unit_dedup_matches_greedy_loop():
     dirs = rng.uniform(0.0, 1.0, size=(4, 240))
     C = np.hstack([dirs, dirs[:, rng.integers(0, 240, size=40)], np.zeros((4, 20))])
     C = (C * 10.0 ** rng.uniform(-200.0, 200.0, size=300))[:, rng.permutation(300)]
+    units, origins = _unit_dedup(C)
+    ref_units, ref_origins = unit_dedup_by_loop(C)
+    assert origins == ref_origins
+    assert units.tobytes() == np.array(ref_units).tobytes()
+    # binned spike counts: few distinct directions, so most columns are
+    # twins and nearly every Gram block takes the greedy pass
+    C = np.random.default_rng(1).poisson(1.0, (4, 1200)).astype(float)
     units, origins = _unit_dedup(C)
     ref_units, ref_origins = unit_dedup_by_loop(C)
     assert origins == ref_origins

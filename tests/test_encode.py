@@ -1,5 +1,7 @@
 """Tests for spike-train parsing and slot binning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,16 @@ def test_validation_errors():
         SpikeTrain(((3, 0.1),), neuron_count=2, duration=1.0)
     with pytest.raises(ValueError):
         SpikeTrain(((1, 1.0),), neuron_count=1, duration=1.0)
-    with pytest.raises(ValueError):
-        SlotConfig(slot_length=0.0, state_count=1)
+    with pytest.raises(ValueError, match="neuron count"):
+        SpikeTrain((), neuron_count=0, duration=1.0)
+    # duration=1e999 in a header reads as inf, and a nan duration with no
+    # events meets no event-time check
+    for duration in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="duration must be finite and positive"):
+            SpikeTrain((), neuron_count=1, duration=duration)
+    for slot_length in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="slot length must be finite and positive"):
+            SlotConfig(slot_length=slot_length, state_count=1)
     with pytest.raises(ValueError):
         SlotConfig(slot_length=1.0, state_count=0)
 
@@ -118,4 +128,13 @@ def test_read_spike_file_errors(tmp_path):
 
     p.write_text("# neurons=2 duration=4.0\n9\t0.5\n")
     with pytest.raises(InputFormatError):
+        read_spike_file(p)
+
+    # the header pattern admits a number that float() refuses
+    p.write_text("# recorded on rig 2\n# neurons=2 duration=1e\n1\t0.5\n")
+    with pytest.raises(InputFormatError, match="bad.txt:2: could not convert"):
+        read_spike_file(p)
+
+    p.write_text("# neurons=2 duration=1e999\n")
+    with pytest.raises(InputFormatError, match="duration must be finite"):
         read_spike_file(p)

@@ -2,13 +2,14 @@
 
 The cone over nonnegative columns is pointed, so its facets are exactly the
 facets through the origin of the convex hull of the origin and one point
-on each ray, and one Qhull hull gives them all. Each ray enters as its
-point on the slice {x : x . s = 1}, s the sum of the unit rays, so only the
-extreme rays' points are hull vertices and the hull stays small at any
-width. A ray is extreme exactly when the facets through it meet in that ray
-alone; a redundant ray lies inside a larger face or on no facet at all.
-The same hull therefore names the extreme rays and the facets, with no fit
-of one ray against the others.
+on each ray, and at m >= 3 one Qhull hull gives them all (at m = 2 the
+two extreme rays are the facets, and no hull is needed). Each ray enters
+as its point on the slice {x : x . s = 1}, s the sum of the unit rays, so
+only the extreme rays' points are hull vertices and the hull stays small
+at any width. A ray is extreme exactly when the facets through it meet in
+that ray alone; a redundant ray lies inside a larger face or on no facet
+at all. The same hull therefore names the extreme rays and the facets,
+with no fit of one ray against the others.
 
 The facets come as boolean ray masks, and the boundary elements are those
 masks closed under intersection; one batched Gram-Schmidt per ray count
@@ -225,10 +226,13 @@ def coni_facets(C) -> Cone:
     points on the slice {x : x . s = 1}, s the sum of the unit rays, gives
     the extreme rays (the only rays whose points are hull vertices) and the
     r-1 dimensional facets, whose normals are lifted back into R^m and so
-    lie in the span. At m = 2 the extreme rays are the two ends of the
-    segment the rays cut on the slice {sum(x) = 1}. Distinct unit rays are
-    at least acos(DEDUP_DOT) apart, so rank 1 means one ray and no facets.
-    Rays come back unit-normalized and lexicographically sorted.
+    lie in the span. At m = 2 no hull is built: the extreme rays are the two
+    ends of the segment the rays cut on the slice {sum(x) = 1}, each is a
+    facet, and its normal is the ray turned a right angle away from the
+    other, (-y, x) for the steeper and (y, -x) for the flatter. Distinct
+    unit rays are at least acos(DEDUP_DOT) apart, so rank 1 means one ray
+    and no facets. Rays come back unit-normalized and lexicographically
+    sorted.
     """
     C = as_state_matrix(C)
     m = C.shape[0]
@@ -244,7 +248,10 @@ def coni_facets(C) -> Cone:
     elif m == 2:
         p = units[:, 0] / units.sum(axis=1)
         keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
-        _, facets, normals = cone_halfspaces(units[keep])
+        # each ray is a facet, its normal the ray turned a right angle away
+        # from the other: the first ray, of smaller x, is the steeper
+        (x0, y0), (x1, y1) = units[keep]
+        facets, normals = np.eye(2, dtype=bool), np.array([[-y0, x0], [y1, -x1]])
     else:
         coords = units @ span[:rank].T
         # each ray's point on the slice {x : x . s = 1}; x . s >= 1 for unit

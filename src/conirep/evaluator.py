@@ -1,13 +1,14 @@
 """End-to-end evaluation of a state matrix.
 
 evaluate() dispatches between closed forms (a cone of rank 0 or 1, whose
-one region is the whole cube, and a fully covered hypercube) and the
-analytical region pipeline, which takes a cone of any rank r. It sums, over
-every boundary element of the cone, the exact integral of the squared
-distance to that element's span across the element's region of the
-hypercube. At r < m the cone itself is one more element, whose region is
-the whole cone plus its span's orthogonal complement, and the cone has no
-volume.
+one region is the whole cube, and a fully covered hypercube), at m = 2 the
+planar cone's two ray regions, built as fans with no Qhull call
+(wedge_regions), and the analytical region pipeline, which takes a cone of
+any rank r. Both region routes sum, over every boundary element of the
+cone, the exact integral of the squared distance to that element's span
+across the element's region of the hypercube. At r < m the cone itself is
+one more element, whose region is the whole cone plus its span's
+orthogonal complement, and the cone has no volume.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import BudgetExceededError, DegenerateConeError
 from .integrate import region_integral
 # not used here; bench/tracer.py wraps conirep.evaluator.ir_num
 from .oracle import ir_num  # noqa: F401
-from .region import build_region
+from .region import build_region, wedge_regions
 
 # Hard caps for the combinatorial stages. The regions of one call may hold
 # MAX_SIMPLICES simplices together; the triangulation counts them before it
@@ -70,8 +71,9 @@ def output_volume(C) -> float:
 
 
 def region_report(C) -> tuple[RegionRecord, ...]:
-    """Per-element region rows, forcing the full pipeline where it applies.
+    """Per-element region rows, forcing the region route where it applies.
 
+    That route is the full pipeline at m >= 3 and the two fans at m = 2.
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
@@ -112,13 +114,20 @@ def _evaluate(C, force_regions) -> EvaluationResult:
         return result(0.0, 1.0, [], METHOD_CLOSED_FORM,
                       "cone contains every hypercube vertex: full coverage")
 
-    table = cone_sub_elements(cone)
-    volumes, integrals = region_integral(build_region(table, MAX_SIMPLICES), table.bases)
-    # each element's 1-based rays, ascending, read off the table's ray masks
-    rays = (np.nonzero(table.members)[1] + 1).tolist()
-    ends = table.members.sum(axis=1).cumsum().tolist()
+    if m == 2:
+        # a planar cone: its two rays are its elements, each basis the unit ray
+        members, dims, bases = cone.facets, np.ones(2, dtype=int), cone.rays[:, :, None]
+        regions = wedge_regions(cone.rays)
+    else:
+        table = cone_sub_elements(cone)
+        members, dims, bases = table.members, table.dims, table.bases
+        regions = build_region(table, MAX_SIMPLICES)
+    volumes, integrals = region_integral(regions, bases)
+    # each element's 1-based rays, ascending, read off its ray mask
+    rays = (np.nonzero(members)[1] + 1).tolist()
+    ends = members.sum(axis=1).cumsum().tolist()
     records = [RegionRecord(tuple(rays[a:b]), d, volume, value) for a, b, d, volume, value
-               in zip([0, *ends], ends, table.dims.tolist(), volumes.tolist(), integrals.tolist())]
+               in zip([0, *ends], ends, dims.tolist(), volumes.tolist(), integrals.tolist())]
     covered = sum(r.volume for r in records)
     if covered - 1.0 > TOL_PARTITION or (not full_rank and 1.0 - covered > TOL_PARTITION):
         raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")

@@ -21,9 +21,12 @@ extreme rays by an NNLS fit of each unit ray against all the others, and
 one basis at a time by a loop of Gram-Schmidt steps. The quadrature grid
 decodes its flat indices as float64 digits; the reference decodes them in
 int64 arithmetic. For `ir` itself, the Richardson extrapolation of two
-midpoint-quadrature grids needs no geometry at all.
+midpoint-quadrature grids needs no geometry at all, and at m = 2 the exact
+value of an integer matrix comes in rational arithmetic from the square
+clipped by each extreme ray's half-plane.
 """
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -405,3 +408,48 @@ def richardson(C, n1: int, n2: int) -> float:
     """
     q1, q2 = ir_num(C, n1).ir_num, ir_num(C, n2).ir_num
     return (n2 ** 2 * q2 - n1 ** 2 * q1) / (n2 ** 2 - n1 ** 2)
+
+
+def _clip(polygon, a):
+    """The part of a convex polygon where a . x >= 0: one Sutherland-Hodgman step."""
+    out = []
+    for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+        hp, hq = a[0] * p[0] + a[1] * p[1], a[0] * q[0] + a[1] * q[1]
+        if hp >= 0:
+            out.append(p)
+        if hp * hq < 0:
+            t = hp / (hp - hq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def exact_wedge_ir(C):
+    """ir and output volume of an integer 2 x n matrix, exactly, as two Fractions.
+
+    The cone of the nonzero columns lies between its steepest column s and
+    its flattest f (the same column at rank 1). With l_c(x) = c⊥ . x, where
+    c⊥ = (-c_y, c_x), the points of the unit square nearest to ray s, off
+    the cone, are those with l_s(x) >= 0, and those nearest to f are those
+    with l_f(x) <= 0; on either the squared distance is l_c(x)^2 / |c|^2.
+    Each region is the square clipped by that half-plane, and l^2 integrates
+    over a triangle (0, v, w) to its signed area det(v, w) / 2 times
+    (l(v)^2 + l(v) l(w) + l(w)^2) / 6, summed over the region's edges.
+    Every clipped vertex, area and value is rational. An all-zero matrix has
+    ir = 2/3 and no output volume.
+    """
+    cols = [(int(x), int(y)) for x, y in np.asarray(C).T.tolist() if x or y]
+    if not cols:
+        return Fraction(2, 3), Fraction(0)
+    share = [Fraction(x, x + y) for x, y in cols]
+    steep, flat = cols[share.index(min(share))], cols[share.index(max(share))]
+    square = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+              (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
+    ir = covered = Fraction(0)
+    for (cx, cy), side in ((steep, 1), (flat, -1)):
+        region = _clip(square, (-side * cy, side * cx))
+        for v, w in zip(region, region[1:] + region[:1]):
+            area = (v[0] * w[1] - v[1] * w[0]) / 2
+            lv, lw = cx * v[1] - cy * v[0], cx * w[1] - cy * w[0]
+            covered += area
+            ir += area * (lv * lv + lv * lw + lw * lw) / 6 / (cx * cx + cy * cy)
+    return ir, 1 - covered

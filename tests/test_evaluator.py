@@ -81,10 +81,12 @@ def test_tilted_partitions_the_cube(tilted):
 
 
 def test_region_report_forces_pipeline():
-    rows = region_report(np.eye(2))
-    assert len(rows) == 2
-    # no region has a simplex, and the rows still carry floats, as JSON prints them
-    assert all(type(r.volume) is type(r.integral) is float and r.volume == 0.0 for r in rows)
+    # m = 2 takes the fans, m = 3 the pipeline: 3 rays and 3 two-ray faces
+    for m, count in ((2, 2), (3, 6)):
+        rows = region_report(np.eye(m))
+        assert len(rows) == count
+        # no region has volume, and the rows still carry floats, as JSON prints them
+        assert all(type(r.volume) is type(r.integral) is float and r.volume == 0.0 for r in rows)
     rows = region_report(np.zeros((3, 1)))
     assert len(rows) == 1 and rows[0].element == ()
 

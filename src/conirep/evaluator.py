@@ -4,9 +4,12 @@ evaluate() dispatches between closed forms (a cone of rank 0 or 1, whose
 one region is the whole cube, and a fully covered hypercube), at m = 2 the
 planar cone's two ray regions, built as fans with no Qhull call
 (wedge_regions), and the analytical region pipeline, which takes a cone of
-any rank r. Both region routes sum, over every boundary element of the
-cone, the exact integral of the squared distance to that element's span
-across the element's region of the hypercube. At r < m the cone itself is
+any rank r: the cone lattice's adjacent cones, each clipped to the cube at
+m = 3 by fans from the origin over its far-face sections (fan_regions) and
+at m >= 4 by Qhull and triangulated by a pulling walk (build_region). Every
+region route sums, over every boundary element of the cone, the exact
+integral of the squared distance to that element's span across the
+element's region of the hypercube. At r < m the cone itself is
 one more element, whose region is the whole cone plus its span's
 orthogonal complement, and the cone has no volume.
 """
@@ -23,11 +26,11 @@ from .errors import BudgetExceededError, DegenerateConeError
 from .integrate import region_integral
 # not used here; bench/tracer.py wraps conirep.evaluator.ir_num
 from .oracle import ir_num  # noqa: F401
-from .region import build_region, wedge_regions
+from .region import build_region, fan_regions, wedge_regions
 
 # Hard caps for the combinatorial stages. The regions of one call may hold
-# MAX_SIMPLICES simplices together; the triangulation counts them before it
-# builds any.
+# MAX_SIMPLICES simplices together; the fans and the walk count them before
+# they build any.
 MAX_DIM = 10
 MAX_SIMPLICES = 1_000_000
 # Region volumes may sum past 1 (at rank r < m: differ from 1) by this much.
@@ -73,7 +76,8 @@ def output_volume(C) -> float:
 def region_report(C) -> tuple[RegionRecord, ...]:
     """Per-element region rows, forcing the region route where it applies.
 
-    That route is the full pipeline at m >= 3 and the two fans at m = 2.
+    That route is the full pipeline at m >= 3, its regions fans at m = 3,
+    and the two ray fans at m = 2.
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
@@ -121,7 +125,7 @@ def _evaluate(C, force_regions) -> EvaluationResult:
     else:
         table = cone_sub_elements(cone)
         members, dims, bases = table.members, table.dims, table.bases
-        regions = build_region(table, MAX_SIMPLICES)
+        regions = (fan_regions if m == 3 else build_region)(table, MAX_SIMPLICES)
     volumes, integrals = region_integral(regions, bases)
     # each element's 1-based rays, ascending, read off its ray mask
     rays = (np.nonzero(members)[1] + 1).tolist()

@@ -17,6 +17,13 @@ Regions. The walk starts at the regions themselves and pulls the origin
 first, the apex of every adjacent cone and vertex 0 of every region: it
 lies on every facet but the cube's far faces x_j = 1, so only those reach
 the second level.
+
+Each region is therefore the union of the pyramids from the origin over its
+sections with the far faces, and at m = 3, where a section is a polygon,
+fan_regions builds them directly: the unit square on each far face clipped
+by the region's rows, every (region, face) pair at once, fanned from the
+origin, with no interior point, Qhull call or walk. build_region serves
+m >= 4, and wedge_regions the two ray regions of a planar cone at m = 2.
 """
 from __future__ import annotations
 
@@ -382,6 +389,81 @@ def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
     simplices += vertex_start[:-1].repeat(counts)[:, None]
     return Regions(vertices, simplices, vertex_start,
                    np.add.accumulate([0, *counts.tolist()]))
+
+
+# the unit square on each far face x_j = 1 of the 3-cube, corners in cyclic
+# order, closed by its first corner again
+_FAR_SQUARES = np.array([[np.roll([1.0, a, b], j) for a, b in
+                          ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))] for j in range(3)])
+
+
+def _clip(polygons: np.ndarray, size: np.ndarray, normals: np.ndarray):
+    """One Sutherland-Hodgman step on each polygon at once: its part where normal . x <= 0.
+
+    polygons: (P, w, 3) convex polygons, polygon p's size[p] corners in
+    cyclic order and then its first corner again. Each edge p -> q keeps p
+    when p is inside, then adds the point where it crosses the line when p
+    and q lie strictly on opposite sides (Sutherland & Hodgman, "Reentrant
+    polygon clipping", 1974), so a corner on the line is kept once. A zero
+    normal clips nothing. Returns the clipped polygons, closed the same
+    way, and their sizes.
+    """
+    h = np.einsum("pwk,pk->pw", polygons, normals)
+    hp, hq = h[:, :-1], h[:, 1:]
+    edge = np.arange(hp.shape[1]) < size[:, None]
+    keep = edge & (hp <= 0.0)
+    cross = edge & (hp * hq < 0.0)
+    # each edge writes its start, if kept, then its crossing, if any
+    emit = keep.astype(np.intp) + cross
+    slot = emit.cumsum(axis=1) - emit
+    size = emit.sum(axis=1)
+    clipped = np.zeros((len(h), int(size.max(initial=0)) + 1, 3))
+    i, e = keep.nonzero()
+    clipped[i, slot[i, e]] = polygons[i, e]
+    i, e = cross.nonzero()
+    p, q = polygons[i, e], polygons[i, e + 1]
+    t = hp[i, e] / (hp[i, e] - hq[i, e])
+    clipped[i, slot[i, e] + keep[i, e]] = p + t[:, None] * (q - p)
+    clipped[np.arange(len(h)), size] = clipped[:, 0]
+    return clipped, size
+
+
+def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
+    """Every region of a 3-dimensional AdjacentCones table as fans from the origin, without Qhull.
+
+    Every table row passes through the origin, so region R is the union of
+    the pyramids from the origin over its sections R & {x_j = 1}: the cube
+    faces through the origin bound no pyramid. Each section is the unit
+    square on that face clipped by R's rows, one Sutherland-Hodgman step
+    (_clip) per row index over every (region, face) pair at once, a region
+    with fewer rows padded with zero rows. Each polygon is fanned from its
+    first corner into triangles, each joined to the origin; the tetrahedra
+    are counted against `budget` before any is built. Region i's vertices
+    are its origin, then its polygons' corners, face by face.
+    """
+    rows, start = table.rows, table.row_start
+    n = len(start) - 1
+    count = np.diff(start)
+    padded = np.zeros((n, int(count.max(initial=0)), 3))
+    padded[np.arange(n).repeat(count), np.arange(len(rows)) - start[:-1].repeat(count)] = rows
+    normals = padded.repeat(3, axis=0)
+    polygons, size = np.tile(_FAR_SQUARES, (n, 1, 1)), np.full(3 * n, 4)
+    for j in range(padded.shape[1]):
+        polygons, size = _clip(polygons, size, normals[:, j])
+    tets = np.maximum(size - 2, 0)
+    if tets.sum() > budget:
+        raise _budget_error(budget)
+    # region i's origin, then its polygons' corners, face by face
+    before = size.cumsum() - size
+    region = np.arange(n).repeat(3)
+    first = before + region + 1
+    vertex_start = np.append(first[::3] - 1, n + size.sum())
+    corners = polygons[np.arange(polygons.shape[1]) < size[:, None]]
+    vertices = np.insert(corners, before[::3], 0.0, axis=0)
+    corner, pair = _runs(first + 1, tets)
+    simplices = np.column_stack([vertex_start[region[pair]], first[pair], corner, corner + 1])
+    return Regions(vertices, simplices, vertex_start,
+                   np.add.accumulate([0, *tets.reshape(n, 3).sum(axis=1).tolist()]))
 
 
 def wedge_regions(rays: np.ndarray) -> Regions:

@@ -23,7 +23,9 @@ decodes its flat indices as float64 digits; the reference decodes them in
 int64 arithmetic. For `ir` itself, the Richardson extrapolation of two
 midpoint-quadrature grids needs no geometry at all, and at m = 2 the exact
 value of an integer matrix comes in rational arithmetic from the square
-clipped by each extreme ray's half-plane.
+clipped by each extreme ray's half-plane, and at m = 3 that of any
+full-rank matrix from each region's simplicial cone, clipped on the cube's
+far faces and fanned from the origin.
 """
 
 from fractions import Fraction
@@ -414,13 +416,21 @@ def _clip(polygon, a):
     """The part of a convex polygon where a . x >= 0: one Sutherland-Hodgman step."""
     out = []
     for p, q in zip(polygon, polygon[1:] + polygon[:1]):
-        hp, hq = a[0] * p[0] + a[1] * p[1], a[0] * q[0] + a[1] * q[1]
+        hp, hq = _dot(a, p), _dot(a, q)
         if hp >= 0:
             out.append(p)
         if hp * hq < 0:
             t = hp / (hp - hq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            out.append(tuple(x + t * (y - x) for x, y in zip(p, q)))
     return out
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _cross(a, b):
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
 def exact_wedge_ir(C):
@@ -453,3 +463,87 @@ def exact_wedge_ir(C):
             covered += area
             ir += area * (lv * lv + lv * lw + lw * lw) / 6 / (cx * cx + cy * cy)
     return ir, 1 - covered
+
+
+def _pyramids(halfspaces, qb):
+    """Volume and integral of a quadratic over a cone's part of the unit cube, exactly.
+
+    The cone {x : h . x >= 0 for h in halfspaces} meets the cube in the
+    pyramids from the origin over its sections x_j = 1, each the face's
+    unit square clipped by every halfspace and fanned into triangles. A
+    quadratic q with bilinear form qb integrates over a tetrahedron with a
+    vertex at the origin to its volume / 10 times the sum of qb over the
+    pairs of its other vertices, each vertex paired with itself too.
+    """
+    square = [tuple(map(Fraction, p)) for p in ((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1))]
+    volume = value = Fraction(0)
+    for j in range(3):
+        polygon = [p[3 - j:] + p[:3 - j] for p in square]
+        for h in halfspaces:
+            polygon = _clip(polygon, h)
+        for b, c in zip(polygon[1:-1], polygon[2:]):
+            a = polygon[0]
+            tet = abs(_dot(a, _cross(b, c))) / 6
+            volume += tet
+            value += tet / 10 * sum(qb(x, y) for x, y in
+                                    ((a, a), (b, b), (c, c), (a, b), (a, c), (b, c)))
+    return volume, value
+
+
+def exact_ir3(C):
+    """ir and output volume of a full-rank 3 x n matrix, exactly, as two Fractions.
+
+    A float is a dyadic rational, so every step is exact. The extreme rays
+    r_1..r_k are the hull of the nonzero columns' points on the slice
+    {sum(x) = 1}, in cyclic order (Andrew's monotone chain, by exact cross
+    products), and facet i, between r_i and r_i+1, has the outward normal
+    n_i = r_i x r_i+1, turned away from the other rays. The points nearest
+    to facet i are cone(r_i, r_i+1, n_i), at squared distance
+    (n_i . x)^2 / |n_i|^2, and those nearest to ray r_i are
+    cone(r_i, n_i-1, n_i), at |x|^2 - (r_i . x)^2 / |r_i|^2 (Moreau's
+    decomposition); the apex's region meets the cube in the origin alone.
+    Each region is integrated by _pyramids, and so is the cone itself, whose
+    part of the cube is the output volume; the regions and the cone must
+    fill the cube exactly. A matrix of rank below 3 raises ValueError.
+    """
+    cols = [tuple(map(Fraction, c)) for c in np.asarray(C, dtype=float).T.tolist() if any(c)]
+    points = sorted({(c[0] / sum(c), c[1] / sum(c)) for c in cols})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull = []
+    for seq in (points, points[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    if len(hull) < 3:
+        raise ValueError("exact_ir3 needs a matrix of rank 3")
+    rays = [(x, y, 1 - x - y) for x, y in hull]
+    k = len(rays)
+    normals = []
+    for i in range(k):
+        n = _cross(rays[i], rays[(i + 1) % k])
+        normals.append(tuple(-v for v in n) if _dot(n, rays[(i + 2) % k]) > 0 else n)
+
+    def simplicial(g):
+        """The halfspaces h . x >= 0 of cone(g[0], g[1], g[2])."""
+        h = [_cross(g[1], g[2]), _cross(g[2], g[0]), _cross(g[0], g[1])]
+        return [c if _dot(c, gi) > 0 else tuple(-v for v in c) for c, gi in zip(h, g)]
+
+    ir = covered = Fraction(0)
+    for i, (r, n) in enumerate(zip(rays, normals)):
+        rr, nn = _dot(r, r), _dot(n, n)
+        for g, qb in (((r, normals[i - 1], n),
+                       lambda x, y, r=r, rr=rr: _dot(x, y) - _dot(r, x) * _dot(r, y) / rr),
+                      ((r, rays[(i + 1) % k], n),
+                       lambda x, y, n=n, nn=nn: _dot(n, x) * _dot(n, y) / nn)):
+            volume, value = _pyramids(simplicial(g), qb)
+            covered += volume
+            ir += value
+    inside = _pyramids([tuple(-v for v in n) for n in normals], lambda x, y: 0)[0]
+    assert covered + inside == 1, "the regions and the cone do not fill the cube"
+    return ir, inside

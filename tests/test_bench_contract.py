@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TILTED
+from conftest import JUMP, TILTED
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
@@ -41,8 +41,8 @@ def test_tracer_counts_region_vertices_and_simplices(monkeypatch):
     traced = tracer.Tracer()
     traced.install({name: importlib.import_module(name) for name in modules})
     try:
-        # m = 3: at m = 2 the regions are fans, and build_region is not called
-        importlib.import_module("conirep").evaluate(TILTED)
+        # m = 4: at m <= 3 the regions are fans, and build_region is not called
+        importlib.import_module("conirep").evaluate(JUMP)
     finally:
         traced.restore()
     assert evaluator.build_region is keep

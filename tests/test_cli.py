@@ -14,7 +14,7 @@ from conirep.errors import DegenerateConeError, InputFormatError, IterationLimit
 from conirep.evaluator import evaluate
 from conirep.oracle import convergence_study, ir_num
 
-from conftest import TILTED, VERR, perturbed
+from conftest import JUMP, TILTED, VERR, perturbed
 
 
 @pytest.fixture
@@ -218,12 +218,15 @@ def test_bad_grid_resolutions_are_input_errors(capsys, tilted_csv, argv, message
 
 
 @pytest.mark.parametrize("error", [DegenerateConeError, IterationLimitError])
-def test_numerical_failure_exit_code(capsys, tilted_csv, monkeypatch, error):
+def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
+    # m = 4: at m <= 3 the regions are fans, and build_region is not called
+    path = tmp_path / "jump.csv"
+    path.write_text(csv_text(["# JUMP"], JUMP.tolist()))
     monkeypatch.setattr("conirep.evaluator.build_region", fail)
-    code = main(["evaluate", "--input", tilted_csv])
+    code = main(["evaluate", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

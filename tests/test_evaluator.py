@@ -18,7 +18,7 @@ from conirep.evaluator import MAX_DIM, RegionRecord, evaluate, output_volume, re
 from conirep.linalg import block_size, gram_schmidt, simplex_volumes
 from conirep.oracle import ir_num
 
-from conftest import JUMP, SQUARE_PYRAMID, TILTED, VERR, perturbed, random_activity
+from conftest import JUMP, SQUARE_PYRAMID, VERR, perturbed, random_activity
 from reference import facet_normal_outward, facet_sets, richardson
 
 
@@ -485,15 +485,20 @@ def test_interior_point_retries_at_the_least_distance_point(seed):
 
 
 def test_evaluation_never_imports_scipy_optimize():
-    # on-face elements (TILTED) and regions whose lattice point Qhull rejects
-    # (VERR at 1e-8, seeds 15 and 31) both take the least-distance NNLS
-    # route; in a fresh interpreter, so no other test's import counts
-    matrices = [TILTED, perturbed(VERR, 1e-8, 15), perturbed(VERR, 1e-8, 31)]
+    # on-face elements (JUMP, m = 4; at m = 3 the regions are fans) and
+    # regions whose lattice point Qhull rejects (VERR at 1e-8, seeds 15 and
+    # 31) both take the least-distance NNLS route, each matrix at least once;
+    # in a fresh interpreter, so no other test's import counts
+    matrices = [JUMP, perturbed(VERR, 1e-8, 15), perturbed(VERR, 1e-8, 31)]
     script = (
         "import sys\n"
-        "from conirep import evaluate\n"
+        "from conirep import evaluate, region\n"
+        "least_distance, calls = region._interior_point, []\n"
+        "region._interior_point = lambda G: calls.append(G) or least_distance(G)\n"
         f"for rows in {[C.tolist() for C in matrices]!r}:\n"
+        "    before = len(calls)\n"
         "    evaluate(rows)\n"
+        "    assert len(calls) > before, 'no least-distance point was solved for'\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

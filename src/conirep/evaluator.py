@@ -1,17 +1,16 @@
 """End-to-end evaluation of a state matrix.
 
 evaluate() dispatches between closed forms (a cone of rank 0 or 1, whose
-one region is the whole cube, and a fully covered hypercube), at m = 2 the
-planar cone's two ray regions, built as fans with no Qhull call
-(wedge_regions), and the analytical region pipeline, which takes a cone of
-any rank r: the cone lattice's adjacent cones, each clipped to the cube at
-m = 3 by fans from the origin over its far-face sections (fan_regions) and
-at m >= 4 by Qhull and triangulated by a pulling walk (build_region). Every
-region route sums, over every boundary element of the cone, the exact
-integral of the squared distance to that element's span across the
-element's region of the hypercube. At r < m the cone itself is
-one more element, whose region is the whole cone plus its span's
-orthogonal complement, and the cone has no volume.
+one region is the whole cube, a fully covered hypercube, and at m = 2 the
+planar cone's two ray regions, _ray_regions) and the analytical region
+pipeline, which takes a cone of any rank r at m >= 3: the cone lattice's
+adjacent cones, each clipped to the cube at m = 3 by fans from the origin
+over its far-face sections (fan_regions) and at m >= 4 by Qhull and
+triangulated by a pulling walk (build_region). Every region route sums,
+over every boundary element of the cone, the exact integral of the squared
+distance to that element's span across the element's region of the
+hypercube. At r < m the cone itself is one more element, whose region is
+the whole cone plus its span's orthogonal complement, and the cone has no volume.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from .errors import BudgetExceededError, DegenerateConeError
 from .integrate import region_integral
 # not used here; bench/tracer.py wraps conirep.evaluator.ir_num
 from .oracle import ir_num  # noqa: F401
-from .region import build_region, fan_regions, wedge_regions
+from .region import build_region, fan_regions
 
 # Hard caps for the combinatorial stages. The regions of one call may hold
 # MAX_SIMPLICES simplices together; the fans and the walk count them before
@@ -77,7 +76,7 @@ def region_report(C) -> tuple[RegionRecord, ...]:
     """Per-element region rows, forcing the region route where it applies.
 
     That route is the full pipeline at m >= 3, its regions fans at m = 3,
-    and the two ray fans at m = 2.
+    and the two ray regions' closed form at m = 2.
     Unlike evaluate(), a fully covered hypercube does not short-circuit, so
     degenerate (zero-volume) regions are listed rather than skipped.
     """
@@ -119,14 +118,14 @@ def _evaluate(C, force_regions) -> EvaluationResult:
                       "cone contains every hypercube vertex: full coverage")
 
     if m == 2:
-        # a planar cone: its two rays are its elements, each basis the unit ray
-        members, dims, bases = cone.facets, np.ones(2, dtype=int), cone.rays[:, :, None]
-        regions = wedge_regions(cone.rays)
+        # a planar cone: its two rays are its elements
+        members, dims = cone.facets, np.ones(2, dtype=int)
+        volumes, integrals = _ray_regions(cone.rays)
     else:
         table = cone_sub_elements(cone)
-        members, dims, bases = table.members, table.dims, table.bases
+        members, dims = table.members, table.dims
         regions = (fan_regions if m == 3 else build_region)(table, MAX_SIMPLICES)
-    volumes, integrals = region_integral(regions, bases)
+        volumes, integrals = region_integral(regions, table.bases)
     # each element's 1-based rays, ascending, read off its ray mask
     rays = (np.nonzero(members)[1] + 1).tolist()
     ends = members.sum(axis=1).cumsum().tolist()
@@ -137,6 +136,24 @@ def _evaluate(C, force_regions) -> EvaluationResult:
         raise DegenerateConeError(f"region volumes sum to {covered!r}, not a partition of the cube")
     return result(sum(r.integral for r in records),
                   max(1.0 - covered, 0.0) if full_rank else 0.0, records, METHOD_ANALYTICAL)
+
+
+def _ray_regions(rays: np.ndarray):
+    """Area and squared-distance integral of each ray region of a planar cone.
+
+    rays: the cone's (2, 2) unit rays, the steeper first, as coni_facets
+    gives them. The steeper ray (a, b) owns the square's part a y >= b x,
+    where the squared distance is (a y - b x)^2. When b >= a that part is
+    the triangle of the origin, (a/b, 1) and (0, 1): area a/2b, integral
+    a^3/12b. Otherwise it is the square less the triangle of the origin,
+    (1, 0) and (1, b/a): area 1 - b/2a, integral a^2/3 - ab/2 + b^2/3 -
+    b^3/12a. The flatter ray's is the same with x and y swapped.
+    """
+    a, b = np.array([rays[0], rays[1, ::-1]]).T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    area, value = low / (2.0 * high), low ** 3 / (12.0 * high)
+    return np.where(a > b, 1.0 - area, area), \
+        np.where(a > b, a * a / 3.0 - a * b / 2.0 + b * b / 3.0 - value, value)
 
 
 def _covers_hypercube(cone: Cone) -> bool:

@@ -23,7 +23,7 @@ sections with the far faces, and at m = 3, where a section is a polygon,
 fan_regions builds them directly: the unit square on each far face clipped
 by the region's rows, every (region, face) pair at once, fanned from the
 origin, with no interior point, Qhull call or walk. build_region serves
-m >= 4, and wedge_regions the two ray regions of a planar cone at m = 2.
+m >= 4, and evaluate takes m = 2 in closed form: this module serves m >= 3.
 """
 from __future__ import annotations
 
@@ -465,24 +465,3 @@ def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
     return Regions(vertices, simplices, vertex_start,
                    np.add.accumulate([0, *tets.reshape(n, 3).sum(axis=1).tolist()]))
 
-
-def wedge_regions(rays: np.ndarray) -> Regions:
-    """The two ray regions of a planar cone, as fans from the origin, with no Qhull call.
-
-    rays: the cone's (2, 2) unit rays, the steeper first, as coni_facets
-    gives them. Region i is the part of the unit square between ray i and
-    the axis beyond it: the fan from the origin over the ray's exit point on
-    the square, the corner (1, 1) unless the ray leaves through the far edge
-    it faces, and the corner on that axis. A ray on an axis gives a fan of
-    zero area.
-    """
-    fans = []
-    for ray, corner in zip(rays, ([0.0, 1.0], [1.0, 0.0])):
-        point = ray / ray.max()
-        # point @ corner is 1 exactly when the ray leaves through the far edge
-        fans.append([[0.0, 0.0], point, *([] if point @ corner == 1.0 else [[1.0, 1.0]]), corner])
-    sizes = [len(fan) for fan in fans]
-    vertex_start = np.add.accumulate([0, *sizes])
-    simplices = [[a, a + j, a + j + 1] for a, k in zip(vertex_start, sizes) for j in range(1, k - 1)]
-    return Regions(np.vstack(fans), np.array(simplices), vertex_start,
-                   np.add.accumulate([0, *(k - 2 for k in sizes)]))

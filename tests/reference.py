@@ -22,7 +22,7 @@ one basis at a time by a loop of Gram-Schmidt steps. The quadrature grid
 decodes its flat indices as float64 digits; the reference decodes them in
 int64 arithmetic. For `ir` itself, the Richardson extrapolation of two
 midpoint-quadrature grids needs no geometry at all, and at m = 2 the exact
-value of an integer matrix comes in rational arithmetic from the square
+value of any matrix comes in rational arithmetic from the square
 clipped by each extreme ray's half-plane, and at m = 3 that of any
 full-rank matrix from each region's simplicial cone, clipped on the cube's
 far faces and fanned from the origin.
@@ -434,7 +434,7 @@ def _cross(a, b):
 
 
 def exact_wedge_ir(C):
-    """ir and output volume of an integer 2 x n matrix, exactly, as two Fractions.
+    """ir and output volume of a 2 x n matrix, exactly, as two Fractions.
 
     The cone of the nonzero columns lies between its steepest column s and
     its flattest f (the same column at rank 1). With l_c(x) = c⊥ . x, where
@@ -444,13 +444,14 @@ def exact_wedge_ir(C):
     Each region is the square clipped by that half-plane, and l^2 integrates
     over a triangle (0, v, w) to its signed area det(v, w) / 2 times
     (l(v)^2 + l(v) l(w) + l(w)^2) / 6, summed over the region's edges.
-    Every clipped vertex, area and value is rational. An all-zero matrix has
+    Each entry is read as a Fraction, exact for an integer or any float, so
+    every clipped vertex, area and value is rational. An all-zero matrix has
     ir = 2/3 and no output volume.
     """
-    cols = [(int(x), int(y)) for x, y in np.asarray(C).T.tolist() if x or y]
+    cols = [(Fraction(x), Fraction(y)) for x, y in np.asarray(C).T.tolist() if x or y]
     if not cols:
         return Fraction(2, 3), Fraction(0)
-    share = [Fraction(x, x + y) for x, y in cols]
+    share = [x / (x + y) for x, y in cols]
     steep, flat = cols[share.index(min(share))], cols[share.index(max(share))]
     square = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
               (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]

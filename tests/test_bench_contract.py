@@ -41,7 +41,7 @@ def test_tracer_counts_region_vertices_and_simplices(monkeypatch):
     traced = tracer.Tracer()
     traced.install({name: importlib.import_module(name) for name in modules})
     try:
-        # m = 4: at m <= 3 the regions are fans, and build_region is not called
+        # m = 4: at m <= 3 build_region is not called
         importlib.import_module("conirep").evaluate(JUMP)
     finally:
         traced.restore()

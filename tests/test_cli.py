@@ -222,7 +222,7 @@ def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
-    # m = 4: at m <= 3 the regions are fans, and build_region is not called
+    # m = 4: at m <= 3 build_region is not called
     path = tmp_path / "jump.csv"
     path.write_text(csv_text(["# JUMP"], JUMP.tolist()))
     monkeypatch.setattr("conirep.evaluator.build_region", fail)

@@ -81,7 +81,7 @@ def test_tilted_partitions_the_cube(tilted):
 
 
 def test_region_report_forces_pipeline():
-    # m = 2 takes the fans, m = 3 the pipeline: 3 rays and 3 two-ray faces
+    # m = 2 takes the closed form, m = 3 the fans: 3 rays and 3 two-ray faces
     for m, count in ((2, 2), (3, 6)):
         rows = region_report(np.eye(m))
         assert len(rows) == count

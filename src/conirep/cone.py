@@ -82,8 +82,8 @@ class AdjacentCones:
     """cone_sub_elements' table: every element's adjacent cone (see AdjacentCone).
 
     Row i is element i, by dimension, then sorted rays: members (E, k) ray masks,
-    dims, bases (E, m, m) zero-padded after dims[i] columns, facet_normals
-    rows[row_start[i]:row_start[i+1]], interior (E, m), meaningless where on_face is set.
+    dims, bases (E, m, m) zero-padded after dims[i] columns, and facet_normals
+    rows[row_start[i]:row_start[i+1]].
     """
 
     members: np.ndarray
@@ -91,8 +91,6 @@ class AdjacentCones:
     bases: np.ndarray
     rows: np.ndarray
     row_start: np.ndarray
-    interior: np.ndarray
-    on_face: np.ndarray
 
     @property
     def elements(self) -> dict[int, tuple[frozenset[int], ...]]:
@@ -110,9 +108,7 @@ class AdjacentCone:
     generated by the outward normals of every facet containing the element.
     basis: (m, d) orthonormal basis of span(E). facet_normals: (f, m) outward
     unit normals, one per facet of the adjacent cone itself, so the cone is
-    {x : facet_normals @ x <= 0}. interior: a point inside the adjacent cone
-    and the open positive orthant, or None when the element lies on a
-    coordinate face and the region may not reach into the orthant.
+    {x : facet_normals @ x <= 0}.
     """
 
     element: frozenset[int]
@@ -120,7 +116,6 @@ class AdjacentCone:
     normals: np.ndarray
     basis: np.ndarray
     facet_normals: np.ndarray
-    interior: np.ndarray | None
 
     @property
     def generators(self) -> np.ndarray:
@@ -310,12 +305,6 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     normalized at once; each element's come from its faces below, then
     above, each in lattice order.
 
-    With e the sum of E's rays and v the sum of its incident normals, e + s v
-    lies inside the adjacent cone for every s > 0, and inside the open
-    orthant for s = min(e_i / -v_i over v_i < 0) / 2 when e > 0. An element
-    with a coordinate of e at most TOL_GEOM lies on a coordinate face (up to
-    roundoff) and gets no point.
-
     No step runs per element: one gram_schmidt per ray count gives every
     face's basis and dimension, and one containment product the Hasse edges.
 
@@ -323,8 +312,7 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     every row lies in L, so each adjacent cone also holds L's orthogonal
     complement (Moreau's decomposition; Rockafellar, Convex Analysis, 1970,
     sections 14-15). The whole cone is then the last element: its region is
-    the cone plus that complement, cut by the facet normals alone, and its
-    interior point is the ray sum.
+    the cone plus that complement, cut by the facet normals alone.
     """
     if not len(cone.facets):
         raise DegenerateConeError("cone has no facets; build with coni_facets first")
@@ -375,20 +363,11 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     rows = rows[owner.argsort(kind="stable")]
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     row_start = np.concatenate([[0], np.bincount(owner, minlength=apex).cumsum()])
-
-    e_sum = member @ rays
-    v_sum = incident[:apex] @ normals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = 0.5 * np.where(v_sum < 0.0, e_sum / -v_sum, np.inf).min(axis=1)
-        interior = e_sum + step[:, None] * v_sum
-    on_face = ~(e_sum.min(axis=1) > TOL_GEOM)
     if r < m:
-        e = rays.sum(axis=0)
         member, dims, bases = (np.vstack([member, nodes[-1]]), np.append(dims, r),
                                np.concatenate([bases, gram_schmidt(rays[None])]))
         rows, row_start = np.vstack([rows, normals]), np.append(row_start, len(rows) + len(normals))
-        interior, on_face = np.vstack([interior, e]), np.append(on_face, not e.min() > TOL_GEOM)
-    return AdjacentCones(member, dims, bases, rows, row_start, interior, on_face)
+    return AdjacentCones(member, dims, bases, rows, row_start)
 
 
 def adjacent_cone(element: frozenset, cone: Cone, table: AdjacentCones) -> AdjacentCone:
@@ -403,5 +382,4 @@ def adjacent_cone(element: frozenset, cone: Cone, table: AdjacentCones) -> Adjac
         element=element, element_rays=cone.rays[mask],
         normals=cone.normals[(cone.facets | ~mask).all(axis=1)],
         basis=np.ascontiguousarray(table.bases[i, :, :table.dims[i]]),
-        facet_normals=table.rows[table.row_start[i]:table.row_start[i + 1]],
-        interior=None if table.on_face[i] else table.interior[i])
+        facet_normals=table.rows[table.row_start[i]:table.row_start[i + 1]])

@@ -5,8 +5,9 @@ one region is the whole cube, a fully covered hypercube, and at m = 2 the
 planar cone's two ray regions, _ray_regions) and the analytical region
 pipeline, which takes a cone of any rank r at m >= 3: the cone lattice's
 adjacent cones, each clipped to the cube at m = 3 by fans from the origin
-over its far-face sections (fan_regions) and at m >= 4 by Qhull and
-triangulated by a pulling walk (build_region). Every region route sums,
+over its far-face sections (fan_regions) and at m >= 4 by one vectorized
+double-description clip of the cube per row index, triangulated by a
+pulling walk (build_region). Every region route sums,
 over every boundary element of the cone, the exact integral of the squared
 distance to that element's span across the element's region of the
 hypercube. At r < m the cone itself is one more element, whose region is

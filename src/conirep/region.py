@@ -1,49 +1,45 @@
 """Regions: adjacent cone clipped to the unit hypercube, then triangulated.
 
-A region is the polytope {x : n . x <= 0 for each outward facet normal n of
-the adjacent cone, 0 <= x <= 1}. The adjacent cone brings its facet normals
-and, unless its element lies on a coordinate face, an interior point, both
-read off the cone lattice; where it has none or Qhull rejects it, the
-least-distance point of the region's halfspaces through the origin stands in.
-One Qhull halfspace intersection around that point gives the vertices and,
-for each vertex, the halfspaces through it; that incidence is the whole face
-lattice, one vertex bitmask per facet. build_region takes every region of an
-AdjacentCones table at once: one pass that forms every region's halfspaces,
-one intersection per region, one pass that stacks their vertices, origin
-first, and packs all their facet masks, one pulling triangulation of all
-their face lattices, level by level in arrays of packed bitmasks, whose
-simplices are counted before any is built, and the regions stacked in one
-Regions. The walk starts at the regions themselves and pulls the origin
-first, the apex of every adjacent cone and vertex 0 of every region: it
-lies on every facet but the cube's far faces x_j = 1, so only those reach
-the second level.
+A region is the polytope {x : n . x <= 0 for each facet row n of the
+adjacent cone, 0 <= x <= 1}. hypercube_intersect clips every region of an
+AdjacentCones table out of the cube at once, one double-description step
+per row index (Motzkin, Raiffa, Thompson & Thrall 1953): each region starts
+as the cube's 2^m vertices, origin first, each with a bitmask of the facets
+through it, and each row drops the vertices outside it, marks those on it
+and adds the point where each (in, out) edge crosses it: no interior point
+or Qhull call is needed. polytope_facets turns the masks into one vertex
+bitmask per facet, and one pulling triangulation walks every region's face
+lattice, level by level in arrays of packed bitmasks, counting simplices
+before any is built; the regions come stacked in one Regions. The walk
+pulls the origin first, the apex of every adjacent cone and vertex 0 of
+every region: it lies on every facet but the cube's far faces x_j = 1, so
+only those reach the second level.
 
 Each region is therefore the union of the pyramids from the origin over its
 sections with the far faces, and at m = 3, where a section is a polygon,
 fan_regions builds them directly: the unit square on each far face clipped
 by the region's rows, every (region, face) pair at once, fanned from the
-origin, with no interior point, Qhull call or walk. build_region serves
+origin, with no walk; there it is faster than the clip. build_region serves
 m >= 4, and evaluate takes m = 2 in closed form: this module serves m >= 3.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection, QhullError
 
-from .cone import AdjacentCones
+from .cone import TOL_MEMBER, AdjacentCones
 from .errors import BudgetExceededError, DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
-from .linalg import TOL_GEOM, block_size, gram_schmidt, simplex_volumes  # noqa: F401
-from .nnls import nnls
+from .linalg import block_size, gram_schmidt, simplex_volumes  # noqa: F401
+# not used here; bench/tracer.py wraps conirep.region.nnls
+from .nnls import nnls  # noqa: F401
 
-# set bits of each byte value: np.bitwise_count needs numpy 2.0
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# constants of the SWAR popcount (np.bitwise_count needs numpy 2.0): every
+# other bit, every other bit pair, every other nibble, and 1 in each byte
+_SWAR = tuple(np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
+                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
 
 @dataclass(frozen=True)
@@ -78,81 +74,6 @@ class Regions:
         return np.bincount(owner, values, minlength=len(self)).astype(float, copy=False)
 
 
-def _interior_point(G: np.ndarray):
-    """A point x with G @ x >= 1 row-wise, or None when the rows admit none.
-
-    Least-distance programming by NNLS (Lawson & Hanson 1974, ch. 23): the
-    residual of min ||E u - f||, u >= 0, with E = [G^T; 1^T] and f = e_{m+1},
-    is zero exactly when the system is infeasible. Otherwise the rows with
-    u > 0 hold with equality at the least-norm solution, which is the
-    least-norm solution of those equations. Solving them directly keeps the
-    point of a thin region accurate; reading it off the residual, as
-    -r[:m] / r[m], cancels digits and can miss the region altogether.
-    """
-    m = G.shape[1]
-    E = np.vstack([G.T, np.ones(G.shape[0])])
-    f = np.zeros(m + 1)
-    f[m] = 1.0
-    u, rnorm = nnls(E, f)
-    if rnorm <= TOL_GEOM:
-        return None
-    active = u > 0.0
-    x = np.linalg.lstsq(G[active], np.ones(int(active.sum())), rcond=None)[0]
-    # a residual just above TOL_GEOM can leave a point that breaks the rows
-    # it must meet: the system is all but infeasible, the region negligible
-    return x if (G @ x).min() >= 0.5 else None
-
-
-@dataclass(frozen=True)
-class Intersection:
-    """Vertices of one region, in Qhull's order, and the halfspaces through each.
-
-    vertices: (k, m). incidence: for each vertex, the indices of the
-    non-redundant halfspaces through it, as Qhull's dual_facets lists them;
-    a degenerate vertex appears once, with all of its planes. len() is k.
-    """
-
-    vertices: np.ndarray
-    incidence: list[list[int]]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@cache
-def _cube_halfspaces(m: int) -> np.ndarray:
-    """Rows [a, b] of a . x + b <= 0 for x >= 0, then x <= 1; read-only."""
-    block = np.hstack([np.vstack([-np.eye(m), np.eye(m)]), np.repeat([[0.0], [-1.0]], m, axis=0)])
-    block.flags.writeable = False
-    return block
-
-
-def hypercube_intersect(halfspaces: np.ndarray, point: np.ndarray) -> Intersection:
-    """One Qhull intersection of halfspaces [a, b] (a . x + b <= 0) around a point inside them."""
-    hs = HalfspaceIntersection(halfspaces, point)
-    return Intersection(hs.intersections, hs.dual_facets)
-
-
-def _region_intersection(halfspaces: np.ndarray, point, members: np.ndarray) -> Intersection:
-    """A region's intersection around `point`, scaled into the cube, when Qhull accepts it.
-
-    Otherwise around the least-distance x with a . x <= -1 for each of its
-    halfspaces [a, 0] through the origin, likewise scaled (no x <= 1 binds
-    it); with no such x the region is empty. A second Qhull failure raises.
-    """
-    m = halfspaces.shape[1] - 1
-    try:
-        if point is not None:
-            with suppress(QhullError):
-                return hypercube_intersect(halfspaces, point / (2.0 * point.max()))
-        point = _interior_point(-halfspaces[:-m, :m])
-        return Intersection(np.zeros((0, m)), []) if point is None else \
-            hypercube_intersect(halfspaces, point / (2.0 * point.max()))
-    except QhullError as exc:
-        element = np.flatnonzero(members).tolist()
-        raise DegenerateConeError(f"region of element {element}: {exc}") from exc
-
-
 def _packed(on: np.ndarray) -> np.ndarray:
     """Rows of booleans, 64 per word, as the columns of an (n_words, n) uint64 array.
 
@@ -164,45 +85,18 @@ def _packed(on: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words.T, dtype=np.uint64)
 
 
-def polytope_facets(inters: list[Intersection]):
-    """Every region's vertices, stacked, clipped and origin first, and its facet masks, packed.
-
-    A facet is a non-redundant halfspace: an intersection around a strictly
-    interior point is full-dimensional. Bit j of its mask is set for vertex
-    j of its region on it. The masks are the columns of an (n_words, F)
-    uint64 array, region by region, with the words the largest region needs;
-    the number of each region's comes with them.
-    """
-    lists = [planes for inter in inters for planes in inter.incidence]
-    sizes = np.array([len(inter) for inter in inters], dtype=np.intp)
-    per_vertex = np.array([len(planes) for planes in lists], dtype=np.intp)
-    planes = np.fromiter(itertools.chain.from_iterable(lists), np.intp, int(per_vertex.sum()))
-    qhull = np.concatenate([inter.vertices for inter in inters])
-    region = np.arange(len(inters)).repeat(sizes)
-    # each region's origin, its one vertex with every coordinate below 1/2
-    # (each other lies on a face x_j = 1), goes first; the rest keep their order
-    order = np.lexsort((qhull.max(axis=1) >= 0.5, region))
-    vertices = qhull[order].clip(0.0, 1.0)
-    start = sizes.cumsum() - sizes
-    vertices[start[sizes > 0]] = 0.0
-    # each listed plane's vertex, its place in the new order, and its (region, plane) key
-    vertex = (order.argsort() - start[region]).repeat(per_vertex)
-    n_planes = int(planes.max(initial=-1)) + 1
-    key = (region * n_planes).repeat(per_vertex) + planes
-    # a (region, plane) pair that some vertex lists is a facet
-    present = np.zeros(len(inters) * n_planes, dtype=bool)
-    present[key] = True
-    n_words = max(1, -(-int(sizes.max(initial=0)) // 64))
-    on = np.zeros((int(present.sum()), 64 * n_words), dtype=bool)
-    on[(present.cumsum() - 1)[key], vertex] = True
-    return vertices, (_packed(on), present.reshape(len(inters), n_planes).sum(axis=1))
-
-
 def _bit_counts(masks: np.ndarray) -> np.ndarray:
-    """Number of set bits in each mask column."""
-    n_words, n = masks.shape
-    return np.add.reduce(_BYTE_BITS[masks.view(np.uint8)].reshape(n_words, n, 8), axis=(0, 2),
-                         dtype=np.intp)
+    """Number of set bits in each mask column.
+
+    Each word's bits are summed in place, pairs, then nibbles, then bytes
+    (Warren, Hacker's Delight, 2nd ed., 2012, sec. 5-1), and the multiply
+    adds the bytes up into the top one.
+    """
+    ones, pairs, nibbles, bytes_ = _SWAR
+    x = masks - (masks >> np.uint64(1) & ones)
+    x = (x & pairs) + (x >> np.uint64(2) & pairs)
+    x = (x + (x >> np.uint64(4))) & nibbles
+    return ((x * bytes_) >> np.uint64(56)).sum(axis=0, dtype=np.intp)
 
 
 def _lowest_bit(masks: np.ndarray):
@@ -218,6 +112,147 @@ def _runs(starts: np.ndarray, counts: np.ndarray):
     """Indices starts[j] .. starts[j] + counts[j] - 1 for each j, and the j of each."""
     run = np.arange(len(counts)).repeat(counts)
     return (starts + counts - counts.cumsum())[run] + np.arange(len(run)), run
+
+
+def _blocks(weights: np.ndarray, words: int):
+    """Consecutive slices (a, b) of items, each weighing block_size(words) at most or one item."""
+    ends, limit, a = weights.cumsum(), block_size(words), 0
+    while a < len(weights):
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + limit, "right")))
+        yield a, b
+        a = b
+
+
+@dataclass(frozen=True)
+class Clip:
+    """Every region of an AdjacentCones table clipped out of the cube, stacked.
+
+    Region i owns vertices[vertex_start[i]:vertex_start[i+1]], origin first,
+    and their columns of masks, (n_words, k) uint64: a vertex's bits j, m + j
+    and 2m + r are set when it lies on x_j = 0, on x_j = 1 and on the
+    region's row r. facets: each region's 2m + rows facet bits. len() is k.
+    """
+
+    vertices: np.ndarray
+    masks: np.ndarray
+    vertex_start: np.ndarray
+    facets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+def _padded_rows(table: AdjacentCones) -> np.ndarray:
+    """Each region's table rows, (n, rows, m), a region with fewer padded with zero rows."""
+    rows, start = table.rows, table.row_start
+    n, count = len(start) - 1, np.diff(start)
+    padded = np.zeros((n, int(count.max(initial=0)), rows.shape[1]))
+    padded[np.arange(n).repeat(count), np.arange(len(rows)) - start[:-1].repeat(count)] = rows
+    return padded
+
+
+def _cut(vertices: np.ndarray, masks: np.ndarray, size: np.ndarray, normals: np.ndarray,
+         facet: int):
+    """One double-description step on each region at once: its part where normal . x <= 0.
+
+    Region i holds the next size[i] vertices and their mask columns, and is
+    cut by normals[i], facet bit `facet`; a zero normal cuts and marks
+    nothing. A vertex with h = normal . x above TOL_MEMBER is out and goes;
+    one within it of 0 is on and gains the bit. Each (in, out) pair of a
+    region that is an edge adds its crossing point, on the pair's common
+    facets and this one. A pair is an edge when it shares m - 1 facets or
+    more and either end is on exactly m, or else when no third vertex of the
+    region holds all its common facets (the combinatorial test: Fukuda &
+    Prodon, "Double description method revisited", 1996). Pairs are screened
+    in blocks sized by linalg.block_size. Returns the new vertices, masks and
+    sizes, each region's kept vertices in their order, then its new ones.
+    """
+    m = vertices.shape[1]
+    region = np.arange(len(size)).repeat(size)
+    h = np.einsum("ij,ij->i", vertices, normals[region])
+    word, bit = facet // 64, np.uint64(1 << facet % 64)
+    out = h > TOL_MEMBER
+    masks[word, ~out & (h >= -TOL_MEMBER) & normals.any(axis=1)[region]] |= bit
+    inner, outer = (h < -TOL_MEMBER).nonzero()[0], out.nonzero()[0]
+    n_out = np.bincount(region[outer], minlength=len(size))
+    per_in = n_out[region[inner]]
+    bits, first = _bit_counts(masks), size.cumsum() - size
+    made_vertices, made_masks, made_region = [vertices[~out]], [masks[:, ~out]], [region[~out]]
+    for a, b in _blocks(per_in, masks.shape[0]):
+        q, run = _runs((n_out.cumsum() - n_out)[region[inner[a:b]]], per_in[a:b])
+        p, q = inner[a:b][run], outer[q]
+        common = masks.take(p, axis=1) & masks.take(q, axis=1)
+        pair = (_bit_counts(common) >= m - 1).nonzero()[0]
+        p, q, common = p[pair], q[pair], common.take(pair, axis=1)
+        # the other pairs are edges when only their two ends hold all their common facets
+        check, edge = ((bits[p] != m) & (bits[q] != m)).nonzero()[0], np.ones(len(p), dtype=bool)
+        for c, d in _blocks(size[region[p[check]]], masks.shape[0]):
+            owner = region[p[check[c:d]]]
+            vertex, run = _runs(first[owner], size[owner])
+            held = ~(common[:, check[c:d]].take(run, axis=1) & ~masks.take(vertex, axis=1)).any(0)
+            edge[check[c:d]] = np.bincount(run, held, minlength=d - c) == 2
+        p, q, common = p[edge], q[edge], common.take(edge.nonzero()[0], axis=1)
+        t = h[p] / (h[p] - h[q])
+        made_vertices.append(vertices[p] + t[:, None] * (vertices[q] - vertices[p]))
+        common[word] |= bit
+        made_masks.append(common)
+        made_region.append(region[p])
+    region = np.concatenate(made_region)
+    order = region.argsort(kind="stable")
+    return np.concatenate(made_vertices)[order], \
+        np.concatenate(made_masks, axis=1).take(order, axis=1), \
+        np.bincount(region, minlength=len(size))
+
+
+def hypercube_intersect(table: AdjacentCones) -> Clip:
+    """Every region of the table clipped out of the unit cube, one _cut per row index.
+
+    Each region starts as the cube's 2^m vertices, origin first, and row j
+    of every region cuts all of them at once, a region with fewer rows
+    padded with zero rows. Every row passes through the origin, which is
+    never cut. A region with m vertices or fewer, or whose vertices share a
+    facet, is flat or empty and keeps none. Each region's vertices then go
+    by descending count of row facets, which keeps the origin, on every row,
+    first.
+    """
+    padded = _padded_rows(table)
+    n, k, m = padded.shape
+    corner = (np.arange(2 ** m)[:, None] >> np.arange(m) & 1).astype(bool)
+    on = np.zeros((2 ** m, 64 * -(-(2 * m + k) // 64)), dtype=bool)
+    on[:, :m], on[:, m:2 * m] = ~corner, corner
+    vertices, size = np.tile(corner.astype(float), (n, 1)), np.full(n, 2 ** m)
+    masks = np.tile(_packed(on), n)
+    for j in range(k):
+        vertices, masks, size = _cut(vertices, masks, size, padded[:, j], 2 * m + j)
+    first = size.cumsum() - size
+    size[np.bitwise_and.reduceat(masks, first, axis=1).any(axis=0) | (size <= m)] = 0
+    index, run = _runs(first, size)
+    row_bits = _bit_counts(masks.take(index, axis=1) & ~_packed(on[:1] | on[-1:]))
+    index = index[np.lexsort((-row_bits, run))]
+    return Clip(vertices[index], masks.take(index, axis=1), np.concatenate([[0], size.cumsum()]),
+                2 * m + np.diff(table.row_start))
+
+
+def polytope_facets(clip: Clip):
+    """The clip's vertices and, packed for the walk, each region's facet masks.
+
+    Facet bit b of a region becomes the mask of its vertices on it, bit j
+    for its vertex j. A mask of fewer than m vertices is no facet and goes;
+    one inside another stays, as the walk keeps each face's inclusion-maximal
+    masks. The masks are the columns of an (n_words, F) uint64 array, region
+    by region, with the words the largest region needs; the number of each
+    region's comes with them.
+    """
+    vertices, start, facets = clip.vertices, clip.vertex_start, clip.facets
+    sizes = np.diff(start)
+    region = np.arange(len(sizes)).repeat(sizes)
+    vertex, bit = np.unpackbits(np.ascontiguousarray(clip.masks.T).view(np.uint8), axis=1,
+                                bitorder="little").nonzero()
+    on = np.zeros((int(facets.sum()), 64 * max(1, -(-int(sizes.max(initial=0)) // 64))), bool)
+    on[(facets.cumsum() - facets)[region[vertex]] + bit, vertex - start[region[vertex]]] = True
+    wide = on.sum(axis=1) >= vertices.shape[1]
+    owner = np.arange(len(facets)).repeat(facets)[wide]
+    return vertices, (_packed(on[wide]), np.bincount(owner, minlength=len(facets)))
 
 
 def _distinct(groups: np.ndarray, masks: np.ndarray):
@@ -367,28 +402,16 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
 
 
 def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
-    """Intersect every adjacent cone of the table with the cube and triangulate them together.
+    """Clip every adjacent cone of the table out of the cube and triangulate them together.
 
-    Region i's halfspaces, rows first[i]:first[i+1] of one stacked array, are
-    its table rows (n . x <= 0), then x >= 0, then x <= 1; each is intersected
-    around the lattice's interior point or, failing that, the least-distance
-    point of its cone and orthant rows (_region_intersection). `budget` caps the
-    simplices of all the regions (triangulate_polytope).
+    `budget` caps the simplices of all the regions (triangulate_polytope).
     """
-    rows, start = table.rows, table.row_start
-    n, m = len(start) - 1, rows.shape[1]
-    first = start + 2 * m * np.arange(n + 1)
-    halfspaces = np.insert(np.hstack([rows, np.zeros((len(rows), 1))]), start[1:].repeat(2 * m),
-                           np.tile(_cube_halfspaces(m), (n, 1)), axis=0)
-    inters = [_region_intersection(halfspaces[first[i]:first[i + 1]],
-                                   None if table.on_face[i] else table.interior[i],
-                                   table.members[i]) for i in range(n)]
-    vertices, facets = polytope_facets(inters)
-    simplices, counts = triangulate_polytope(facets, [inter.vertices for inter in inters], budget)
-    vertex_start = np.add.accumulate([0] + [len(inter) for inter in inters])
-    simplices += vertex_start[:-1].repeat(counts)[:, None]
-    return Regions(vertices, simplices, vertex_start,
-                   np.add.accumulate([0, *counts.tolist()]))
+    clip = hypercube_intersect(table)
+    vertices, facets = polytope_facets(clip)
+    start = clip.vertex_start
+    simplices, counts = triangulate_polytope(facets, np.split(vertices, start[1:-1]), budget)
+    simplices += start[:-1].repeat(counts)[:, None]
+    return Regions(vertices, simplices, start, np.add.accumulate([0, *counts.tolist()]))
 
 
 # the unit square on each far face x_j = 1 of the 3-cube, corners in cyclic
@@ -441,11 +464,8 @@ def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
     are counted against `budget` before any is built. Region i's vertices
     are its origin, then its polygons' corners, face by face.
     """
-    rows, start = table.rows, table.row_start
-    n = len(start) - 1
-    count = np.diff(start)
-    padded = np.zeros((n, int(count.max(initial=0)), 3))
-    padded[np.arange(n).repeat(count), np.arange(len(rows)) - start[:-1].repeat(count)] = rows
+    padded = _padded_rows(table)
+    n = len(padded)
     normals = padded.repeat(3, axis=0)
     polygons, size = np.tile(_FAR_SQUARES, (n, 1, 1)), np.full(3 * n, 4)
     for j in range(padded.shape[1]):

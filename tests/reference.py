@@ -115,8 +115,8 @@ def facet_masks(vertices) -> list[int]:
     """
     V = np.asarray(vertices, dtype=float)
     eq = ConvexHull(V).equations
-    on = np.abs(eq[:, :-1] @ V.T + eq[:, -1:]) < TOL_GEOM
-    return sorted({sum(1 << int(j) for j in np.flatnonzero(row)) for row in on})
+    on = np.packbits(np.abs(eq[:, :-1] @ V.T + eq[:, -1:]) < TOL_GEOM, axis=1, bitorder="little")
+    return sorted({int.from_bytes(row.tobytes(), "little") for row in on})
 
 
 def packed_facets(facets: list[list[int]], vertices):
@@ -181,9 +181,7 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone,
     summed outward normals of the facets containing E' but not E; for each
     (d+1)-face G containing E (the whole cone when d = r-1 at rank r = m),
     the part orthogonal to span(E) of the summed rays of G outside E. The
-    interior point is e + s v by the same formula, and e for the whole cone,
-    which is an element at r < m and lies in no facet. The lattice's
-    elements by dimension come from `table`.
+    lattice's elements by dimension come from `table`.
     """
     element = frozenset(element)
     rays = cone.rays[sorted(element)]
@@ -200,19 +198,12 @@ def adjacent_cone_by_element(element: frozenset, cone: Cone,
                       for sup in above], dtype=bool).reshape(-1, k)
     rows = np.vstack([leaving @ cone.normals @ basis @ basis.T,
                       (outer @ cone.rays) @ (np.eye(m) - basis @ basis.T)])
-    normals = cone.normals[incident]
-    e, v = rays.sum(axis=0), normals.sum(axis=0)
-    interior = None
-    if e.min() > TOL_GEOM:
-        down = v < 0.0
-        interior = e + 0.5 * np.min(e[down] / -v[down]) * v if down.any() else e
     return AdjacentCone(
         element=element,
         element_rays=rays,
-        normals=normals,
+        normals=cone.normals[incident],
         basis=basis,
         facet_normals=rows / np.linalg.norm(rows, axis=1, keepdims=True),
-        interior=interior,
     )
 
 
@@ -225,7 +216,7 @@ def lattice_by_element_scan(cone: Cone) -> list[AdjacentCone]:
     element's faces one dimension below found by scanning E & F over the
     facets F not containing it. The rows are formed, over all the Hasse
     edges at once, by the same products as cone_sub_elements, so they and
-    the bases and interior points must match the table bit for bit. At rank
+    the bases must match the table bit for bit. At rank
     r < m the whole cone comes last.
     """
     rays, normals, m, r = cone.rays, cone.normals, cone.dim, cone.cone_rank
@@ -275,42 +266,14 @@ def lattice_by_element_scan(cone: Cone) -> list[AdjacentCone]:
     rows = rows[np.argsort(owner, kind="stable")]
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     rows = np.split(rows, np.cumsum(np.bincount(owner, minlength=len(flat)))[:-1])
-
-    e_sum = member[:apex] @ rays
-    v_sum = incident[:apex] @ normals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = 0.5 * np.where(v_sum < 0.0, e_sum / -v_sum, np.inf).min(axis=1)
-        interior = e_sum + step[:, None] * v_sum
     adjs = [AdjacentCone(element=e, element_rays=rays[sorted(e)], normals=normals[incident[i]],
-                         basis=bases[e], facet_normals=rows[i],
-                         interior=interior[i] if e_sum[i].min() > TOL_GEOM else None)
+                         basis=bases[e], facet_normals=rows[i])
             for i, e in enumerate(flat)]
     if r < m:
-        e = rays.sum(axis=0)
         adjs.append(AdjacentCone(
             element=frozenset(range(len(rays))), element_rays=rays, normals=np.zeros((0, m)),
-            basis=gram_schmidt(rays), facet_normals=normals,
-            interior=e if e.min() > TOL_GEOM else None))
+            basis=gram_schmidt(rays), facet_normals=normals))
     return adjs
-
-
-def origin_first(inter, through_origin: int):
-    """One region's vertices and incidence, its origin first, clipped into the cube.
-
-    The per-region step polytope_facets replaced: the origin is the first
-    vertex whose planes all lie among the first through_origin, which pass
-    through it; it moves to the front, is set to 0 exactly, and the rest
-    keep their order.
-    """
-    pts, incidence = inter.vertices.copy(), list(inter.incidence)
-    if not len(pts):
-        return pts, incidence
-    o = next(j for j, planes in enumerate(incidence) if max(planes) < through_origin)
-    order = [o, *range(o), *range(o + 1, len(incidence))]
-    pts, incidence = pts[order], [incidence[j] for j in order]
-    np.clip(pts, 0.0, 1.0, out=pts)
-    pts[0] = 0.0
-    return pts, incidence
 
 
 def simplex_integrals(points, vol: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -233,15 +233,21 @@ def test_numerical_failure_exit_code(capsys, tmp_path, monkeypatch, error):
     assert "numerical failure: forced failure" in captured.err
 
 
-# two vertices of one region 4.4e-13 apart break its face lattice, and the
-# pulling walk's chains came out ragged: a ValueError read as an input error
+# VERR at 1e-12, seed 0 has two vertices of one region 4.4e-13 apart: Qhull's
+# face lattice broke the pulling walk's chains, which came out ragged, a
+# ValueError once read as an input error and then exit 4. The clip's masks
+# make a face lattice, and it answers. A degenerate cone still exits 4:
+# VERR at 3e-9, seed 15, whose regions overlap (test_overlapping_regions_raise)
 def test_ragged_triangulation_exit_code(capsys, tmp_path):
     path = tmp_path / "verr.csv"
     path.write_text(csv_text(["# VERR at 1e-12, seed 0"], perturbed(VERR, 1e-12, 0).tolist()))
+    assert main(["evaluate", "--input", str(path), "--format", "csv"]) == 0
+    assert "0.1163333915138" in capsys.readouterr().out
+    path.write_text(csv_text(["# VERR at 3e-9, seed 15"], perturbed(VERR, 3e-9, 15).tolist()))
     code = main(["evaluate", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 4
-    assert "a pulled chain does not have 5 vertices" in captured.err
+    assert "region volumes sum to 1.3" in captured.err
 
 
 @pytest.mark.parametrize("command, target", [

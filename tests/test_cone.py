@@ -237,7 +237,6 @@ def test_adjacent_cone_rows_match_its_hull(C):
     # none redundant: the unit normals of a hull of its generators
     cone = coni_facets(C)
     table = cone_sub_elements(cone)
-    points = 0
     for elems in table.elements.values():
         for e in elems:
             adj = adjacent_cone(e, cone, table)
@@ -248,18 +247,6 @@ def test_adjacent_cone_rows_match_its_hull(C):
             gap = np.abs(rows[:, None, :] - hull[None, :, :]).max(axis=2)
             assert gap.min(axis=1).max() < 1e-9
             assert gap.min(axis=0).max() < 1e-9
-            if adj.interior is None:
-                continue
-            points += 1
-            assert (rows @ adj.interior).max() < 0.0
-            x = adj.interior / (2.0 * adj.interior.max())
-            assert x.min() > 0.0 and x.max() < 1.0
-    total = sum(len(v) for v in table.elements.values())
-    if np.all(C > 0):
-        assert points == total
-    else:
-        # elements on coordinate faces get no closed-form point
-        assert 0 < points < total
 
 
 def _same_bits(a, b):
@@ -281,9 +268,6 @@ def _check_against_element_scan(C):
                           adj.facet_normals)
         assert _same_bits(np.ascontiguousarray(table.bases[i, :, :d]), adj.basis)
         assert not table.bases[i, :, d:].any()
-        assert table.on_face[i] == (adj.interior is None)
-        if adj.interior is not None:
-            assert _same_bits(table.interior[i], adj.interior)
     for elems in table.elements.values():
         for e in elems:
             got, ref = adjacent_cone(e, cone, table), adjacent_cone_by_element(e, cone, table)
@@ -292,9 +276,6 @@ def _check_against_element_scan(C):
             np.testing.assert_allclose(got.facet_normals, ref.facet_normals, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(got.normals, ref.normals)
             np.testing.assert_array_equal(got.element_rays, ref.element_rays)
-            assert (got.interior is None) == (ref.interior is None)
-            if ref.interior is not None:
-                np.testing.assert_allclose(got.interior, ref.interior, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.basis @ got.basis.T, ref.basis @ ref.basis.T,
                                        rtol=0, atol=1e-12)
 
@@ -315,7 +296,7 @@ def test_table_does_not_depend_on_the_element_limit(C, monkeypatch):
     assert len(bare.facets) >= 2
     monkeypatch.setattr("conirep.cone.MAX_ELEMENTS", len(table.dims))
     small = cone_sub_elements(bare)
-    for name in ("members", "dims", "bases", "rows", "row_start", "interior", "on_face"):
+    for name in ("members", "dims", "bases", "rows", "row_start"):
         assert _same_bits(getattr(small, name), getattr(table, name)), name
 
 

@@ -387,8 +387,8 @@ def on_a_coordinate_face(C):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_partition_identity(m):
     # from m = 3 on, also matrices with entries zeroed at random: their rays
-    # on coordinate faces give regions whose interior point comes from the
-    # least-distance NNLS, not from the lattice. m = 6 takes one masked draw.
+    # on coordinate faces give regions that lie along the cube's faces. m = 6
+    # takes one masked draw.
     # Then two cones of rank below m, whose regions tile the whole cube.
     rng = np.random.default_rng(900 + m)
     plain, masked_draws = {2: (4, 0), 5: (2, 2), 6: (0, 1)}.get(m, (4, 4))
@@ -465,20 +465,67 @@ def test_quadrature_answers_on_a_near_flat_facet():
     assert abs(evaluate(C).ir - ir_num(C, 8).ir_num) <= 4 / (12.0 * 8 ** 2)
 
 
+def _first_full_rank_5x6():
+    rng = np.random.default_rng(5)
+    while True:
+        C = rng.integers(0, 3, (5, 6)).astype(float)
+        if np.linalg.matrix_rank(C) == 5:
+            return C
+
+
+# exact values from a brute-force rational computation of every region
+JUMP_IR, VERR_IR = 0.06224243198588766, 0.11633339151382505
+
+
+# VERR at 1e-12, seed 36 has two vertices 1.9e-13 apart: Qhull's face lattice
+# of one region made the walk cover 0.048177 of its 0.053385, and ir was
+# 1.7e-4 off
+@pytest.mark.parametrize("C, exact", [
+    (JUMP, JUMP_IR), (VERR, VERR_IR), (perturbed(VERR, 1e-12, 36), 0.11633339151379839),
+    (_first_full_rank_5x6(), 0.19991448878780851),
+], ids=["JUMP", "VERR", "VERR-1e-12-seed-36", "first-full-rank-5x6"])
+def test_pinned_to_the_exact_value(C, exact):
+    assert abs(evaluate(C).ir - exact) <= 1e-12
+
+
+# VERR's regions overlap at these (eps, seed): its lattice, not the region
+# stage, is at fault, and the partition guard raises
+VERR_OVERLAPS = {(3e-9, 15), (3e-9, 36), (1e-8, 10), (1e-8, 17), (1e-8, 32), (1e-8, 38)}
+
+
+@pytest.mark.parametrize("name", ["JUMP", "VERR"])
+def test_near_degenerate_grid(name):
+    # nonzero entries moved by up to eps: every answer stays within 10 eps of
+    # the unperturbed value (the largest gap measured was 0.92 eps), and the
+    # only typed errors are VERR's overlaps, none from the walk's chain check
+    C, exact = {"JUMP": (JUMP, JUMP_IR), "VERR": (VERR, VERR_IR)}[name]
+    raised = set()
+    for eps in (1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8):
+        for seed in range(40):
+            try:
+                res = evaluate(perturbed(C, eps, seed))
+            except DegenerateConeError as exc:
+                assert str(exc).startswith("region volumes sum to 1.3"), (eps, seed, exc)
+                raised.add((eps, seed))
+                continue
+            assert abs(res.ir - exact) <= 10 * eps, (eps, seed, res.ir)
+    assert raised == (VERR_OVERLAPS if name == "VERR" else set())
+
+
 # regions of VERR at 3e-9, seed 15 still overlap; the volumes sum to 1.31
 def test_overlapping_regions_raise():
     with pytest.raises(DegenerateConeError, match="^region volumes sum to 1.3"):
         evaluate(perturbed(VERR, 3e-9, 15))
 
 
-# Qhull rejected the lattice's interior point of element [1, 2, 3]'s region
-# (QH6023). At both seeds the least-distance system of the region's
-# halfspaces through the origin has no solution (the Chebyshev radius is
-# 1.1e-9 at seed 15 and 0 at seed 31), so the region is empty. VERR's
-# unperturbed ir is 0.1163334.
+# the region of rays 2, 3 and 4 has no interior (its Chebyshev radius is
+# 1.1e-9 at seed 15 and 0 at seed 31): Qhull once rejected the lattice's
+# point inside it (QH6023). The clip leaves a flat set, and the region is
+# empty. VERR's unperturbed ir is 0.1163334.
 @pytest.mark.parametrize("seed", [15, 31])
-def test_interior_point_retries_at_the_least_distance_point(seed):
+def test_region_without_interior_is_empty(seed):
     res = evaluate(perturbed(VERR, 1e-8, seed))
+    assert [r.volume for r in res.regions if r.element == (2, 3, 4)] == [0.0]
     covered = math.fsum(r.volume for r in res.regions)
     assert covered + res.output_volume == pytest.approx(1.0, abs=1e-9)
     assert res.ir == pytest.approx(0.11633339151382503, abs=1e-8)
@@ -486,19 +533,15 @@ def test_interior_point_retries_at_the_least_distance_point(seed):
 
 def test_evaluation_never_imports_scipy_optimize():
     # on-face elements (JUMP, m = 4; at m = 3 the regions are fans) and
-    # regions whose lattice point Qhull rejects (VERR at 1e-8, seeds 15 and
-    # 31) both take the least-distance NNLS route, each matrix at least once;
-    # in a fresh interpreter, so no other test's import counts
+    # regions without interior (VERR at 1e-8, seeds 15 and 31), then the
+    # quadrature; in a fresh interpreter, so no other test's import counts
     matrices = [JUMP, perturbed(VERR, 1e-8, 15), perturbed(VERR, 1e-8, 31)]
     script = (
         "import sys\n"
-        "from conirep import evaluate, region\n"
-        "least_distance, calls = region._interior_point, []\n"
-        "region._interior_point = lambda G: calls.append(G) or least_distance(G)\n"
+        "from conirep import evaluate, ir_num\n"
         f"for rows in {[C.tolist() for C in matrices]!r}:\n"
-        "    before = len(calls)\n"
         "    evaluate(rows)\n"
-        "    assert len(calls) > before, 'no least-distance point was solved for'\n"
+        "ir_num(rows, 4)\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

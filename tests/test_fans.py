@@ -7,12 +7,13 @@ replaced at m = 3 (build_region, which m >= 4 still takes) stays its
 reference, and exact_ir3 gives the exact value of a full-rank matrix.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 
-from conirep import region
 from conirep.cone import cone_sub_elements, coni_facets
 from conirep.errors import BudgetExceededError
 from conirep.evaluator import evaluate, region_report
@@ -72,21 +73,32 @@ def test_fans_match_the_pipeline():
     assert ranks == {2, 3}
 
 
-def test_no_halfspace_intersection_at_m3(monkeypatch):
-    calls, intersect = [], region.HalfspaceIntersection
+def test_no_halfspace_intersection_in_the_region_stage(monkeypatch):
+    # no conirep module holds the class under a name of its own, which the
+    # patch below would miss
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("conirep") and hasattr(module, "HalfspaceIntersection")]
+    calls, intersect = [], scipy.spatial.HalfspaceIntersection
 
     def counted(*args, **kwargs):
         calls.append(args)
         return intersect(*args, **kwargs)
 
-    monkeypatch.setattr(region, "HalfspaceIntersection", counted)
-    # TILTED has elements on a coordinate face; every fourth draw has rank 2
-    for C in [TILTED, *_draws(np.random.default_rng(7), 40)]:
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", counted)
+    # TILTED has elements on a coordinate face, and every fourth m = 3 draw
+    # has rank 2; JUMP's lattice is degenerate; then 4..6-row draws, some
+    # with entries zeroed so that their rays lie on coordinate faces
+    rng = np.random.default_rng(7)
+    masked = [rng.uniform(0.0, 3.0, (m, m + 2)) * (rng.random((m, m + 2)) > 0.3 * (i % 2))
+              for m in (4, 5, 6) for i in range(2)]
+    for C in [TILTED, *_draws(rng, 40), JUMP, *masked]:
         evaluate(C)
+        region_report(C)
     assert calls == []
-    # the count sees the pipeline's calls at m = 4
-    evaluate(JUMP)
-    assert len(calls) > 0
+    # the count sees a call made through scipy.spatial
+    square = np.hstack([np.vstack([-np.eye(2), np.eye(2)]), [[0.0], [0.0], [-1.0], [-1.0]]])
+    scipy.spatial.HalfspaceIntersection(square, np.array([0.5, 0.5]))
+    assert len(calls) == 1
 
 
 def test_tetrahedra_are_counted_before_any_is_built():

@@ -4,26 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull
 
-import conirep.region
 from conirep.cone import (AdjacentCone, AdjacentCones, adjacent_cone, cone_sub_elements,
                           coni_facets)
 from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.linalg import simplex_volumes
 from conirep.nnls import nnls_batch
 from conirep.region import (
-    Intersection,
-    _interior_point,
     build_region,
     hypercube_intersect,
     polytope_facets,
     triangulate_polytope,
 )
 
-from conftest import TILTED, WEDGE, random_activity
-from reference import (cone_contains, facet_masks, origin_first, packed_facets,
-                       triangulate_by_recursion)
+from conftest import JUMP, TILTED, WEDGE, random_activity
+from reference import cone_contains, facet_masks, packed_facets, triangulate_by_recursion
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -38,11 +34,11 @@ def wedge_adjacent(index):
     return adjacent_cone(frozenset({index}), cone, cone_sub_elements(cone))
 
 
-def adjacent(facet_normals, interior):
-    """An adjacent cone given only by its facet rows and an interior point."""
+def adjacent(facet_normals):
+    """An adjacent cone given only by its facet rows."""
     m = facet_normals.shape[1]
     return AdjacentCone(frozenset(), np.zeros((0, m)), np.zeros((0, m)), np.zeros((m, 0)),
-                        facet_normals, interior)
+                        facet_normals)
 
 
 def stacked(adjs):
@@ -56,47 +52,29 @@ def stacked(adjs):
     return AdjacentCones(
         members=members, dims=np.array([a.basis.shape[1] for a in adjs]), bases=bases,
         rows=np.vstack([a.facet_normals for a in adjs]),
-        row_start=np.cumsum([0] + [len(a.facet_normals) for a in adjs]),
-        interior=np.array([np.ones(m) if a.interior is None else a.interior for a in adjs]),
-        on_face=np.array([a.interior is None for a in adjs]))
-
-
-def intersections(table):
-    """Each region's Qhull intersection as build_region makes it; empty for a region it skips."""
-    made = []
-
-    def keep(*args):
-        made.append(hypercube_intersect(*args))
-        return made[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conirep.region, "hypercube_intersect", keep)
-        sizes = np.diff(build_region(table).vertex_start)
-    assert len(made) == np.count_nonzero(sizes)
-    made.reverse()
-    m = table.rows.shape[1]
-    return [made.pop() if size else Intersection(np.zeros((0, m)), []) for size in sizes]
+        row_start=np.cumsum([0] + [len(a.facet_normals) for a in adjs]))
 
 
 def mask_vertices(mask):
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def int_masks(masks):
+    """Packed (n_words, k) mask columns back to a list of ints."""
+    return [sum(int(w) << 64 * i for i, w in enumerate(col)) for col in masks.T]
+
+
 def int_facets(packed):
     """polytope_facets' packed columns back to each polytope's list of int bitmasks."""
     masks, counts = packed
-    ints = [sum(int(w) << 64 * i for i, w in enumerate(col)) for col in masks.T]
+    ints = int_masks(masks)
     ends = np.cumsum(counts).tolist()
     return [ints[end - c:end] for end, c in zip(ends, counts.tolist())]
 
 
-def incidence_masks(incidence):
-    """Each plane's vertex bitmask, read off the incidence lists one vertex at a time."""
-    masks = {}
-    for j, planes in enumerate(incidence):
-        for i in planes:
-            masks[i] = masks.get(i, 0) | 1 << j
-    return sorted(masks.values())
+def maximal(masks):
+    """The inclusion-maximal masks, each once, sorted."""
+    return sorted({f for f in masks if not any(f & g == f != g for g in masks)})
 
 
 def sorted_rows(a):
@@ -104,17 +82,16 @@ def sorted_rows(a):
 
 
 def test_wedge_diagonal_region_vertices():
-    [inter] = intersections(stacked([wedge_adjacent(0)]))
-    verts = inter.vertices
+    clip = hypercube_intersect(stacked([wedge_adjacent(0)]))
     np.testing.assert_allclose(
-        sorted_rows(verts), [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], atol=1e-9)
+        sorted_rows(clip.vertices), [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], atol=1e-9)
 
 
 def test_wedge_axis_region_is_degenerate():
-    # the cone below the x-axis meets the cube only in a segment: no
-    # interior point, so no vertices are enumerated
-    [inter] = intersections(stacked([wedge_adjacent(1)]))
-    assert inter.vertices.shape == (0, 2) and inter.incidence == []
+    # the cone below the x-axis meets the cube only in a segment: the clip
+    # leaves a flat set, so the region keeps no vertices
+    clip = hypercube_intersect(stacked([wedge_adjacent(1)]))
+    assert len(clip) == 0 and clip.vertex_start.tolist() == [0, 0]
     region = build_region(stacked([wedge_adjacent(1)]))
     assert region.volume == 0.0
     assert len(region.simplices) == 0
@@ -126,68 +103,105 @@ def test_wedge_diagonal_region_build():
     assert len(region.simplices) == 1
 
 
-@pytest.mark.parametrize("point", [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
-                         ids=["outside", "on-a-facet"])
-def test_rejected_point_falls_back_to_the_least_distance_point(point):
-    # Qhull refuses a point outside the square pyramid or on its facet
-    # x1 = x3; the region's own halfspaces still give one intersection
-    table = stacked([adjacent(PYRAMID_NORMALS, np.array(point))])
-    [inter] = intersections(table)
-    assert len(inter) == 5
-    assert build_region(table).volume == pytest.approx(1.0 / 3.0, abs=1e-12)
+@pytest.mark.parametrize("m", [3, 4])
+def test_cube_cut_by_one_row(m):
+    # x1 <= x2 passes through the cube vertices with x1 = x2, and no edge
+    # crosses it: the region keeps the 3 2^(m-2) vertices with x1 <= x2, and
+    # those with x1 = x2 gain the row's bit 2m
+    row = np.zeros(m)
+    row[:2] = SQ2, -SQ2
+    clip = hypercube_intersect(stacked([adjacent(row[None])]))
+    corners = np.array([[j >> i & 1 for i in range(m)] for j in range(2 ** m)], dtype=float)
+    kept = corners[corners[:, 0] <= corners[:, 1]]
+    assert len(clip) == 3 * 2 ** (m - 2)
+    np.testing.assert_array_equal(sorted_rows(clip.vertices), sorted_rows(kept))
+    assert np.all(clip.vertices[0] == 0.0)
+    for v, mask in zip(clip.vertices, int_masks(clip.masks)):
+        bits = sum(1 << (m * int(x) + j) for j, x in enumerate(v)) | int(v[0] == v[1]) << 2 * m
+        assert mask == bits
+    # the vertices go by descending count of row facets: those on the row first
+    on = clip.vertices[:, 0] == clip.vertices[:, 1]
+    assert on[:2 ** (m - 1)].all() and not on[2 ** (m - 1):].any()
+    assert clip.facets.tolist() == [2 * m + 1]
+    assert build_region(stacked([adjacent(row[None])])).volume == pytest.approx(0.5, abs=1e-15)
+
+    # 2 x1 <= x2 crosses the 2^(m-2) edges from (0, 1, z) to (1, 1, z) at
+    # (1/2, 1, z), each on x2 = 1, z's faces and the row
+    row[:2] = np.array([2.0, -1.0]) / math.sqrt(5.0)
+    clip = hypercube_intersect(stacked([adjacent(row[None])]))
+    made = [(v, mask) for v, mask in zip(clip.vertices, int_masks(clip.masks)) if v[0] == 0.5]
+    assert len(clip) == 2 ** (m - 1) + 2 ** (m - 2) and len(made) == 2 ** (m - 2)
+    for v, mask in made:
+        assert v[1] == 1.0
+        assert mask == 1 << m + 1 | sum(1 << (m * int(x) + j) for j, x in enumerate(v) if j > 1) \
+            | 1 << 2 * m
+    assert build_region(stacked([adjacent(row[None])])).volume == pytest.approx(0.25, abs=1e-15)
 
 
-def test_second_qhull_failure_names_the_element(monkeypatch):
-    # Qhull refuses the lattice's point and then the least-distance point;
-    # element [0] lies on a coordinate face with an empty region, so it
-    # never reaches Qhull, and [1] is the first that does
-    def refuse(*args, **kwargs):
-        raise QhullError("forced refusal")
-
-    table = cone_sub_elements(coni_facets(TILTED))
-    monkeypatch.setattr(conirep.region, "hypercube_intersect", refuse)
-    with pytest.raises(DegenerateConeError, match=r"^region of element \[1\]: forced refusal"):
-        build_region(table)
-
-
-@pytest.mark.parametrize("point", [None, np.array([1.0, 1.0])], ids=["on-face", "rejected"])
-def test_region_without_interior_has_no_vertices(point):
-    # x1 <= 0 meets the square only in the segment x1 = 0: no point is
-    # strictly inside, whether the lattice offers one or not
-    table = stacked([adjacent(np.array([[1.0, 0.0]]), point)])
-    [inter] = intersections(table)
-    assert len(inter) == 0 and inter.incidence == []
+@pytest.mark.parametrize("rows", [
+    np.array([[1.0, 0.0]]),
+    np.array([[SQ2, -SQ2, 0.0], [-SQ2, SQ2, 0.0]]),
+], ids=["on-face", "between-two-rows"])
+def test_region_without_interior_has_no_vertices(rows):
+    # x1 <= 0 meets the square only in the segment x1 = 0, and x1 <= x2
+    # with x2 <= x1 the cube only in the plane x1 = x2: every vertex left
+    # lies on a common facet, so the region is flat and keeps none
+    table = stacked([adjacent(rows)])
+    assert len(hypercube_intersect(table)) == 0
     region = build_region(table)
     assert region.vertex_start.tolist() == [0, 0]
     assert region.volume == 0.0
 
 
-def test_interior_point_least_distance():
-    # x >= 1 componentwise: the least-norm solution is the all-ones corner
-    np.testing.assert_allclose(_interior_point(np.eye(3)), np.ones(3), atol=1e-12)
-    # x1 + x2 >= 1 alone: the closest point to the origin is (1/2, 1/2)
-    np.testing.assert_allclose(_interior_point(np.array([[1.0, 1.0]])),
-                               [0.5, 0.5], atol=1e-12)
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        G = rng.standard_normal((6, 3))
-        x = _interior_point(G)
-        if x is not None:
-            assert np.all(G @ x >= 1.0 - 1e-9)
-    # x1 >= 1 and -x1 >= 1 cannot both hold
-    assert _interior_point(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
+def test_masks_past_one_word():
+    # every element's rows of JUMP behind 66 rows that hold on the whole cube
+    # and pass through the origin alone: at m = 4 the real rows' bits start at
+    # 74, in the second word, and the regions are those of the rows alone
+    table = cone_sub_elements(coni_facets(JUMP))
+    rng = np.random.default_rng(5)
+    count = np.diff(table.row_start)
+    pad = -rng.uniform(0.5, 1.0, (len(count), 66, 4))
+    rows = np.concatenate([np.concatenate([p, table.rows[a:a + c]])
+                           for p, a, c in zip(pad, table.row_start, count)])
+    padded = AdjacentCones(table.members, table.dims, table.bases, rows,
+                           np.concatenate([[0], (count + 66).cumsum()]))
+    wide, narrow = hypercube_intersect(padded), hypercube_intersect(table)
+    assert wide.masks.shape[0] == 2 and narrow.masks.shape[0] == 1
+    assert wide.vertex_start.tolist() == narrow.vertex_start.tolist()
+    np.testing.assert_array_equal(wide.vertices, narrow.vertices)
+    # the same masks, the padded rows' bits (set on each origin alone) cleared
+    start = wide.vertex_start[:-1][np.diff(wide.vertex_start) > 0]
+    for i, (w, n) in enumerate(zip(int_masks(wide.masks), int_masks(narrow.masks))):
+        low = (1 << 8) - 1
+        if i in start:
+            w &= ~(((1 << 66) - 1) << 8)
+        assert w & low == n & low and w >> 74 == n >> 8
+    a, b = build_region(padded), build_region(table)
+    np.testing.assert_array_equal(a.simplices, b.simplices)
+    assert a.volume == b.volume
+
+
+def test_clip_does_not_depend_on_blocks(monkeypatch):
+    # one (in, out) pair, and one vertex of a common-facet check, per block
+    table = cone_sub_elements(coni_facets(np.random.default_rng([83, 0]).uniform(0.0, 3.0, (4, 5))))
+    whole = hypercube_intersect(table)
+    monkeypatch.setattr("conirep.linalg.BLOCK_WORDS", 1)
+    blocked = hypercube_intersect(table)
+    for name in ("vertices", "masks", "vertex_start", "facets"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_region_vertices_stay_in_cube_and_cone():
     rng = np.random.default_rng(67)
-    for _ in range(10):
-        cone = coni_facets(random_activity(rng, 3, 4))
-        if cone.cone_rank < 3:
+    for m in [3] * 10 + [4] * 10:
+        cone = coni_facets(random_activity(rng, m, m + 1))
+        if cone.cone_rank < m:
             continue
         table = cone_sub_elements(cone)
         adjs = [adjacent_cone(e, cone, table) for elems in table.elements.values() for e in elems]
-        for adj, inter in zip(adjs, intersections(table)):
-            for v in inter.vertices:
+        clip = hypercube_intersect(table)
+        for i, adj in enumerate(adjs):
+            for v in clip.vertices[clip.vertex_start[i]:clip.vertex_start[i + 1]]:
                 assert v.min() > -1e-9 and v.max() < 1 + 1e-9
                 assert cone_contains(v, adj.generators, tol_member=1e-7)
 
@@ -195,8 +209,7 @@ def test_region_vertices_stay_in_cube_and_cone():
 def test_polytope_facets_square_triangle_cube():
     # the whole cube as a region: no facet rows, every point inside
     for m, count in ((2, 4), (3, 6)):
-        verts, packed = polytope_facets(intersections(stacked([adjacent(np.zeros((0, m)),
-                                                                         np.ones(m))])))
+        verts, packed = polytope_facets(hypercube_intersect(stacked([adjacent(np.zeros((0, m)))])))
         assert verts.shape == (2 ** m, m)
         assert np.all(verts[0] == 0.0)
         [facets] = int_facets(packed)
@@ -210,23 +223,24 @@ def test_polytope_facets_square_triangle_cube():
             faces.add((axis, on[0, axis]))
         assert len(faces) == count
 
-    # the wedge's diagonal region is the triangle (0,0), (0,1), (1,1)
-    [facets] = int_facets(polytope_facets(intersections(stacked([wedge_adjacent(0)])))[1])
+    # the wedge's diagonal region is the triangle (0,0), (0,1), (1,1): x2 = 0
+    # holds the origin alone, and x1 = 1 the corner (1, 1) alone
+    [facets] = int_facets(polytope_facets(hypercube_intersect(stacked([wedge_adjacent(0)])))[1])
     assert sorted(bin(mask).count("1") for mask in facets) == [2, 2, 2]
 
 
 def test_polytope_facets_degenerate():
     # an empty region has no facets and no simplices
-    inters = intersections(stacked([wedge_adjacent(1)]))
-    verts, facets = polytope_facets(inters)
+    verts, facets = polytope_facets(hypercube_intersect(stacked([wedge_adjacent(1)])))
     assert verts.shape == (0, 2)
     assert facets[0].shape[1] == 0 and facets[1].tolist() == [0]
-    simplices, counts = triangulate_polytope(facets, [inters[0].vertices])
+    simplices, counts = triangulate_polytope(facets, [verts])
     assert simplices.shape == (0, 3) and counts.tolist() == [0]
 
-    # the pyramid's apex lies on four facets: one vertex, four masks
-    verts, packed = polytope_facets(intersections(stacked([
-        adjacent(PYRAMID_NORMALS, np.array([0.25, 0.25, 1.0]))])))
+    # the pyramid's apex lies on four facets: one vertex, four masks; x3 = 0
+    # holds the apex alone, and x1 = 1 and x2 = 1 an edge of the base each, so
+    # those three masks go
+    verts, packed = polytope_facets(hypercube_intersect(stacked([adjacent(PYRAMID_NORMALS)])))
     np.testing.assert_allclose(sorted_rows(verts), [[0, 0, 0], [0, 0, 1], [0, 1, 1],
                                                     [1, 0, 1], [1, 1, 1]], atol=1e-12)
     assert np.all(verts[0] == 0.0)
@@ -281,26 +295,6 @@ def test_walk_ignores_repeated_and_full_masks_at_the_top():
     assert counts.tolist() == [2]
 
 
-def test_dual_facets_list_a_degenerate_vertex_once_with_all_its_planes():
-    # polytope_facets relies on this, and the test reference origin_first
-    # finds the origin as the vertex whose planes all pass through 0: the
-    # facet masks come from these lists, so a degenerate vertex must arrive
-    # once and name every plane
-    eye = np.eye(3)
-    halfspaces = np.vstack([
-        np.hstack([PYRAMID_NORMALS, np.zeros((2, 1))]),  # 0, 1: x1 <= x3, x2 <= x3
-        np.hstack([-eye, np.zeros((3, 1))]),  # 2, 3, 4: x >= 0
-        np.hstack([eye, -np.ones((3, 1))]),  # 5, 6, 7: x <= 1
-    ])
-    hs = HalfspaceIntersection(halfspaces, np.array([0.125, 0.125, 0.5]))
-    at_origin = np.flatnonzero(np.abs(hs.intersections).max(axis=1) < 1e-12)
-    assert len(hs.intersections) == 5 and len(at_origin) == 1
-    assert sorted(hs.dual_facets[at_origin[0]]) == [0, 1, 2, 3]
-    # the redundant planes x3 >= 0, x1 <= 1 and x2 <= 1 touch the pyramid
-    # but bound no facet, so no vertex lists them
-    assert {4, 5, 6}.isdisjoint(i for planes in hs.dual_facets for i in planes)
-
-
 def test_triangulation_volumes():
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     simplices, _ = triangulate_polytope(packed_facets([facet_masks(rect)], [rect]), [rect])
@@ -352,18 +346,9 @@ def test_walk_matches_recursion_on_hull_polytopes(m):
 
 
 def region_lattices(C):
-    table = cone_sub_elements(coni_facets(C))
-    inters = intersections(table)
-    vertices, packed = polytope_facets(inters)
-    facets = int_facets(packed)
-    # stacked and packed all at once, each region's vertices and masks are
-    # those of its own incidence, with its origin, the vertex on none of the
-    # planes x_j = 1, put first on its own
-    through_origin = (table.row_start[1:] - table.row_start[:-1] + C.shape[0]).tolist()
-    regions = [origin_first(inter, t) for inter, t in zip(inters, through_origin)]
-    assert vertices.tobytes() == np.concatenate([v for v, _ in regions]).tobytes()
-    assert [sorted(f) for f in facets] == [incidence_masks(incidence) for _, incidence in regions]
-    return facets, [v for v, _ in regions]
+    clip = hypercube_intersect(cone_sub_elements(coni_facets(C)))
+    vertices, packed = polytope_facets(clip)
+    return int_facets(packed), np.split(vertices, clip.vertex_start[1:-1])
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
@@ -371,6 +356,17 @@ def test_walk_matches_recursion_on_every_region(m, n):
     for seed in range(3):
         C = np.random.default_rng([83, seed]).uniform(0.0, 3.0, (m, n))
         same_simplex_sets(*region_lattices(C))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
+def test_clip_facets_are_the_hull_facets(m, n):
+    # each region's inclusion-maximal masks, against the facets Qhull finds
+    # on the hull of its vertices
+    for seed in range(3):
+        C = np.random.default_rng([83, seed]).uniform(0.0, 3.0, (m, n))
+        for facets, vertices in zip(*region_lattices(C)):
+            if len(vertices):
+                assert maximal(facets) == facet_masks(vertices)
 
 
 def test_walk_matches_recursion_past_one_mask_word():

@@ -28,11 +28,8 @@ from .integrate import region_integral
 from .oracle import ir_num  # noqa: F401
 from .region import build_region, fan_regions
 
-# Hard caps for the combinatorial stages. The regions of one call may hold
-# MAX_SIMPLICES simplices together; the fans and the walk count them before
-# they build any.
+# Hard cap on the dimension; region.MAX_SIMPLICES caps the simplices.
 MAX_DIM = 10
-MAX_SIMPLICES = 1_000_000
 # Region volumes may sum past 1 (at rank r < m: differ from 1) by this much.
 TOL_PARTITION = 1e-9
 
@@ -125,7 +122,7 @@ def _evaluate(C, force_regions) -> EvaluationResult:
     else:
         table = cone_sub_elements(cone)
         members, dims = table.members, table.dims
-        regions = (fan_regions if m == 3 else build_region)(table, MAX_SIMPLICES)
+        regions = (fan_regions if m == 3 else build_region)(table)
         volumes, integrals = region_integral(regions, table.bases)
     # each element's 1-based rays, ascending, read off its ray mask
     rays = (np.nonzero(members)[1] + 1).tolist()

@@ -1,20 +1,18 @@
 """Nonnegative least squares by the Lawson-Hanson active-set method.
 
-One loop, :func:`_lawson_hanson`, serves both entry points; they differ
-only in the least-squares step. :func:`nnls` solves a single problem with
-``lstsq`` on A's passive columns, so its error grows with the condition of
-A. :func:`nnls_batch` advances many right-hand sides in lockstep against one
-matrix, grouping points that share a passive set into one solve of the
-normal equations (Van Benthem & Keenan, 2004); quadrature grids need
-10^5..10^7 solves per call. Each group applies one inverse of its block of
-A^T A in one product, as ``np.linalg.solve`` copies right-hand sides in and
-out one column at a time. Points are grouped by a byte key of their passive
-set in stable order, so no solve depends on how many patterns there are or
-on the order the groups are visited in. Each point starts from the support
-of its unconstrained solution, pruned of nonpositive coefficients and
-re-solved until positive (:func:`_start`); from X = 0 that is all the
-ratio step would do. A batch point that fails its KKT verification, or is
-still live at the iteration cap, goes through :func:`nnls`.
+One loop, :func:`_lawson_hanson`, advances any number of right-hand sides in
+lockstep against one matrix; quadrature grids need 10^5..10^7 solves per
+call. Each least-squares step (:func:`_solve_patterns`) groups the points by
+a byte key of their passive set, in stable order, and solves each group in
+one call, one of two ways: one inverse of its block of A^T A, the normal
+equations (Van Benthem & Keenan, 2004), or ``lstsq`` on its columns of A,
+slower but with an error that grows with the condition of A, not of A^T A.
+:func:`nnls` takes ``lstsq``. :func:`nnls_batch` takes the inverse, then
+solves every point that failed its KKT verification, or was still live at
+the iteration cap, again together with ``lstsq``. Each point starts from the
+support of its unconstrained solution, pruned of nonpositive coefficients and
+re-solved until positive (:func:`_start`); from X = 0 that is all the ratio
+step would do.
 """
 from __future__ import annotations
 
@@ -46,10 +44,8 @@ def nnls(A, b):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
-    X, rsq, failed = _lawson_hanson(A, b[:, None], _lstsq_step)
-    if failed[0]:
-        raise IterationLimitError(
-            f"nnls did not converge in {_max_iter(A.shape[1])} iterations")
+    X, rsq, failed = _lawson_hanson(A, b[:, None], lstsq=True)
+    _raise_if(failed, A.shape[1])
     return X[:, 0], float(np.sqrt(rsq[0]))
 
 
@@ -57,27 +53,33 @@ def nnls_batch(A, points):
     """Solve min ||A x - p||_2, x >= 0 for every column p of ``points``.
 
     Returns ``(X, rsq)``: X has one solution per column and rsq holds the
-    squared residual norms, as :func:`nnls` measures them. Identical calls
-    give bitwise-identical results; callers that need determinism across
-    thread counts must keep their block boundaries fixed (the quadrature
-    grid does).
+    squared residual norms, as :func:`nnls` measures them. The points that
+    the normal equations leave failing are solved again together, as
+    :func:`nnls` solves one, and IterationLimitError is raised only if one
+    of them fails again. Identical calls give bitwise-identical results;
+    callers that need determinism across thread counts must keep their
+    block boundaries fixed (the quadrature grid does).
     """
     A = np.asarray(A, dtype=float)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != A.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {pts.shape}")
-    X, rsq, failed = _lawson_hanson(
-        A, pts, lambda A, P, G, H, pats, pending: _solve_patterns(G, H, pats, pending))
-    for j in np.flatnonzero(failed):
-        X[:, j], rnorm = nnls(A, pts[:, j])
-        rsq[j] = rnorm * rnorm
+    X, rsq, failed = _lawson_hanson(A, pts, lstsq=False)
+    redo = np.flatnonzero(failed)
+    if redo.size:
+        X[:, redo], rsq[redo], failed = _lawson_hanson(A, pts[:, redo], lstsq=True)
+        _raise_if(failed, A.shape[1])
     return X, rsq
 
 
-def _lawson_hanson(A, P, solve):
-    """Active-set NNLS for every column of P, with the least-squares step
-    ``solve(A, P, G, H, pats, pending)`` (coefficients on each pending
-    point's passive set, given as the columns ``pats``, zero elsewhere).
+def _raise_if(failed, n: int):
+    if failed.any():
+        raise IterationLimitError(f"nnls did not converge in {_max_iter(n)} iterations")
+
+
+def _lawson_hanson(A, P, lstsq: bool):
+    """Active-set NNLS for every column of P, each least-squares step solved
+    by ``lstsq`` on A's columns if `lstsq`, else by the normal equations.
 
     Each column of A is first scaled to a largest entry of 1: the cone and
     every residual stay the same, A^T A cannot underflow, and the KKT
@@ -104,7 +106,7 @@ def _lawson_hanson(A, P, solve):
     tol = TOL_KKT * (1.0 + float(np.abs(G).max(initial=0.0)))
 
     def step(pats, pending):
-        return solve(A, P, G, H, pats, pending)
+        return _solve_patterns(A, P, G, H, pats, pending, lstsq)
 
     X = np.zeros((n, P.shape[1]))
     # the unconstrained solution is unique; G has rank at most m, so n > m rules that out
@@ -183,25 +185,16 @@ def _feasible(step, X, passive, pending):
         X[:, pending] = Xb
 
 
-def _lstsq_step(A, P, G, H, pats, pending):
-    """Least-squares coefficients on each point's passive set, from lstsq on
-    A's passive columns rather than the normal equations."""
-    Z = np.zeros((A.shape[1], pending.size))
-    for k, j in enumerate(pending):
-        rows = np.flatnonzero(pats[:, k])
-        if rows.size:
-            Z[rows, k] = np.linalg.lstsq(A[:, rows], P[:, j], rcond=None)[0]
-    return Z
-
-
-def _solve_patterns(G, H, pats, pending):
+def _solve_patterns(A, P, G, H, pats, pending, lstsq: bool):
     """Least-squares coefficients on each point's passive set, zero elsewhere.
 
     Each point's passive set, column k of ``pats`` for ``pending[k]``, is
     packed into bytes (coefficient i in bit i % 8 of byte i // 8), and
     ``np.lexsort`` over the byte rows, a stable radix sort per byte, brings
-    equal patterns together. Each group applies one inverse of its block of G
-    to its columns in ascending order, whatever the pattern count or visit order.
+    equal patterns together. Each group takes its points in ascending order,
+    whatever the pattern count or visit order, and solves them in one call:
+    ``lstsq`` on its columns of A against theirs of P if `lstsq`, else one
+    inverse of its block of G = A^T A applied to theirs of H = A^T P.
     """
     n = G.shape[0]
     Z = np.zeros((n, pending.size))
@@ -217,7 +210,9 @@ def _solve_patterns(G, H, pats, pending):
         rows = np.flatnonzero(pats[:, cols[0]])
         if rows.size == 0:
             continue
-        Z[np.ix_(rows, cols)] = _solve_group(G[np.ix_(rows, rows)], H[np.ix_(rows, pending[cols])])
+        pts = pending[cols]
+        Z[np.ix_(rows, cols)] = (np.linalg.lstsq(A[:, rows], P[:, pts], rcond=None)[0] if lstsq
+                                 else _solve_group(G[np.ix_(rows, rows)], H[np.ix_(rows, pts)]))
     return Z
 
 

@@ -24,7 +24,6 @@ m >= 4, and evaluate takes m = 2 in closed form: this module serves m >= 3.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,9 @@ from .errors import BudgetExceededError, DegenerateConeError
 from .linalg import block_size, gram_schmidt, simplex_volumes  # noqa: F401
 # not used here; bench/tracer.py wraps conirep.region.nnls
 from .nnls import nnls  # noqa: F401
+
+# Simplices all the regions of one call may hold, counted before any is built.
+MAX_SIMPLICES = 1_000_000
 
 # constants of the SWAR popcount (np.bitwise_count needs numpy 2.0): every
 # other bit, every other bit pair, every other nibble, and 1 in each byte
@@ -264,8 +266,8 @@ def _distinct(groups: np.ndarray, masks: np.ndarray):
     return order, first
 
 
-def _budget_error(budget: float) -> BudgetExceededError:
-    return BudgetExceededError(f"triangulation passes its budget of {budget} simplices")
+def _budget_error() -> BudgetExceededError:
+    return BudgetExceededError(f"triangulation passes its budget of {MAX_SIMPLICES} simplices")
 
 
 def _chain_error(m: int) -> DegenerateConeError:
@@ -273,8 +275,7 @@ def _chain_error(m: int) -> DegenerateConeError:
         f"a pulled chain does not have {m + 1} vertices: the facets are not a face lattice")
 
 
-def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
-                budget: float, merge: bool):
+def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice, merge: bool):
     """One level of the pulling walk: the facets of each face that miss its lowest vertex.
 
     faces: (n_words, n) masks, each of polytope tag[i] and the end of
@@ -315,8 +316,8 @@ def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
         edge_masks.append(cand.take(kept, axis=1))
         edge_faces.append(face[kept])
         reached += paths[face[kept]].sum()
-        if reached > budget:
-            raise _budget_error(budget)
+        if reached > MAX_SIMPLICES:
+            raise _budget_error()
     found, parent = np.concatenate(edge_masks, axis=1), np.concatenate(edge_faces)
     if not merge:
         return (low, parent, np.arange(len(parent))), found, tag[parent], paths[parent]
@@ -328,8 +329,7 @@ def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice,
         np.bincount(child, paths[parent], minlength=faces.shape[1])
 
 
-def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[np.ndarray],
-                         budget: float = math.inf):
+def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[np.ndarray]):
     """Pulling triangulations of polytopes from their facet masks, all at once.
 
     facets: every polytope's facet masks, packed as polytope_facets returns
@@ -348,7 +348,7 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     once per level however many faces share it. Each chain prefix reaching
     a d-face of k vertices ends in at least k - d simplices, the fewest that
     triangulate it, so BudgetExceededError is raised as soon as that sum
-    passes `budget` on a level, or the prefixes themselves do while one is
+    passes MAX_SIMPLICES on a level, or the prefixes themselves do while one is
     matched, before any chain is built; the prefixes reaching the last level
     are the simplices. The chains are then counted bottom-up and written
     top-down, one column per level. A face of one vertex above the last
@@ -372,9 +372,9 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
         if (bits < 2).any():
             raise _chain_error(m)
         # a triangulation of a d-polytope with k vertices has k - d simplices or more
-        if paths @ np.maximum(bits - dim, 1) > budget:
-            raise _budget_error(budget)
-        level, faces, tag, paths = _next_level(faces, tag, paths, lattice, budget, 2 < dim < m)
+        if paths @ np.maximum(bits - dim, 1) > MAX_SIMPLICES:
+            raise _budget_error()
+        level, faces, tag, paths = _next_level(faces, tag, paths, lattice, 2 < dim < m)
         levels.append(level)
     # the last level's faces are edges, one chain each, already counted in
     # their level: clear the lowest bit of each, then the next lowest, and
@@ -401,15 +401,15 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     return simplices, np.bincount(tag[cur], minlength=len(sizes))
 
 
-def build_region(table: AdjacentCones, budget: float = math.inf) -> Regions:
+def build_region(table: AdjacentCones) -> Regions:
     """Clip every adjacent cone of the table out of the cube and triangulate them together.
 
-    `budget` caps the simplices of all the regions (triangulate_polytope).
+    MAX_SIMPLICES caps the simplices of all the regions (triangulate_polytope).
     """
     clip = hypercube_intersect(table)
     vertices, facets = polytope_facets(clip)
     start = clip.vertex_start
-    simplices, counts = triangulate_polytope(facets, np.split(vertices, start[1:-1]), budget)
+    simplices, counts = triangulate_polytope(facets, np.split(vertices, start[1:-1]))
     simplices += start[:-1].repeat(counts)[:, None]
     return Regions(vertices, simplices, start, np.add.accumulate([0, *counts.tolist()]))
 
@@ -451,7 +451,7 @@ def _clip(polygons: np.ndarray, size: np.ndarray, normals: np.ndarray):
     return clipped, size
 
 
-def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
+def fan_regions(table: AdjacentCones) -> Regions:
     """Every region of a 3-dimensional AdjacentCones table as fans from the origin, without Qhull.
 
     Every table row passes through the origin, so region R is the union of
@@ -461,7 +461,7 @@ def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
     (_clip) per row index over every (region, face) pair at once, a region
     with fewer rows padded with zero rows. Each polygon is fanned from its
     first corner into triangles, each joined to the origin; the tetrahedra
-    are counted against `budget` before any is built. Region i's vertices
+    are counted against MAX_SIMPLICES before any is built. Region i's vertices
     are its origin, then its polygons' corners, face by face.
     """
     padded = _padded_rows(table)
@@ -471,8 +471,8 @@ def fan_regions(table: AdjacentCones, budget: float = math.inf) -> Regions:
     for j in range(padded.shape[1]):
         polygons, size = _clip(polygons, size, normals[:, j])
     tets = np.maximum(size - 2, 0)
-    if tets.sum() > budget:
-        raise _budget_error(budget)
+    if tets.sum() > MAX_SIMPLICES:
+        raise _budget_error()
     # region i's origin, then its polygons' corners, face by face
     before = size.cumsum() - size
     region = np.arange(n).repeat(3)

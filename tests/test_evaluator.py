@@ -206,7 +206,7 @@ def test_dimension_and_element_budgets(tilted, monkeypatch):
     # refused after the facet closure, before any face's basis
     assert bases == []
     with monkeypatch.context() as mp:
-        mp.setattr("conirep.evaluator.MAX_SIMPLICES", 1)
+        mp.setattr("conirep.region.MAX_SIMPLICES", 1)
         with pytest.raises(BudgetExceededError, match="simplices"):
             evaluate(tilted)
 

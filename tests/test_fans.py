@@ -101,12 +101,14 @@ def test_no_halfspace_intersection_in_the_region_stage(monkeypatch):
     assert len(calls) == 1
 
 
-def test_tetrahedra_are_counted_before_any_is_built():
+def test_tetrahedra_are_counted_before_any_is_built(monkeypatch):
     table = cone_sub_elements(coni_facets(TILTED))
     count = len(fan_regions(table).simplices)
-    assert len(fan_regions(table, count).simplices) == count
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", count)
+    assert len(fan_regions(table).simplices) == count
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", count - 1)
     with pytest.raises(BudgetExceededError, match=f"budget of {count - 1} simplices"):
-        fan_regions(table, count - 1)
+        fan_regions(table)
 
 
 def test_regions_list_the_origin_first():

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
-from scipy.optimize import nnls as scipy_nnls
 
+import conirep.nnls as nnls_module
 from conirep.errors import IterationLimitError
-from conirep.nnls import _solve_group, _solve_patterns, nnls, nnls_batch
-from conirep.oracle import _grid_chunk
+from conirep.nnls import _lawson_hanson, _solve_group, _solve_patterns, nnls, nnls_batch
+from conirep.oracle import _grid_chunk, ir_num
 
-from conftest import TILTED
+from conftest import JUMP, TILTED, perturbed
 
 
 def test_exact_fit():
@@ -115,7 +115,7 @@ def test_batch_matches_scalar():
                 rsq[i], abs=1e-10)
 
 
-def _solve_patterns_by_row_sort(G, H, pats, pending):
+def _solve_patterns_by_row_sort(A, P, G, H, pats, pending, lstsq):
     """Reference grouping: np.unique over the boolean pattern rows, each
     group solved as _solve_patterns solves it."""
     Z = np.zeros((G.shape[0], pending.size))
@@ -125,7 +125,9 @@ def _solve_patterns_by_row_sort(G, H, pats, pending):
         cols = np.flatnonzero(inv.ravel() == k)
         if rows.size == 0:
             continue
-        Z[np.ix_(rows, cols)] = _solve_group(G[np.ix_(rows, rows)], H[np.ix_(rows, pending[cols])])
+        pts = pending[cols]
+        Z[np.ix_(rows, cols)] = (np.linalg.lstsq(A[:, rows], P[:, pts], rcond=None)[0] if lstsq
+                                 else _solve_group(G[np.ix_(rows, rows)], H[np.ix_(rows, pts)]))
     return Z
 
 
@@ -147,8 +149,10 @@ def test_pattern_key_across_byte_and_word_boundaries(n):
         pools.append(np.stack([base, other, np.zeros(n, dtype=bool)], axis=1))
     for pool in pools:
         pats = pool[:, rng.integers(0, pool.shape[1], size=pts.shape[1])][:, pending]
-        np.testing.assert_array_equal(_solve_patterns(G, H, pats, pending),
-                                      _solve_patterns_by_row_sort(G, H, pats, pending))
+        for lstsq in (False, True):
+            args = (a, pts, G, H, pats, pending, lstsq)
+            np.testing.assert_array_equal(_solve_patterns(*args),
+                                          _solve_patterns_by_row_sort(*args))
 
     small = rng.uniform(0.0, 2.0, size=(4, n))
     b = rng.uniform(0.0, 1.0, size=(4, 40))
@@ -169,7 +173,7 @@ def test_singular_group_falls_back_to_lstsq():
     pending = np.arange(0, 90, 2)
     patterns = np.array([[1, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=bool).T
     group = np.arange(pending.size) % 3
-    Z = _solve_patterns(G, H, patterns[:, group], pending)
+    Z = _solve_patterns(a, pts, G, H, patterns[:, group], pending, False)
     for g in range(3):
         rows, cols = np.flatnonzero(patterns[:, g]), np.flatnonzero(group == g)
         sub, rhs = G[np.ix_(rows, rows)], H[np.ix_(rows, pending[cols])]
@@ -241,18 +245,49 @@ def test_batch_matches_scalar_at_full_column_rank(a, pts):
     _assert_batch_matches_scalar(a, pts)
 
 
+def _record_passes(monkeypatch):
+    """Each later _lawson_hanson call, as (lstsq, number of points)."""
+    passes, loop = [], _lawson_hanson
+
+    def recording(A, P, lstsq):
+        passes.append((lstsq, P.shape[1]))
+        return loop(A, P, lstsq)
+
+    monkeypatch.setattr("conirep.nnls._lawson_hanson", recording)
+    return passes
+
+
 # every point of a quadrature grid passes the batch solver's KKT check, so
-# none is handed to the scalar solver
+# no lstsq pass follows the pass on the normal equations
 @pytest.mark.parametrize("a, n", [(TILTED, 24),
                                   (np.random.default_rng(53).uniform(0.0, 3.0, (4, 4)), 10)],
                          ids=["TILTED, N = 24", "4x4, N = 10"])
 def test_no_scalar_repairs_on_quadrature_grids(monkeypatch, a, n):
-    calls = []
-    monkeypatch.setattr("conirep.nnls.nnls", lambda *args: calls.append(args) or nnls(*args))
+    passes = _record_passes(monkeypatch)
     m = a.shape[0]
     assert np.linalg.matrix_rank(a) == m
     nnls_batch(a, _grid_chunk(m, n, 0, n**m))
+    assert passes == [(False, n**m)]
+
+
+# JUMP at 1e-6, seed 24 has a near-flat facet, and about 11% of its grid
+# points fail the pass on the normal equations (7,094 of 16^4). They are
+# solved again in one lstsq pass, without calling the scalar solver, and at
+# N = 8 each comes out as the scalar solver's own result.
+def test_failed_points_are_solved_together_as_the_scalar_solver_solves_each(monkeypatch):
+    C = perturbed(JUMP, 1e-6, 24)
+    calls = []
+    monkeypatch.setattr("conirep.nnls.nnls", lambda *args: calls.append(args) or nnls(*args))
+    ir_num(C, 16)
     assert calls == []
+    pts = _grid_chunk(4, 8, 0, 8**4)
+    redo = np.flatnonzero(_lawson_hanson(C, pts, False)[2])
+    assert redo.size > 0.05 * pts.shape[1]
+    x, rsq = nnls_batch(C, pts)
+    for j in redo.tolist():
+        xs, rnorm = nnls(C, pts[:, j])
+        np.testing.assert_array_equal(x[:, j], xs)
+        assert abs(rsq[j] - rnorm * rnorm) <= 2.2e-16
 
 
 # Found by a wider random search of the property above. The optimum is about
@@ -330,45 +365,50 @@ def test_iteration_limit_raises(monkeypatch):
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(IterationLimitError, match="^nnls did not converge in 0 "):
         nnls(a, np.array([1.0, 1.0]))
-    # the batch hands the points still live at its cap to the scalar solver,
-    # which raises when it stops at the same cap
+    # the batch solves the points still live at its cap again with lstsq,
+    # and raises when they stop at the same cap
     with pytest.raises(IterationLimitError, match="^nnls did not converge in 0 "):
         nnls_batch(a, np.ones((2, 3)))
 
 
-def test_points_live_at_the_cap_go_to_the_scalar_solver(monkeypatch):
+# At a cap of 0 every point is still live after the pass on the normal
+# equations; the lstsq pass, run here at the usual cap, solves all three.
+def test_points_live_at_the_cap_go_to_the_lstsq_pass(monkeypatch):
+    cap = nnls_module.MAX_ITER_PER_COLUMN
     monkeypatch.setattr("conirep.nnls.MAX_ITER_PER_COLUMN", 0)
-    handed = []
+    passes, loop = [], _lawson_hanson
 
-    def scalar(a, b):
-        handed.append(b)
-        return scipy_nnls(a, b)
+    def uncapped_lstsq(A, P, lstsq):
+        passes.append((lstsq, P.shape[1]))
+        if lstsq:
+            monkeypatch.setattr("conirep.nnls.MAX_ITER_PER_COLUMN", cap)
+        return loop(A, P, lstsq)
 
-    monkeypatch.setattr("conirep.nnls.nnls", scalar)
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    x, rsq = nnls_batch(a, np.ones((2, 3)))
-    assert len(handed) == 3
+    monkeypatch.setattr("conirep.nnls._lawson_hanson", uncapped_lstsq)
+    x, rsq = nnls_batch(np.eye(2), np.ones((2, 3)))
+    assert passes == [(False, 3), (True, 3)]
     np.testing.assert_allclose(x, np.ones((2, 3)))
     np.testing.assert_allclose(rsq, 0.0, atol=1e-30)
 
 
 # Group solves off by a relative 1e-6 leave every point a gradient on its
 # passive set far above the KKT tolerance. Each point is checked on the
-# gradient of the pass where it stops growing, so every one is handed to
-# the scalar solver, which does not use the group solve.
-def test_points_failing_kkt_go_to_the_scalar_solver(monkeypatch):
+# gradient of the pass where it stops growing, so every one is solved again
+# in the lstsq pass, which does not use the group inverse. Its products
+# span 216 columns where the scalar solver's span one, so a coefficient
+# near 0 may differ in rounding (one here, by 2.8e-17).
+def test_points_failing_kkt_go_to_the_lstsq_pass(monkeypatch):
     exact = _solve_group
     monkeypatch.setattr("conirep.nnls._solve_group",
                         lambda sub, rhs: exact(sub, rhs) * (1.0 + 1e-6))
-    handed = []
-    monkeypatch.setattr("conirep.nnls.nnls", lambda a, b: handed.append(b) or nnls(a, b))
+    passes = _record_passes(monkeypatch)
     pts = _grid_chunk(3, 6, 0, 216)
     x, rsq = nnls_batch(TILTED, pts)
-    assert len(handed) == 216
+    assert passes == [(False, 216), (True, 216)]
     for j in range(216):
         xs, rnorm = nnls(TILTED, pts[:, j])
-        np.testing.assert_array_equal(x[:, j], xs)
-        assert rsq[j] == rnorm * rnorm
+        np.testing.assert_allclose(x[:, j], xs, rtol=1e-14, atol=1e-16)
+        assert abs(rsq[j] - rnorm * rnorm) <= 2.2e-16
 
 
 def test_scalar_deterministic():

@@ -253,36 +253,42 @@ def test_polytope_facets_degenerate():
     assert simplex_volumes(verts[simplices]).sum() == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_triangulation_stops_at_its_budget():
+def test_triangulation_stops_at_its_budget(monkeypatch):
     cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     facets = packed_facets([facet_masks(cube)], [cube])
     simplices, _ = triangulate_polytope(facets, [cube])
     assert len(simplices) == 6
     # the simplices are counted before any is built: exactly 6 fit a budget of 6
-    np.testing.assert_array_equal(triangulate_polytope(facets, [cube], 6)[0], simplices)
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 6)
+    np.testing.assert_array_equal(triangulate_polytope(facets, [cube])[0], simplices)
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 5)
     with pytest.raises(BudgetExceededError, match="budget of 5 simplices"):
-        triangulate_polytope(facets, [cube], 5)
+        triangulate_polytope(facets, [cube])
     # the budget covers every polytope of the call together
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 11)
     with pytest.raises(BudgetExceededError, match="budget of 11 simplices"):
         triangulate_polytope(packed_facets([facet_masks(cube)] * 2, [cube, cube]),
-                             [cube, cube], 11)
+                             [cube, cube])
     # at m = 2 the one level walked is the last: the square's 2 edges off
     # vertex 0 close its 2 simplices
     square = cube[:4, 1:]
     facets = packed_facets([facet_masks(square)], [square])
-    assert len(triangulate_polytope(facets, [square], 2)[0]) == 2
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 2)
+    assert len(triangulate_polytope(facets, [square])[0]) == 2
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 1)
     with pytest.raises(BudgetExceededError, match="budget of 1 simplices"):
-        triangulate_polytope(facets, [square], 1)
+        triangulate_polytope(facets, [square])
 
 
-def test_triangulation_stops_inside_a_level_at_its_budget():
+def test_triangulation_stops_inside_a_level_at_its_budget(monkeypatch):
     # the octahedron passes the bound before its first level (6 - 3 = 3
     # simplices at least), but the 4 facets off vertex 0 already start 4 chains
     octahedron = np.vstack([np.eye(3), -np.eye(3)])
     facets = packed_facets([facet_masks(octahedron)], [octahedron])
     assert len(triangulate_polytope(facets, [octahedron])[0]) == 4
+    monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 3)
     with pytest.raises(BudgetExceededError, match="budget of 3 simplices"):
-        triangulate_polytope(facets, [octahedron], 3)
+        triangulate_polytope(facets, [octahedron])
 
 
 def test_walk_ignores_repeated_and_full_masks_at_the_top():

@@ -60,7 +60,8 @@ def bin_spikes(train: SpikeTrain, cfg: SlotConfig) -> np.ndarray:
     neuron l in slot k. Spikes at or after state_count * slot_length fall
     outside every slot; they are dropped with a warning that reports how many.
     """
-    if cfg.state_count * cfg.slot_length > train.duration + 1e-12:
+    # a margin relative to the duration: the product's rounding error grows with it
+    if cfg.state_count * cfg.slot_length > train.duration * (1.0 + 1e-12):
         raise ValueError("slots extend past the recording duration")
     nid, t = np.array(train.events, dtype=float).reshape(-1, 2).T
     slot = t // cfg.slot_length

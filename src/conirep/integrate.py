@@ -29,7 +29,8 @@ def region_integral(regions: Regions, bases: np.ndarray):
     basis of the element span the region projects onto, zero-padded to d
     columns (AdjacentCones.bases); with none the distance is measured to
     the origin. Returns two arrays of one float per region, both 0 for a
-    region without simplices.
+    region without simplices. Each simplex counts toward the region of its
+    first vertex.
 
     All regions are integrated together, in blocks of block_size((m + 1) m)
     simplices whatever regions they belong to, so that the (s, m+1, m)
@@ -68,11 +69,13 @@ def region_integral(regions: Regions, bases: np.ndarray):
         pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
         values[a:a + len(block)] = np.where(
             vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
-    return regions.totals(volumes), regions.totals(values)
+    region = owner[simplices[:, 0]]
+    return tuple(np.bincount(region, w, minlength=len(regions)).astype(float, copy=False)
+                 for w in (volumes, values))
 
 
 def simplex_integral(vertices, basis: np.ndarray) -> float:
     """Integral of the squared distance to span(basis) over one simplex, exactly."""
     P = np.asarray(vertices, dtype=float)
-    simplex = Regions(P, np.arange(len(P))[None], np.array([0, len(P)]), np.array([0, 1]))
+    simplex = Regions(P, np.arange(len(P))[None], np.array([0, len(P)]))
     return float(region_integral(simplex, np.asarray(basis)[None])[1][0])

@@ -180,7 +180,6 @@ def _feasible(step, X, passive, pending):
         pat = passive[:, pending]
         pat[drop] = False
         passive[:, pending] = pat
-        Xb[drop] = 0.0
         Xb[~pat] = 0.0
         X[:, pending] = Xb
 

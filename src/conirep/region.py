@@ -49,14 +49,13 @@ class Regions:
     """Regions of some adjacent cones, stacked, each with its triangulation.
 
     Region i owns the rows vertex_start[i]:vertex_start[i+1] of vertices
-    (k, m), its origin first, and the rows simplex_start[i]:simplex_start[i+1]
-    of simplices (s, m+1), indices into `vertices`.
+    (k, m), its origin first. simplices (s, m+1) holds indices into
+    `vertices`, and each simplex belongs to the region of its first vertex.
     """
 
     vertices: np.ndarray
     simplices: np.ndarray
     vertex_start: np.ndarray
-    simplex_start: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vertex_start) - 1
@@ -68,12 +67,6 @@ class Regions:
         region_integral takes each region's volume in bounded blocks.
         """
         return float(simplex_volumes(self.vertices[self.simplices]).sum())
-
-    def totals(self, values: np.ndarray) -> np.ndarray:
-        """A value per simplex summed over each region, as floats even with no simplices."""
-        start = self.simplex_start
-        owner = np.arange(len(start) - 1).repeat(start[1:] - start[:-1])
-        return np.bincount(owner, values, minlength=len(self)).astype(float, copy=False)
 
 
 def _packed(on: np.ndarray) -> np.ndarray:
@@ -236,25 +229,24 @@ def hypercube_intersect(table: AdjacentCones) -> Clip:
 
 
 def polytope_facets(clip: Clip):
-    """The clip's vertices and, packed for the walk, each region's facet masks.
+    """Each region's facet masks, packed for the walk, and the number of each region's.
 
     Facet bit b of a region becomes the mask of its vertices on it, bit j
     for its vertex j. A mask of fewer than m vertices is no facet and goes;
     one inside another stays, as the walk keeps each face's inclusion-maximal
     masks. The masks are the columns of an (n_words, F) uint64 array, region
-    by region, with the words the largest region needs; the number of each
-    region's comes with them.
+    by region, with the words the largest region needs.
     """
-    vertices, start, facets = clip.vertices, clip.vertex_start, clip.facets
+    start, facets = clip.vertex_start, clip.facets
     sizes = np.diff(start)
     region = np.arange(len(sizes)).repeat(sizes)
     vertex, bit = np.unpackbits(np.ascontiguousarray(clip.masks.T).view(np.uint8), axis=1,
                                 bitorder="little").nonzero()
     on = np.zeros((int(facets.sum()), 64 * max(1, -(-int(sizes.max(initial=0)) // 64))), bool)
     on[(facets.cumsum() - facets)[region[vertex]] + bit, vertex - start[region[vertex]]] = True
-    wide = on.sum(axis=1) >= vertices.shape[1]
+    wide = on.sum(axis=1) >= clip.vertices.shape[1]
     owner = np.arange(len(facets)).repeat(facets)[wide]
-    return vertices, (_packed(on[wide]), np.bincount(owner, minlength=len(facets)))
+    return _packed(on[wide]), np.bincount(owner, minlength=len(facets))
 
 
 def _distinct(groups: np.ndarray, masks: np.ndarray):
@@ -329,17 +321,20 @@ def _next_level(faces: np.ndarray, tag: np.ndarray, paths: np.ndarray, lattice, 
         np.bincount(child, paths[parent], minlength=faces.shape[1])
 
 
-def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[np.ndarray]):
+def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: np.ndarray,
+                         vertex_start: np.ndarray) -> np.ndarray:
     """Pulling triangulations of polytopes from their facet masks, all at once.
 
     facets: every polytope's facet masks, packed as polytope_facets returns
-    them, and the number of each polytope's; vertices[i] holds polytope i's
-    (k_i, m) vertices. Each face F is triangulated by joining its lowest
-    vertex v to the triangulations of the facets of F that miss v (De Loera,
-    Rambau & Santos, Triangulations, 2010); the facets of F are the
-    inclusion-maximal nonempty proper sets F & S over its polytope's facet
-    masks S. A simplex is then a chain of faces, from the polytope itself
-    down to an edge, that pulls one vertex per face and both ends of the edge.
+    them, and the number of each polytope's; polytope i's vertices are the
+    rows vertex_start[i]:vertex_start[i+1] of the (k, m) `vertices`, of
+    which only the counts and m are read. Each face F is triangulated by
+    joining its lowest vertex v to the triangulations of the facets of F
+    that miss v (De Loera, Rambau & Santos, Triangulations, 2010); the
+    facets of F are the inclusion-maximal nonempty proper sets F & S over
+    its polytope's facet masks S. A simplex is then a chain of faces, from
+    the polytope itself down to an edge, that pulls one vertex per face and
+    both ends of the edge.
 
     The walk goes level by level over every polytope at once, starting from
     one face per nonempty polytope that holds all of its vertices. Each face
@@ -355,12 +350,13 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
     level, or a last-level face that is not an edge, raises
     DegenerateConeError: the masks are not a face lattice.
 
-    Returns an (s, m+1) array of vertex indices, each row starting with 0,
-    polytope by polytope, and the number of rows of each polytope.
+    Returns an (s, m+1) array of rows of `vertices`, polytope by polytope,
+    each row starting with its polytope's first vertex: a simplex belongs to
+    the polytope of its first vertex.
     """
     masks, count = facets
-    m = vertices[0].shape[1]
-    sizes = np.array([len(v) for v in vertices], dtype=np.intp)
+    m = vertices.shape[1]
+    sizes = np.diff(vertex_start)
     n_words = masks.shape[0]
     tag = sizes.nonzero()[0]
     faces, paths = _packed(np.arange(64 * n_words) < sizes[tag, None]), np.ones(len(tag))
@@ -398,20 +394,20 @@ def triangulate_polytope(facets: tuple[np.ndarray, np.ndarray], vertices: list[n
         deg = np.bincount(parent, minlength=len(pulled))
         cur = child[_runs((deg.cumsum() - deg)[cur], deg[cur])[0]]
     simplices[:, m - 1], simplices[:, m] = low[cur], high[cur]
-    return simplices, np.bincount(tag[cur], minlength=len(sizes))
+    simplices += vertex_start[tag[cur], None]
+    return simplices
 
 
 def build_region(table: AdjacentCones) -> Regions:
     """Clip every adjacent cone of the table out of the cube and triangulate them together.
 
-    MAX_SIMPLICES caps the simplices of all the regions (triangulate_polytope).
+    Each simplex starts at its region's origin. MAX_SIMPLICES caps the
+    simplices of all the regions (triangulate_polytope).
     """
     clip = hypercube_intersect(table)
-    vertices, facets = polytope_facets(clip)
-    start = clip.vertex_start
-    simplices, counts = triangulate_polytope(facets, np.split(vertices, start[1:-1]))
-    simplices += start[:-1].repeat(counts)[:, None]
-    return Regions(vertices, simplices, start, np.add.accumulate([0, *counts.tolist()]))
+    return Regions(clip.vertices,
+                   triangulate_polytope(polytope_facets(clip), clip.vertices, clip.vertex_start),
+                   clip.vertex_start)
 
 
 # the unit square on each far face x_j = 1 of the 3-cube, corners in cyclic
@@ -482,6 +478,5 @@ def fan_regions(table: AdjacentCones) -> Regions:
     vertices = np.insert(corners, before[::3], 0.0, axis=0)
     corner, pair = _runs(first + 1, tets)
     simplices = np.column_stack([vertex_start[region[pair]], first[pair], corner, corner + 1])
-    return Regions(vertices, simplices, vertex_start,
-                   np.add.accumulate([0, *tets.reshape(n, 3).sum(axis=1).tolist()]))
+    return Regions(vertices, simplices, vertex_start)
 

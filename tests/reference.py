@@ -133,6 +133,11 @@ def packed_facets(facets: list[list[int]], vertices):
         np.array([len(masks) for masks in facets])
 
 
+def stack_vertices(sets):
+    """Vertex sets stacked as triangulate_polytope takes them: (vertices, vertex_start)."""
+    return np.concatenate(sets), np.cumsum([0] + [len(v) for v in sets])
+
+
 def triangulate_by_recursion(facets: list[int], vertices) -> np.ndarray:
     """Pulling triangulation of one polytope by a memoized recursion on its faces.
 

@@ -322,6 +322,19 @@ def test_encode_round_trip(capsys, tmp_path):
                                    [0.0, 0.0], [0.0, 1.0]])
 
 
+def test_encode_long_recording(tmp_path):
+    # 100,000 slots of 1.1 s fill a 110,000 s recording, although their
+    # product rounds to 110000.00000000001
+    spikes = tmp_path / "spikes.txt"
+    spikes.write_text("# neurons=2 duration=110000.0\n1\t0.5\n2\t109999.9\n")
+    out_path = tmp_path / "matrix.csv"
+    assert main(["encode", "--input", str(spikes), "--slot-length", "1.1",
+                 "--slots", "100000", "--output", str(out_path)]) == 0
+    matrix = read_matrix(out_path)
+    assert matrix.shape == (100_000, 2)
+    assert matrix[0].tolist() == [1.0, 0.0] and matrix[-1].tolist() == [0.0, 1.0]
+
+
 def test_encode_warns_on_dropped_spikes(tmp_path, capsys):
     spikes = tmp_path / "spikes.txt"
     spikes.write_text("# neurons=1 duration=4.0\n1\t3.5\n")

@@ -66,6 +66,15 @@ def test_slots_must_fit_duration():
         bin_spikes(train([]), SlotConfig(slot_length=1.0, state_count=5))
 
 
+def test_slots_fit_a_long_duration_despite_rounding():
+    # 1.1 * 100000 is 110000.00000000001 in floating point: 1.1e-11 past the
+    # duration, far inside the product's rounding error at that size
+    long = train([], duration=110000.0)
+    assert bin_spikes(long, SlotConfig(slot_length=1.1, state_count=100_000)).shape == (100_000, 2)
+    with pytest.raises(ValueError, match="extend past the recording duration"):
+        bin_spikes(long, SlotConfig(slot_length=1.1, state_count=100_001))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         SpikeTrain(((3, 0.1),), neuron_count=2, duration=1.0)

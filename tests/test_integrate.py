@@ -11,8 +11,8 @@ from conirep.integrate import region_integral, simplex_integral
 from conirep.linalg import gram_schmidt, simplex_volumes
 from conirep.region import Regions, build_region, triangulate_polytope
 
-from conftest import SQUARE_PYRAMID, TILTED, WEDGE
-from reference import facet_masks, packed_facets, simplex_integrals
+from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE
+from reference import facet_masks, packed_facets, simplex_integrals, stack_vertices
 
 SQ2 = 1 / math.sqrt(2)
 EMPTY2 = np.zeros((2, 0))
@@ -108,8 +108,9 @@ def test_additive_under_centroid_split():
 def test_region_integral_unit_cube_against_origin():
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices, _ = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]), [cube])
-    region = Regions(cube, simplices, np.array([0, len(cube)]), np.array([0, len(simplices)]))
+    simplices = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]),
+                                     *stack_vertices([cube]))
+    region = Regions(cube, simplices, np.array([0, len(cube)]))
     assert region.volume == pytest.approx(1.0, abs=1e-15)
     volume, value = region_integral(region, np.zeros((1, 3, 3)))
     assert volume[0] == pytest.approx(1.0, abs=1e-15)
@@ -118,8 +119,7 @@ def test_region_integral_unit_cube_against_origin():
 
 
 def test_region_integral_empty_region():
-    region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.array([0, 0]),
-                     np.array([0, 0]))
+    region = Regions(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), np.array([0, 0]))
     volume, value = region_integral(region, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
     assert volume.tolist() == value.tolist() == [0.0]
 
@@ -138,15 +138,30 @@ def test_blocked_integral_matches_each_region_on_its_own(C, empty, monkeypatch):
     table = cone_sub_elements(cone)
     adjs = [adjacent_cone(e, cone, table) for elems in table.elements.values() for e in elems]
     regions = build_region(table)
-    start = regions.simplex_start
-    assert np.sum(np.diff(start) == 0) == empty
+    # a simplex belongs to the region whose vertex range holds its first vertex
+    start, first = regions.vertex_start, regions.simplices[:, 0]
+    owned = [regions.simplices[(start[i] <= first) & (first < start[i + 1])]
+             for i in range(len(regions))]
+    assert sum(map(len, owned)) == len(regions.simplices)
+    assert sum(len(s) == 0 for s in owned) == empty
     volumes, got = region_integral(regions, table.bases)
     assert volumes.shape == got.shape == (len(regions),)
-    for i, (volume, value, adj) in enumerate(zip(volumes, got, adjs)):
-        points = regions.vertices[regions.simplices[start[i]:start[i + 1]]]
+    for volume, value, adj, simplices in zip(volumes, got, adjs, owned):
+        points = regions.vertices[simplices]
         if not len(points):
             assert volume == value == 0.0
             continue
         vols = simplex_volumes(points)
         assert volume == pytest.approx(vols.sum(), abs=1e-15)
         assert value == pytest.approx(simplex_integrals(points, vols, adj.basis).sum(), abs=1e-14)
+
+
+def test_region_integral_does_not_depend_on_simplex_order():
+    # a simplex belongs to the region of its first vertex, wherever its row is
+    table = cone_sub_elements(coni_facets(JUMP))
+    regions = build_region(table)
+    shuffled = Regions(regions.vertices,
+                       np.random.default_rng(3).permutation(regions.simplices),
+                       regions.vertex_start)
+    for a, b in zip(region_integral(regions, table.bases), region_integral(shuffled, table.bases)):
+        np.testing.assert_allclose(b, a, rtol=0.0, atol=1e-15)

@@ -19,7 +19,8 @@ from conirep.region import (
 )
 
 from conftest import JUMP, TILTED, WEDGE, random_activity
-from reference import cone_contains, facet_masks, packed_facets, triangulate_by_recursion
+from reference import (cone_contains, facet_masks, packed_facets, stack_vertices,
+                       triangulate_by_recursion)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -70,6 +71,12 @@ def int_facets(packed):
     ints = int_masks(masks)
     ends = np.cumsum(counts).tolist()
     return [ints[end - c:end] for end, c in zip(ends, counts.tolist())]
+
+
+def owned(simplices, vertex_start, i):
+    """Polytope i's simplices, those whose first vertex is one of its, in its own indices."""
+    first = simplices[:, 0]
+    return simplices[(vertex_start[i] <= first) & (first < vertex_start[i + 1])] - vertex_start[i]
 
 
 def maximal(masks):
@@ -209,7 +216,8 @@ def test_region_vertices_stay_in_cube_and_cone():
 def test_polytope_facets_square_triangle_cube():
     # the whole cube as a region: no facet rows, every point inside
     for m, count in ((2, 4), (3, 6)):
-        verts, packed = polytope_facets(hypercube_intersect(stacked([adjacent(np.zeros((0, m)))])))
+        clip = hypercube_intersect(stacked([adjacent(np.zeros((0, m)))]))
+        verts, packed = clip.vertices, polytope_facets(clip)
         assert verts.shape == (2 ** m, m)
         assert np.all(verts[0] == 0.0)
         [facets] = int_facets(packed)
@@ -225,29 +233,31 @@ def test_polytope_facets_square_triangle_cube():
 
     # the wedge's diagonal region is the triangle (0,0), (0,1), (1,1): x2 = 0
     # holds the origin alone, and x1 = 1 the corner (1, 1) alone
-    [facets] = int_facets(polytope_facets(hypercube_intersect(stacked([wedge_adjacent(0)])))[1])
+    [facets] = int_facets(polytope_facets(hypercube_intersect(stacked([wedge_adjacent(0)]))))
     assert sorted(bin(mask).count("1") for mask in facets) == [2, 2, 2]
 
 
 def test_polytope_facets_degenerate():
     # an empty region has no facets and no simplices
-    verts, facets = polytope_facets(hypercube_intersect(stacked([wedge_adjacent(1)])))
-    assert verts.shape == (0, 2)
+    clip = hypercube_intersect(stacked([wedge_adjacent(1)]))
+    facets = polytope_facets(clip)
+    assert clip.vertices.shape == (0, 2)
     assert facets[0].shape[1] == 0 and facets[1].tolist() == [0]
-    simplices, counts = triangulate_polytope(facets, [verts])
-    assert simplices.shape == (0, 3) and counts.tolist() == [0]
+    simplices = triangulate_polytope(facets, clip.vertices, clip.vertex_start)
+    assert simplices.shape == (0, 3) and owned(simplices, clip.vertex_start, 0).shape == (0, 3)
 
     # the pyramid's apex lies on four facets: one vertex, four masks; x3 = 0
     # holds the apex alone, and x1 = 1 and x2 = 1 an edge of the base each, so
     # those three masks go
-    verts, packed = polytope_facets(hypercube_intersect(stacked([adjacent(PYRAMID_NORMALS)])))
+    clip = hypercube_intersect(stacked([adjacent(PYRAMID_NORMALS)]))
+    verts, packed = clip.vertices, polytope_facets(clip)
     np.testing.assert_allclose(sorted_rows(verts), [[0, 0, 0], [0, 0, 1], [0, 1, 1],
                                                     [1, 0, 1], [1, 1, 1]], atol=1e-12)
     assert np.all(verts[0] == 0.0)
     [facets] = int_facets(packed)
     assert sorted(bin(mask).count("1") for mask in facets) == [3, 3, 3, 3, 4]
     assert sum(mask & 1 for mask in facets) == 4
-    simplices, _ = triangulate_polytope(packed, [verts])
+    simplices = triangulate_polytope(packed, verts, clip.vertex_start)
     # the base is the one facet that misses the apex: two triangles, two tetrahedra
     assert len(simplices) == 2 and all(s[0] == 0 for s in simplices)
     assert simplex_volumes(verts[simplices]).sum() == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -256,28 +266,28 @@ def test_polytope_facets_degenerate():
 def test_triangulation_stops_at_its_budget(monkeypatch):
     cube = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     facets = packed_facets([facet_masks(cube)], [cube])
-    simplices, _ = triangulate_polytope(facets, [cube])
+    simplices = triangulate_polytope(facets, *stack_vertices([cube]))
     assert len(simplices) == 6
     # the simplices are counted before any is built: exactly 6 fit a budget of 6
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 6)
-    np.testing.assert_array_equal(triangulate_polytope(facets, [cube])[0], simplices)
+    np.testing.assert_array_equal(triangulate_polytope(facets, *stack_vertices([cube])), simplices)
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 5)
     with pytest.raises(BudgetExceededError, match="budget of 5 simplices"):
-        triangulate_polytope(facets, [cube])
+        triangulate_polytope(facets, *stack_vertices([cube]))
     # the budget covers every polytope of the call together
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 11)
     with pytest.raises(BudgetExceededError, match="budget of 11 simplices"):
         triangulate_polytope(packed_facets([facet_masks(cube)] * 2, [cube, cube]),
-                             [cube, cube])
+                             *stack_vertices([cube, cube]))
     # at m = 2 the one level walked is the last: the square's 2 edges off
     # vertex 0 close its 2 simplices
     square = cube[:4, 1:]
     facets = packed_facets([facet_masks(square)], [square])
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 2)
-    assert len(triangulate_polytope(facets, [square])[0]) == 2
+    assert len(triangulate_polytope(facets, *stack_vertices([square]))) == 2
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 1)
     with pytest.raises(BudgetExceededError, match="budget of 1 simplices"):
-        triangulate_polytope(facets, [square])
+        triangulate_polytope(facets, *stack_vertices([square]))
 
 
 def test_triangulation_stops_inside_a_level_at_its_budget(monkeypatch):
@@ -285,10 +295,10 @@ def test_triangulation_stops_inside_a_level_at_its_budget(monkeypatch):
     # simplices at least), but the 4 facets off vertex 0 already start 4 chains
     octahedron = np.vstack([np.eye(3), -np.eye(3)])
     facets = packed_facets([facet_masks(octahedron)], [octahedron])
-    assert len(triangulate_polytope(facets, [octahedron])[0]) == 4
+    assert len(triangulate_polytope(facets, *stack_vertices([octahedron]))) == 4
     monkeypatch.setattr("conirep.region.MAX_SIMPLICES", 3)
     with pytest.raises(BudgetExceededError, match="budget of 3 simplices"):
-        triangulate_polytope(facets, [octahedron])
+        triangulate_polytope(facets, *stack_vertices([octahedron]))
 
 
 def test_walk_ignores_repeated_and_full_masks_at_the_top():
@@ -296,21 +306,22 @@ def test_walk_ignores_repeated_and_full_masks_at_the_top():
     # of every vertex, are no facets of it
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     facets = facet_masks(square) + [0b0110, 0b1111]
-    simplices, counts = triangulate_polytope(packed_facets([facets], [square]), [square])
+    simplices = triangulate_polytope(packed_facets([facets], [square]), *stack_vertices([square]))
     assert sorted(map(tuple, simplices.tolist())) == [(0, 1, 2), (0, 2, 3)]
-    assert counts.tolist() == [2]
 
 
 def test_triangulation_volumes():
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    simplices, _ = triangulate_polytope(packed_facets([facet_masks(rect)], [rect]), [rect])
+    simplices = triangulate_polytope(packed_facets([facet_masks(rect)], [rect]),
+                                     *stack_vertices([rect]))
     vols = simplex_volumes(rect[simplices])
     assert len(vols) == 2
     assert sum(vols) == pytest.approx(2.0, abs=1e-12)
 
     cube = np.array([[x, y, z] for x in (0.0, 1.0)
                      for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    simplices, _ = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]), [cube])
+    simplices = triangulate_polytope(packed_facets([facet_masks(cube)], [cube]),
+                                     *stack_vertices([cube]))
     # pulled from the origin: only the faces x_j = 1 miss it, two triangles each
     assert len(simplices) == 6
     assert all(s[0] == 0 for s in simplices)
@@ -325,19 +336,19 @@ def test_triangulation_matches_qhull_volume():
             pts = rng.uniform(0.0, 1.0, size=(rng.integers(m + 2, 16), m))
             hull = ConvexHull(pts)
             verts = pts[hull.vertices]
-            simplices, _ = triangulate_polytope(packed_facets([facet_masks(verts)], [verts]),
-                                                [verts])
+            simplices = triangulate_polytope(packed_facets([facet_masks(verts)], [verts]),
+                                             *stack_vertices([verts]))
             total = simplex_volumes(verts[simplices]).sum()
             assert total == pytest.approx(hull.volume, abs=1e-9)
 
 
 def same_simplex_sets(facets, vertices):
     """The walk over all polytopes at once against the recursion over each alone."""
-    simplices, counts = triangulate_polytope(packed_facets(facets, vertices), vertices)
-    starts = np.concatenate([[0], np.cumsum(counts)])
+    stack, start = stack_vertices(vertices)
+    simplices = triangulate_polytope(packed_facets(facets, vertices), stack, start)
     for i, (f, v) in enumerate(zip(facets, vertices)):
         ref = triangulate_by_recursion(f, v)
-        assert sorted(map(tuple, simplices[starts[i]:starts[i + 1]].tolist())) == \
+        assert sorted(map(tuple, owned(simplices, start, i).tolist())) == \
             sorted(map(tuple, ref.tolist()))
 
 
@@ -353,8 +364,7 @@ def test_walk_matches_recursion_on_hull_polytopes(m):
 
 def region_lattices(C):
     clip = hypercube_intersect(cone_sub_elements(coni_facets(C)))
-    vertices, packed = polytope_facets(clip)
-    return int_facets(packed), np.split(vertices, clip.vertex_start[1:-1])
+    return int_facets(polytope_facets(clip)), np.split(clip.vertices, clip.vertex_start[1:-1])
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (4, 5), (5, 6)])
@@ -393,14 +403,15 @@ def test_walk_rejects_masks_that_are_not_a_face_lattice():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     # a "facet" of three vertices in the plane: its chain is too long
     with pytest.raises(DegenerateConeError, match="does not have 3 vertices"):
-        triangulate_polytope(packed_facets([[0b1110, 0b1001, 0b0011]], [square]), [square])
+        triangulate_polytope(packed_facets([[0b1110, 0b1001, 0b0011]], [square]),
+                             *stack_vertices([square]))
     tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # {1, 2, 3} meets the second mask in vertex 2 alone: its chain is too short
     with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
-        triangulate_polytope(packed_facets([[0b1110, 0b0101]], [tetra]), [tetra])
+        triangulate_polytope(packed_facets([[0b1110, 0b0101]], [tetra]), *stack_vertices([tetra]))
     # the one "facet" is vertex 1 alone: a face of one vertex above the last level
     with pytest.raises(DegenerateConeError, match="does not have 4 vertices"):
-        triangulate_polytope(packed_facets([[0b0010]], [tetra]), [tetra])
+        triangulate_polytope(packed_facets([[0b0010]], [tetra]), *stack_vertices([tetra]))
 
 
 def test_walk_reads_both_ends_of_an_edge_across_words():
@@ -408,9 +419,8 @@ def test_walk_reads_both_ends_of_an_edge_across_words():
     # last-level edge has its low end in the first word, its high end in the second
     verts = np.zeros((71, 2))
     masks = [1 | 1 << 3, 1 << 3 | 1 << 70, 1 | 1 << 70]
-    simplices, counts = triangulate_polytope(packed_facets([masks], [verts]), [verts])
+    simplices = triangulate_polytope(packed_facets([masks], [verts]), *stack_vertices([verts]))
     assert simplices.tolist() == [[0, 3, 70]]
-    assert counts.tolist() == [1]
 
 
 def test_walk_rejects_a_last_level_face_of_three_vertices_across_words():
@@ -418,7 +428,7 @@ def test_walk_rejects_a_last_level_face_of_three_vertices_across_words():
     verts = np.zeros((71, 2))
     masks = [1 | 1 << 3, 1 << 3 | 1 << 69 | 1 << 70, 1 | 1 << 70]
     with pytest.raises(DegenerateConeError, match="does not have 3 vertices"):
-        triangulate_polytope(packed_facets([masks], [verts]), [verts])
+        triangulate_polytope(packed_facets([masks], [verts]), *stack_vertices([verts]))
 
 
 def all_regions(C):
@@ -454,14 +464,15 @@ def test_fan_volume_matches_hull_volume():
     # 6.8e-5; the pulling triangulation must tile each region exactly
     for seed in (10, 15, 17, 34):
         regions = all_regions(np.random.default_rng(seed).uniform(0.0, 3.0, (5, 6)))
-        v, s = regions.vertex_start, regions.simplex_start
+        v = regions.vertex_start
         for i in range(len(regions)):
-            fan = simplex_volumes(regions.vertices[regions.simplices[s[i]:s[i + 1]]]).sum()
+            own = owned(regions.simplices, v, i)
+            fan = simplex_volumes(regions.vertices[v[i]:v[i + 1]][own]).sum()
             if v[i] == v[i + 1]:
                 assert fan == 0.0
                 continue
             # the origin is each region's first vertex, exactly, and pulled first
             assert np.all(regions.vertices[v[i]] == 0.0)
-            assert np.all(regions.simplices[s[i]:s[i + 1], 0] == v[i])
+            assert np.all(own[:, 0] == 0)
             assert fan == pytest.approx(ConvexHull(regions.vertices[v[i]:v[i + 1]]).volume,
                                         abs=1e-12)

@@ -1,9 +1,12 @@
 """Conical hull geometry: extreme rays, facet lattice, adjacent cones.
 
-The cone over nonnegative columns is pointed, so its facets are exactly the
+Collinear columns merge first, by one sort of the unit columns' keys cut
+into runs of possible twins, so the cost follows the column count. The cone
+over nonnegative columns is pointed, so its facets are exactly the
 facets through the origin of the convex hull of the origin and one point
 on each ray, and at m >= 3 one Qhull hull gives them all (at m = 2 the
-two extreme rays are the facets, and no hull is needed). Each ray enters
+two extreme rays, those of least and greatest x, are the facets, and
+neither a hull nor an SVD is needed). Each ray enters
 as its point on the slice {x : x . s = 1}, s the sum of the unit rays, so
 only the extreme rays' points are hull vertices and the hull stays small
 at any width. A ray is extreme exactly when the facets through it meet in
@@ -25,15 +28,13 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import AllZeroMatrixError, BudgetExceededError, DegenerateConeError
-from .linalg import TOL_GEOM, gram_schmidt, row_norms
+from .linalg import TOL_GEOM, block_size, gram_schmidt, row_dots, row_norms
 from .nnls import nnls  # noqa: F401
 
 # Margin below which a point counts as inside a cone.
 TOL_MEMBER = 1e-8
 # Unit rays with a mutual dot product above this merge into one ray.
 DEDUP_DOT = 1.0 - 1e-12
-# Gram-matrix rows formed at a time by the dedup, so memory stays O(n).
-DEDUP_BLOCK = 256
 # Cap on the boundary elements (faces of dims 1..r-1) of one cone of rank r.
 MAX_ELEMENTS = 100_000
 
@@ -126,37 +127,70 @@ def _unit_dedup(columns: np.ndarray):
     """Unit directions of the nonzero columns, merged when collinear.
 
     Each column joins the first earlier representative whose unit has a dot
-    product above DEDUP_DOT with its own, read from a Gram matrix formed
-    DEDUP_BLOCK rows at a time; each unit's own product is a hit, so only a
-    block with more hits than rows goes through the greedy pass, and in it
-    only the rows with another hit.
+    product above DEDUP_DOT with its own. Such twins lie less than
+    sqrt(2 (1 - DEDUP_DOT)), about 1.414e-6, apart, so their keys (dot
+    products with weights of unequal size) lie less than that times the
+    weights' norm apart. The units are sorted by key and cut into runs
+    wherever neighbouring keys lie further apart, plus 1% for roundoff;
+    every twin then shares its representative's run, and the greedy pass
+    runs within each run, in column order. Identical units next to each
+    other in the sort form one class, decided by its first column. All runs
+    of two classes take one vectorized dot, and a longer run compares each
+    class with its earlier ones, so no Gram matrix and no list of twin pairs
+    is formed.
     Returns (units, origins): units is a (k, m) array of unit rows, origins
     the 0-based column indices behind each one.
     """
     nonzero = np.flatnonzero(columns.any(axis=0))
+    if not nonzero.size:
+        raise AllZeroMatrixError("matrix has no nonzero column")
     # scaled to a largest entry of 1 first, so the norm's squares neither
     # underflow nor overflow; the scaled columns become contiguous rows for
     # row_norms, whose one stacked product matches np.linalg.norm bit for bit
     scaled = columns[:, nonzero]
     scaled = np.ascontiguousarray((scaled / scaled.max(axis=0)).T)
     units = scaled / row_norms(scaled)[:, None]
-    k = nonzero.size
-    rep = np.ones(k, dtype=bool)
-    origins = nonzero[:, None].tolist()
-    rows = np.ascontiguousarray(units.T)
-    for s in range(0, k, DEDUP_BLOCK):
-        # close[c, i]: column i, of this block or an earlier one, is within DEDUP_DOT of s + c
-        close = units[s:s + DEDUP_BLOCK] @ rows[:, :s + DEDUP_BLOCK] > DEDUP_DOT
-        if np.count_nonzero(close) == len(close):
-            continue
-        for c in np.flatnonzero(np.count_nonzero(close, axis=1) > 1):
-            hits = np.flatnonzero(close[c, :s + c] & rep[:s + c])
+    k, m = units.shape
+    # cos(1), ..., cos(m) obey no linear relation with small integer
+    # coefficients, so distinct directions of spike counts seldom share a key
+    weights = np.cos(np.arange(1.0, m + 1.0))
+    key = units @ weights
+    order = np.argsort(key)
+    # |key(u) - key(v)| <= |weights| |u - v|, and 1% more covers the roundoff
+    near = np.diff(key[order]) <= 1.01 * np.sqrt(2.0 * (1.0 - DEDUP_DOT) * (weights @ weights))
+    if not near.any():
+        return units, nonzero[:, None].tolist()
+    ranked = units[order]
+    new = np.ones(k, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, start)  # each class's first unit, in column order
+    runs = np.flatnonzero(np.append(True, ~near[start[1:] - 1]))
+    sizes = np.diff(np.append(runs, len(start)))
+    rep = np.arange(len(start))  # each class's representative class
+    # runs of two classes: the one of the later first column joins the other
+    # if they are twins
+    a = runs[sizes == 2]
+    lo = np.where(first[a] < first[a + 1], a, a + 1)
+    hi = 2 * a + 1 - lo
+    twin = row_dots(units[first[lo]], units[first[hi]]) > DEDUP_DOT
+    rep[hi[twin]] = lo[twin]
+    # a longer run: each class, in first-column order, joins the first
+    # earlier representative class it is a twin of
+    for s, z in zip(runs[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
+        classes = s + np.argsort(first[s:s + z])
+        rows = units[first[classes]]
+        for i in range(1, z):
+            hits = np.flatnonzero(row_dots(rows[:i], rows[i:i + 1]) > DEDUP_DOT)
+            hits = hits[rep[classes[hits]] == classes[hits]]
             if hits.size:
-                rep[s + c] = False
-                origins[hits[0]] += origins[s + c]
-    if rep.all():
-        return units, origins
-    return units[rep], [o for o, r in zip(origins, rep) if r]
+                rep[classes[i]] = classes[hits[0]]
+    label = np.empty(k, dtype=np.intp)  # each unit's representative unit
+    label[order] = first[rep[np.cumsum(new) - 1]]
+    is_rep = label == np.arange(k)
+    grouped = nonzero[np.argsort(label, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(label, minlength=k)[is_rep]).tolist()
+    return units[is_rep], [grouped[i:j] for i, j in zip([0, *ends], ends)]
 
 
 def cone_halfspaces(rays: np.ndarray):
@@ -192,12 +226,19 @@ def cone_halfspaces(rays: np.ndarray):
     except QhullError as exc:
         raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
     planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
-    on = np.abs(planes @ rays.T) < TOL_GEOM * row_norms(rays)
-    bound = np.flatnonzero(on.any(axis=0))
+    # on[i, j]: ray bound[j] lies on plane i; formed block_size rays at a
+    # time, keeping only the rays on some plane, so memory stays O(k)
+    scale, step, on, bound = TOL_GEOM * row_norms(rays), block_size(len(planes)), [], []
+    for a in range(0, len(rays), step):
+        block = np.abs(planes @ rays[a:a + step].T) < scale[a:a + step]
+        hit = np.flatnonzero(block.any(axis=0))
+        on.append(block[:, hit])
+        bound.append(hit + a)
+    on, bound = np.hstack(on), np.concatenate(bound)
     # common[i, j]: ray bound[j] lies on every facet through ray bound[i]
-    common = ~(on[:, bound].T @ ~on[:, bound])
-    extreme = bound[common.sum(axis=1) == 1]
-    rows = on[:, extreme]
+    common = ~(on.T @ ~on)
+    is_extreme = common.sum(axis=1) == 1
+    extreme, rows = bound[is_extreme], on[:, is_extreme]
     # within[i, j]: plane i's rays all lie on plane j; keep the maximal rows
     within = ~(rows @ ~rows.T)
     keep = ~(within & ~within.T).any(axis=1)
@@ -215,37 +256,38 @@ def cone_halfspaces(rays: np.ndarray):
 def coni_facets(C) -> Cone:
     """Extreme rays and facets of the conical hull of C's columns.
 
-    Zero columns are dropped and collinear columns merged. One SVD of the
-    unit rays gives the cone's rank r and its span. At m >= 3 one hull
+    C is a validated state matrix (as_state_matrix). Zero columns are
+    dropped and collinear columns merged. At m >= 3 one SVD of the unit
+    rays gives the cone's rank r and its span, and one hull
     (cone_halfspaces), in span coordinates, of the origin and the rays'
     points on the slice {x : x . s = 1}, s the sum of the unit rays, gives
     the extreme rays (the only rays whose points are hull vertices) and the
     r-1 dimensional facets, whose normals are lifted back into R^m and so
-    lie in the span. At m = 2 no hull is built: the extreme rays are the two
-    ends of the segment the rays cut on the slice {sum(x) = 1}, each is a
-    facet, and its normal is the ray turned a right angle away from the
-    other, (-y, x) for the steeper and (y, -x) for the flatter. Distinct
-    unit rays are at least acos(DEDUP_DOT) apart, so rank 1 means one ray
-    and no facets. Rays come back unit-normalized and lexicographically
-    sorted.
+    lie in the span. At m = 2 neither is needed: distinct unit rays are at
+    least acos(DEDUP_DOT) apart, so two of them have a singular value near
+    1e-6, far above TOL_GEOM, and the rank is min(k, 2). The extreme rays
+    are then the rays of least and greatest x, in that (lexicographic)
+    order; each is a facet, and its normal is the ray turned a right angle
+    away from the other, (-y, x) for the steeper and (y, -x) for the
+    flatter. Rank 1 means one ray and no facets. Rays come back
+    unit-normalized and lexicographically sorted.
     """
-    C = as_state_matrix(C)
     m = C.shape[0]
     units, origins = _unit_dedup(C)
-    if not origins:
-        raise AllZeroMatrixError("matrix has no nonzero column")
-    order = np.lexsort(units.T[::-1])
-    units = units[order]
-    _, sing, span = np.linalg.svd(units, full_matrices=False)
-    rank = int(np.count_nonzero(sing > TOL_GEOM))
+    if m == 2:
+        order = [int(np.argmin(units[:, 0])), int(np.argmax(units[:, 0]))][:len(units)]
+        units, rank = units[order], len(order)
+    else:
+        order = np.lexsort(units.T[::-1])
+        units = units[order]
+        _, sing, span = np.linalg.svd(units, full_matrices=False)
+        rank = int(np.count_nonzero(sing > TOL_GEOM))
     if rank == 1:
         keep, facets, normals = [0], np.zeros((0, 1), dtype=bool), np.zeros((0, m))
     elif m == 2:
-        p = units[:, 0] / units.sum(axis=1)
-        keep = sorted({int(np.argmin(p)), int(np.argmax(p))})
         # each ray is a facet, its normal the ray turned a right angle away
         # from the other: the first ray, of smaller x, is the steeper
-        (x0, y0), (x1, y1) = units[keep]
+        keep, ((x0, y0), (x1, y1)) = [0, 1], units
         facets, normals = np.eye(2, dtype=bool), np.array([[-y0, x0], [y1, -x1]])
     else:
         coords = units @ span[:rank].T

@@ -31,15 +31,23 @@ def block_size(words_per_item: int) -> int:
     return max(1, BLOCK_WORDS // max(1, words_per_item))
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array.
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of `a` with the matching row of `b` (2-D, broadcast).
 
-    One stacked matmul forms every row's dot product with itself, through
-    the same dot kernel as ``np.linalg.norm`` of that row alone, so each norm
-    equals that function's value bit for bit. ``norm(axis=1)`` and
-    ``einsum`` sum the squares in another way and differ in the last bit.
+    One stacked matmul forms every product through the same dot kernel as
+    ``a[i] @ b[i]`` of that pair alone, so each equals it bit for bit. A
+    matrix product, ``einsum`` and ``sum(axis=1)`` add the terms in other
+    ways and can differ in the last bit.
     """
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, bit for bit ``np.linalg.norm`` of that row.
+
+    ``norm(axis=1)`` sums the squares in another way and differs in the last bit.
+    """
+    return np.sqrt(row_dots(rows, rows))
 
 
 def gram_schmidt(rays):

@@ -1,6 +1,7 @@
 """Tests for extreme-ray extraction, the facet lattice, and adjacent cones."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from scipy.spatial import ConvexHull
 
 import conirep.cone
 from conirep.cone import (
-    DEDUP_BLOCK,
     _unit_dedup,
     adjacent_cone,
     as_state_matrix,
@@ -395,6 +395,14 @@ def _rotated(u, w, angle):
     return math.cos(angle) * u + math.sin(angle) * w
 
 
+def _same_as_loop(C):
+    units, origins = _unit_dedup(C)
+    ref_units, ref_origins = unit_dedup_by_loop(C)
+    assert origins == ref_origins
+    assert units.tobytes() == np.array(ref_units).tobytes()
+    return origins
+
+
 def test_unit_dedup_matches_greedy_loop():
     rng = np.random.default_rng(67)
     u = np.ones(3) / math.sqrt(3)
@@ -407,53 +415,66 @@ def test_unit_dedup_matches_greedy_loop():
         cols += [v * rng.uniform(0.5, 2.0) for v in near]
         cols += [np.zeros(3)] * 3
         C = np.stack(cols, axis=1)[:, rng.permutation(len(cols))]
-        units, origins = _unit_dedup(C)
-        ref_units, ref_origins = unit_dedup_by_loop(C)
-        assert origins == ref_origins
-        np.testing.assert_array_equal(units, np.array(ref_units))
+        _same_as_loop(C)
         assert sorted(coni_facets(C).ray_origins) == origins_by_fitting_every_unit(C)
     # a chain of twins: b merges into a, c is too far from a to join it, and
     # b is no representative, so c starts its own ray
     C = np.stack([_rotated(u, w, a) for a in (0.0, 1.0e-6, 2.0e-6)], axis=1)
-    assert _unit_dedup(C)[1] == unit_dedup_by_loop(C)[1] == [[0, 1], [2]]
-    # at recording width, past one DEDUP_BLOCK: repeated directions, zero
-    # columns, and column scales from 1e-200 to 1e200
+    assert _same_as_loop(C) == [[0, 1], [2]]
+    # at recording width: repeated directions, zero columns, and column
+    # scales from 1e-200 to 1e200
     dirs = rng.uniform(0.0, 1.0, size=(4, 240))
     C = np.hstack([dirs, dirs[:, rng.integers(0, 240, size=40)], np.zeros((4, 20))])
     C = (C * 10.0 ** rng.uniform(-200.0, 200.0, size=300))[:, rng.permutation(300)]
-    units, origins = _unit_dedup(C)
-    ref_units, ref_origins = unit_dedup_by_loop(C)
-    assert origins == ref_origins
-    assert units.tobytes() == np.array(ref_units).tobytes()
+    _same_as_loop(C)
     # binned spike counts: few distinct directions, so most columns are
-    # twins and nearly every Gram block takes the greedy pass
-    C = np.random.default_rng(1).poisson(1.0, (4, 1200)).astype(float)
-    units, origins = _unit_dedup(C)
-    ref_units, ref_origins = unit_dedup_by_loop(C)
-    assert origins == ref_origins
-    assert units.tobytes() == np.array(ref_units).tobytes()
+    # identical units
+    _same_as_loop(np.random.default_rng(1).poisson(1.0, (4, 1200)).astype(float))
 
 
-def test_unit_dedup_twins_of_an_earlier_block():
-    # every twin in the second Gram block has its representative in the
-    # first, so only that block takes the greedy pass; twins of twins too
+def _equal_key_twin(u, rng):
+    """A direction far from u whose unit has u's dedup key bit for bit: u
+    turned about the dedup's key weights w = cos(1..3)."""
+    w = np.cos(np.arange(1.0, 4.0))
+    d = w / np.linalg.norm(w)
+    along, e = (u @ d) * d, u - (u @ d) * d
+    for phi in rng.uniform(0.1, 0.4, size=200):
+        v = along + math.cos(phi) * e + math.sin(phi) * np.cross(d, e)
+        units = _unit_dedup(np.stack([u, v], axis=1))[0]
+        if v.min() > 0 and len(units) == 2 and np.equal(*(units @ w)):
+            return v
+    raise AssertionError("no direction with an equal key")
+
+
+def test_unit_dedup_twins_far_apart_and_within_one_run():
     rng = np.random.default_rng(89)
-    dirs = rng.uniform(0.0, 1.0, size=(3, DEDUP_BLOCK))
     u = np.ones(3) / math.sqrt(3)
     w = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-    dirs[:, 0] = u
-    later = rng.integers(0, DEDUP_BLOCK, size=40)
-    twins = dirs[:, later] * rng.uniform(0.1, 10.0, size=40)
-    near = np.stack([_rotated(u, w, a) for a in (1.0e-6, 1.0e-6, 2.0e-6)], axis=1)
-    fresh = rng.uniform(0.0, 1.0, size=(3, 30))
-    C = np.hstack([dirs, twins, near, fresh, np.zeros((3, 2))])
-    units, origins = _unit_dedup(C)
-    ref_units, ref_origins = unit_dedup_by_loop(C)
-    assert origins == ref_origins
-    assert units.tobytes() == np.array(ref_units).tobytes()
-    assert origins[0] == [0, DEDUP_BLOCK + 40, DEDUP_BLOCK + 41]
-    assert len(origins) == DEDUP_BLOCK + 1 + 30
-    assert all(o[0] < DEDUP_BLOCK for o in origins if len(o) > 1)
+    # a twin 10,000 columns after its representative, past columns of six
+    # other directions at random scales (near-identical units, twins of
+    # twins, in one run each); the twin lies 1.4e-6 rad from u towards the
+    # key weights, so their keys differ by 1.5e-6, near the widest gap that
+    # twins can leave
+    key = np.cos(np.arange(1.0, 4.0))
+    t = key - (key @ u) * u
+    others = rng.uniform(0.1, 1.0, size=(3, 6))[:, rng.integers(0, 6, size=10_000)]
+    C = np.hstack([u[:, None], others * rng.uniform(0.1, 10.0, size=10_000),
+                   _rotated(u, t / np.linalg.norm(t), 1.4e-6)[:, None], 4.0 * u[:, None]])
+    origins = _same_as_loop(C)
+    assert origins[0] == [0, 10_001, 10_002]
+    assert len(origins) < 100
+    # exact duplicates mixed into a chain 0, 1e-6, 2e-6 rad from u: the
+    # 2e-6 unit is too far from u's, so it starts a ray, and its duplicates
+    # join it, while the 1e-6 units join u
+    chain = np.stack([_rotated(u, w, a) for a in (0.0, 2.0e-6, 1.0e-6)], axis=1)
+    C = np.hstack([chain, 2.0 * chain, 0.5 * chain[:, ::-1]])
+    assert _same_as_loop(C) == [[0, 2, 3, 5, 6, 8], [1, 4, 7]]
+    # two distinct directions with equal keys, interleaved, so that exact
+    # duplicates are not neighbours in the sort
+    a = rng.uniform(0.3, 1.0, size=3)
+    b = _equal_key_twin(a, rng)
+    C = np.stack([a, b, 2.0 * a, 0.5 * b, a], axis=1)
+    assert _same_as_loop(C) == [[0, 2, 4], [1, 3]]
 
 
 @st.composite
@@ -509,6 +530,21 @@ def test_wide_cone_builds_one_hull_and_fits_nothing(seed, monkeypatch):
     # only the extreme rays are hull vertices: a hull of all 300 unit rays
     # has about 600 facets
     assert len(hulls[0].simplices) < 100
+
+
+def test_wide_cone_stays_in_bounded_memory():
+    # 50,000 columns: the dedup sorts them once and the incidence step keeps
+    # only the rays on some plane, where a blocked Gram matrix of the units
+    # and a full plane-ray product peaked at 198 MB
+    C = np.random.default_rng(1).uniform(0.0, 3.0, size=(4, 50_000))
+    tracemalloc.start()
+    try:
+        cone = coni_facets(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cone.cone_rank == 4
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("kind", ["uniform", "integer", "zero-masked"])

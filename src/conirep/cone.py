@@ -6,7 +6,9 @@ over nonnegative columns is pointed, so its facets are exactly the
 facets through the origin of the convex hull of the origin and one point
 on each ray, and at m >= 3 one Qhull hull gives them all (at m = 2 the
 two extreme rays, those of least and greatest x, are the facets, and
-neither a hull nor an SVD is needed). Each ray enters
+neither a hull nor an SVD is needed; a simplicial cone takes its planes
+from the inverse of its rays, and scipy.spatial is imported only at the
+first hull). Each ray enters
 as its point on the slice {x : x . s = 1}, s the sum of the unit rays, so
 only the extreme rays' points are hull vertices and the hull stays small
 at any width. A ray is extreme exactly when the facets through it meet in
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import AllZeroMatrixError, BudgetExceededError, DegenerateConeError
 from .linalg import TOL_GEOM, block_size, gram_schmidt, row_dots, row_norms
@@ -198,7 +199,11 @@ def cone_halfspaces(rays: np.ndarray):
 
     The cone must be pointed and full-dimensional; the rays may include
     redundant ones, have entries of any sign, and come at any positive
-    scale. The hull of {0} union rays is built; each of its equations
+    scale. When the m rays are independent (the unit rays' least singular
+    value above TOL_GEOM, the rank threshold) the cone is simplicial, and
+    the facet opposite ray i has the outward normal -(R^-1)^T_i, R the rays
+    as rows; no hull is built. Otherwise the hull of {0} union rays is
+    built, importing scipy.spatial at the first call; each of its equations
     through the origin is the plane of a facet, and a ray p lies on a plane
     when |normal . p| < TOL_GEOM |p|, so incidence is judged at unit scale.
     A ray is extreme exactly when the facets through it meet in that ray
@@ -220,12 +225,17 @@ def cone_halfspaces(rays: np.ndarray):
     to about machine precision times the ratio of the largest ray to the
     smallest.
     """
-    m = rays.shape[1]
-    try:
-        hull = ConvexHull(np.vstack([np.zeros(m), rays]))
-    except QhullError as exc:
-        raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
-    planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
+    k, m = rays.shape
+    if k == m and np.linalg.svd(rays / row_norms(rays)[:, None], compute_uv=False)[-1] > TOL_GEOM:
+        planes = -np.linalg.inv(rays).T
+        planes /= row_norms(planes)[:, None]
+    else:
+        from scipy.spatial import ConvexHull, QhullError
+        try:
+            hull = ConvexHull(np.vstack([np.zeros(m), rays]))
+        except QhullError as exc:
+            raise DegenerateConeError(f"facet enumeration failed: {exc}") from exc
+        planes = hull.equations[np.abs(hull.equations[:, -1]) < TOL_GEOM, :-1]
     # on[i, j]: ray bound[j] lies on plane i; formed block_size rays at a
     # time, keeping only the rays on some plane, so memory stays O(k)
     scale, step, on, bound = TOL_GEOM * row_norms(rays), block_size(len(planes)), [], []
@@ -263,9 +273,11 @@ def coni_facets(C) -> Cone:
     points on the slice {x : x . s = 1}, s the sum of the unit rays, gives
     the extreme rays (the only rays whose points are hull vertices) and the
     r-1 dimensional facets, whose normals are lifted back into R^m and so
-    lie in the span. At m = 2 neither is needed: distinct unit rays are at
-    least acos(DEDUP_DOT) apart, so two of them have a singular value near
-    1e-6, far above TOL_GEOM, and the rank is min(k, 2). The extreme rays
+    lie in the span; when the rays number r, the cone is simplicial and the
+    planes come from the inverse of the r slice points instead. At m = 2
+    neither an SVD nor a hull is needed: distinct unit rays are at least
+    acos(DEDUP_DOT) apart, so two of them have a singular value near 1e-6,
+    far above TOL_GEOM, and the rank is min(k, 2). The extreme rays
     are then the rays of least and greatest x, in that (lexicographic)
     order; each is a facet, and its normal is the ray turned a right angle
     away from the other, (-y, x) for the steeper and (y, -x) for the

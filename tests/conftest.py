@@ -56,8 +56,11 @@ def random_activity(rng, m, n, high=3.0):
 
 @pytest.fixture(scope="session", autouse=True)
 def _warmup():
-    # First call pays scipy/qhull import cost; keep it out of timed tests.
+    # The first hull imports scipy.spatial (Qhull): WEDGE (m = 2) and a
+    # simplicial cone build none, so a non-simplicial m = 3 cone pays that
+    # cost here, out of the timed tests.
     from conirep import evaluate, ir_num
 
     evaluate(WEDGE)
+    evaluate(np.array([[2.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 2.0, 1.0]]))
     ir_num(np.eye(2), 4)

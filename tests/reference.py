@@ -1,6 +1,7 @@
 """Independent geometry the tests check the pipeline against.
 
-The pipeline takes facet normals from Qhull's hull equations, never asks
+The pipeline takes facet normals from Qhull's hull equations, or from the
+inverse of a simplicial cone's rays, never asks
 whether a point lies in a cone, reads a region's vertex-facet incidence off
 Qhull's halfspace intersection, puts every region's origin first in one
 pass over all their vertices, triangulates every region of a call in one
@@ -9,7 +10,8 @@ stacked table with no step per element, integrates whole blocks of regions
 at once, merges collinear columns from one Gram matrix, reads the extreme
 rays off one hull, and forms the face bases in stacks by ray count. These
 references compute each of them another way: facet normals by cofactor
-expansion over the facet's rays, cone membership by an NNLS fit against
+expansion over the facet's rays, a simplicial cone's planes from a Qhull
+hull, cone membership by an NNLS fit against
 the generators, incidence by a distance test against the facets of a
 convex hull, each region's origin by a scan of its own incidence, the
 triangulation of one polytope at a time by a memoized recursion on its
@@ -67,6 +69,23 @@ def normal_vector(vectors) -> np.ndarray:
     if nrm <= TOL_GEOM:
         raise ValueError("normal_vector inputs are rank-deficient")
     return n / nrm
+
+
+def simplicial_halfspaces_by_hull(points):
+    """cone_halfspaces of r independent points in R^r, read off a Qhull hull.
+
+    The hull of the origin and the points is a simplex: every point is
+    extreme, and each equation through the origin is the facet of every
+    point but the one farthest from its plane. Returns (extreme, facets,
+    normals) in cone_halfspaces' order, where the facet leaving out the last
+    point comes first.
+    """
+    r = len(points)
+    eq = ConvexHull(np.vstack([np.zeros(r), points])).equations
+    planes = eq[np.abs(eq[:, -1]) < TOL_GEOM, :-1]
+    left_out = np.abs(planes @ points.T).argmax(axis=1)
+    order = np.argsort(-left_out)
+    return list(range(r)), ~np.eye(r, dtype=bool)[left_out[order]], planes[order]
 
 
 def facet_sets(cone: Cone) -> tuple[frozenset, ...]:

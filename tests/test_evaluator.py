@@ -18,7 +18,7 @@ from conirep.evaluator import MAX_DIM, RegionRecord, evaluate, output_volume, re
 from conirep.linalg import block_size, gram_schmidt, simplex_volumes
 from conirep.oracle import ir_num
 
-from conftest import JUMP, SQUARE_PYRAMID, VERR, perturbed, random_activity
+from conftest import JUMP, SQUARE_PYRAMID, TILTED, VERR, WEDGE, perturbed, random_activity
 from reference import facet_normal_outward, facet_sets, richardson
 
 
@@ -543,6 +543,35 @@ def test_evaluation_never_imports_scipy_optimize():
         "    evaluate(rows)\n"
         "ir_num(rows, 4)\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_hull_imports_no_qhull(tmp_path):
+    # scipy.spatial is imported at the first hull: m <= 2, ranks 0 and 1,
+    # simplicial cones, the quadrature and the encode and numeric commands
+    # build none. In a fresh interpreter, so no other test's import counts;
+    # a 3x4 cone then needs one, so the check is not vacuous
+    spikes, counts, wedge = tmp_path / "spikes.txt", tmp_path / "counts.csv", tmp_path / "wedge.csv"
+    spikes.write_text("# neurons=2 duration=4.0\n1\t0.1\n1\t0.2\n2\t0.9\n1\t1.5\n2\t3.9\n")
+    wedge.write_text("1,3,1,2\n1,2,0,1\n")
+    full = np.random.default_rng(5).uniform(0.0, 3.0, (4, 4))
+    matrices = [WEDGE, TILTED, full, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                np.zeros((3, 2))]
+    script = (
+        "import sys\n"
+        "import conirep\n"
+        "from conirep import cli, evaluate, ir_num\n"
+        f"assert cli.main(['encode', '--input', {str(spikes)!r}, '--slot-length', '1',"
+        f" '--slots', '4', '--output', {str(counts)!r}]) == 0\n"
+        f"assert cli.main(['numeric', '--input', {str(wedge)!r}, '--n', '16']) == 0\n"
+        f"for rows in {[C.tolist() for C in matrices]!r}:\n"
+        "    evaluate(rows)\n"
+        f"ir_num({TILTED.tolist()!r}, 16)\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+        "evaluate([[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 1]])\n"
+        "assert 'scipy.spatial' in sys.modules, 'a 3x4 cone built no hull'\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -194,15 +194,15 @@ def _unit_dedup(columns: np.ndarray):
     return units[is_rep], [grouped[i:j] for i, j in zip([0, *ends], ends)]
 
 
-def cone_halfspaces(rays: np.ndarray):
+def cone_halfspaces(rays: np.ndarray, simplicial: bool = False):
     """Extreme rays, facets and outward unit normals of the cone over `rays`.
 
     The cone must be pointed and full-dimensional; the rays may include
     redundant ones, have entries of any sign, and come at any positive
-    scale. When the m rays are independent (the unit rays' least singular
-    value above TOL_GEOM, the rank threshold) the cone is simplicial, and
-    the facet opposite ray i has the outward normal -(R^-1)^T_i, R the rays
-    as rows; no hull is built. Otherwise the hull of {0} union rays is
+    scale. A caller that knows the cone simplicial, m independent rays,
+    says so (coni_facets does when the rays number the rank it found): the
+    facet opposite ray i then has the outward normal -(R^-1)^T_i, R the rays
+    as rows, and no hull is built. Otherwise the hull of {0} union rays is
     built, importing scipy.spatial at the first call; each of its equations
     through the origin is the plane of a facet, and a ray p lies on a plane
     when |normal . p| < TOL_GEOM |p|, so incidence is judged at unit scale.
@@ -225,8 +225,8 @@ def cone_halfspaces(rays: np.ndarray):
     to about machine precision times the ratio of the largest ray to the
     smallest.
     """
-    k, m = rays.shape
-    if k == m and np.linalg.svd(rays / row_norms(rays)[:, None], compute_uv=False)[-1] > TOL_GEOM:
+    m = rays.shape[1]
+    if simplicial:
         planes = -np.linalg.inv(rays).T
         planes /= row_norms(planes)[:, None]
     else:
@@ -273,8 +273,9 @@ def coni_facets(C) -> Cone:
     points on the slice {x : x . s = 1}, s the sum of the unit rays, gives
     the extreme rays (the only rays whose points are hull vertices) and the
     r-1 dimensional facets, whose normals are lifted back into R^m and so
-    lie in the span; when the rays number r, the cone is simplicial and the
-    planes come from the inverse of the r slice points instead. At m = 2
+    lie in the span; when the rays number r, the SVD has found them
+    independent, the cone is simplicial, and the planes come from the
+    inverse of the r slice points instead. At m = 2
     neither an SVD nor a hull is needed: distinct unit rays are at least
     acos(DEDUP_DOT) apart, so two of them have a singular value near 1e-6,
     far above TOL_GEOM, and the rank is min(k, 2). The extreme rays
@@ -305,7 +306,8 @@ def coni_facets(C) -> Cone:
         coords = units @ span[:rank].T
         # each ray's point on the slice {x : x . s = 1}; x . s >= 1 for unit
         # rays of nonnegative columns, and span coordinates keep dot products
-        keep, facets, normals = cone_halfspaces(coords / (coords @ coords.sum(axis=0))[:, None])
+        keep, facets, normals = cone_halfspaces(coords / (coords @ coords.sum(axis=0))[:, None],
+                                                simplicial=len(units) == rank)
         normals = normals @ span[:rank]
     return Cone(rays=units[keep], ray_origins=tuple(tuple(origins[order[i]]) for i in keep),
                 facets=facets, normals=normals, cone_rank=rank)

@@ -105,9 +105,9 @@ def test_simplicial_cone_planes_match_the_hull(monkeypatch):
     def no_hull(points):
         raise AssertionError("a simplicial cone built a hull")
 
-    def spy(points):
-        seen.append((points, real(points)))
-        return seen[-1][1]
+    def spy(points, simplicial):
+        seen.append((points, simplicial, real(points, simplicial)))
+        return seen[-1][2]
 
     real = cone_halfspaces
     monkeypatch.setattr(scipy.spatial, "ConvexHull", no_hull)
@@ -115,12 +115,14 @@ def test_simplicial_cone_planes_match_the_hull(monkeypatch):
         seen = []
         monkeypatch.setattr(conirep.cone, "cone_halfspaces", spy)
         got = evaluate(C)
-        [(points, (extreme, facets, normals))] = seen
+        [(points, simplicial, (extreme, facets, normals))] = seen
+        assert simplicial
         want_extreme, want_facets, want_normals = simplicial_halfspaces_by_hull(points)
         assert extreme == want_extreme
         np.testing.assert_array_equal(facets, want_facets)
         np.testing.assert_allclose(normals, want_normals, rtol=0.0, atol=1e-12)
-        monkeypatch.setattr(conirep.cone, "cone_halfspaces", simplicial_halfspaces_by_hull)
+        monkeypatch.setattr(conirep.cone, "cone_halfspaces",
+                            lambda points, simplicial: simplicial_halfspaces_by_hull(points))
         want = evaluate(C)
         assert [r.element for r in got.regions] == [r.element for r in want.regions]
         np.testing.assert_allclose(

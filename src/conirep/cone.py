@@ -249,18 +249,16 @@ def cone_halfspaces(rays: np.ndarray, simplicial: bool = False):
     common = ~(on.T @ ~on)
     is_extreme = common.sum(axis=1) == 1
     extreme, rows = bound[is_extreme], on[:, is_extreme]
-    # within[i, j]: plane i's rays all lie on plane j; keep the maximal rows
+    # within[i, j]: plane i's rays all lie on plane j; keep the maximal rows,
+    # and of equal rows the first plane's
     within = ~(rows @ ~rows.T)
-    keep = ~(within & ~within.T).any(axis=1)
+    keep = ~(within & (~within.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
     if not keep.any():
         raise DegenerateConeError("no origin-incident facets; ray set is not pointed")
-    # no kept row holds another, so the inverted masks sort as the index sets
-    # do; of equal rows the stable sort leaves the first plane first
+    # no kept row holds another, so the inverted masks sort as the index sets do
     rows, planes = rows[keep], planes[keep]
     order = np.lexsort((~rows).T[::-1])
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    return extreme.tolist(), rows[order[first]], planes[order[first]]
+    return extreme.tolist(), rows[order], planes[order]
 
 
 def coni_facets(C) -> Cone:

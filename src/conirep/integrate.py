@@ -67,8 +67,7 @@ def region_integral(regions: Regions, bases: np.ndarray):
             sums += rows[col]
         # sum over l1 <= l2 of qb(v_l1, v_l2) = (q(sum of v_l) + sum of q(v_l)) / 2
         pair_sum = (q(sums) + sums[:, 2 * m]) / 2.0
-        values[a:a + len(block)] = np.where(
-            vol == 0.0, 0.0, np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0))
+        values[a:a + len(block)] = np.maximum(vol / comb(m + 2, 2) * pair_sum, 0.0)
     region = owner[simplices[:, 0]]
     return tuple(np.bincount(region, w, minlength=len(regions)).astype(float, copy=False)
                  for w in (volumes, values))

@@ -38,11 +38,6 @@ from .nnls import nnls  # noqa: F401
 # Simplices all the regions of one call may hold, counted before any is built.
 MAX_SIMPLICES = 1_000_000
 
-# constants of the SWAR popcount (np.bitwise_count needs numpy 2.0): every
-# other bit, every other bit pair, every other nibble, and 1 in each byte
-_SWAR = tuple(np.uint64(v) for v in (0x5555555555555555, 0x3333333333333333,
-                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
 
 @dataclass(frozen=True)
 class Regions:
@@ -81,17 +76,8 @@ def _packed(on: np.ndarray) -> np.ndarray:
 
 
 def _bit_counts(masks: np.ndarray) -> np.ndarray:
-    """Number of set bits in each mask column.
-
-    Each word's bits are summed in place, pairs, then nibbles, then bytes
-    (Warren, Hacker's Delight, 2nd ed., 2012, sec. 5-1), and the multiply
-    adds the bytes up into the top one.
-    """
-    ones, pairs, nibbles, bytes_ = _SWAR
-    x = masks - (masks >> np.uint64(1) & ones)
-    x = (x & pairs) + (x >> np.uint64(2) & pairs)
-    x = (x + (x >> np.uint64(4))) & nibbles
-    return ((x * bytes_) >> np.uint64(56)).sum(axis=0, dtype=np.intp)
+    """Number of set bits in each mask column."""
+    return np.bitwise_count(masks).sum(axis=0, dtype=np.intp)
 
 
 def _lowest_bit(masks: np.ndarray):
@@ -99,8 +85,8 @@ def _lowest_bit(masks: np.ndarray):
     word = (masks != 0).argmax(axis=0)
     w = masks[word, np.arange(masks.shape[1])]
     bit = w & -w
-    # a power of two converts to float exactly, and frexp reads off its exponent
-    return np.frexp(bit.astype(np.float64))[1] + (word * 64 - 1), word, bit
+    # bit - 1 sets exactly the bits below the lowest, so their count is its index
+    return np.bitwise_count(bit - np.uint64(1)) + 64 * word, word, bit
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray):

@@ -185,6 +185,28 @@ def test_no_facet_inside_another_on_a_near_flat_facet():
     assert [sorted(f) for f in facets] == sorted(sorted(f) for f in facets)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-12])
+def test_equal_facet_sets_keep_the_first_planes_normal(eps):
+    # the cone over the cube in R^4, rays (+-1, +-1, +-1, 1): Qhull splits
+    # each square facet into 2 or 3 planes through the origin, 15 in all.
+    # They give the 6 square facets, 4 rays each, each with its first plane's
+    # normal. Perturbed by 1e-12, the planes of one facet differ in their
+    # last bits, so keeping a later plane's normal would show
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3, indexing="ij")).reshape(3, -1).T
+    rays = np.column_stack([corners, np.ones(8)])
+    rays[:, :3] += eps * np.random.default_rng(36).uniform(-1.0, 1.0, (8, 3))
+    equations = ConvexHull(np.vstack([np.zeros(4), rays])).equations
+    planes = equations[np.abs(equations[:, -1]) < TOL_GEOM, :-1]
+    assert eps or len(planes) == 15
+    extreme, facets, normals = cone_halfspaces(rays)
+    assert extreme == list(range(8))
+    assert sorted(map(tuple, facets.astype(int))) == sorted(
+        tuple((corners[:, i] == s).astype(int)) for i in range(3) for s in (-1.0, 1.0))
+    on = np.abs(planes @ rays.T) < TOL_GEOM * np.linalg.norm(rays, axis=1)
+    first = [int((on == f).all(axis=1).argmax()) for f in facets]
+    assert normals.tobytes() == planes[first].tobytes()
+
+
 def test_extremality_matches_bounded_least_squares():
     # independent re-derivation of each keep/drop decision
     rng = np.random.default_rng(47)

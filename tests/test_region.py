@@ -12,6 +12,8 @@ from conirep.errors import BudgetExceededError, DegenerateConeError
 from conirep.linalg import simplex_volumes
 from conirep.nnls import nnls_batch
 from conirep.region import (
+    _bit_counts,
+    _lowest_bit,
     build_region,
     hypercube_intersect,
     polytope_facets,
@@ -196,6 +198,30 @@ def test_clip_does_not_depend_on_blocks(monkeypatch):
     blocked = hypercube_intersect(table)
     for name in ("vertices", "masks", "vertex_start", "facets"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_bit_kernels_match_python_ints():
+    # random 3-word masks, dense and sparse, then the edge cases: bit 63
+    # alone, all-ones words, single-bit words, and a lowest set bit in the
+    # second or third word
+    rng = np.random.default_rng(36)
+    dense = rng.integers(0, 2 ** 64, (3, 200), dtype=np.uint64)
+    sparse = dense & rng.integers(0, 2 ** 64, (3, 200), dtype=np.uint64) \
+        & rng.integers(0, 2 ** 64, (3, 200), dtype=np.uint64)
+    sparse[rng.random((3, 200)) < 0.4] = 0
+    ones, top = 2 ** 64 - 1, 2 ** 63
+    edge = np.array([[top, 0, 0], [0, top, 0], [0, 0, top], [ones, ones, ones], [0, ones, 0],
+                     [0, 0, ones], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 4, 8], [0, 2 ** 40, 1],
+                     [0, 2 ** 40 + 3, top], [top, top, top], [ones, 0, 1]], dtype=np.uint64).T
+    masks = np.hstack([dense, sparse, edge])
+    masks = masks[:, masks.any(axis=0)]
+    ints = int_masks(masks)
+    assert _bit_counts(masks).tolist() == [x.bit_count() for x in ints]
+    index, word, bit = _lowest_bit(masks)
+    lowest = [(x & -x).bit_length() - 1 for x in ints]
+    assert index.tolist() == lowest
+    assert word.tolist() == [j // 64 for j in lowest]
+    assert bit.tolist() == [1 << j % 64 for j in lowest]
 
 
 def test_region_vertices_stay_in_cube_and_cone():

@@ -17,7 +17,7 @@ at all. The same hull therefore names the extreme rays and the facets,
 with no fit of one ray against the others.
 
 The facets come as boolean ray masks, and the boundary elements are those
-masks closed under intersection; one batched Gram-Schmidt per ray count
+masks closed under intersection; one batched Gram-Schmidt of them all
 gives every face's basis. Each element's adjacent cone has one facet per
 Hasse-diagram edge at the element, so cone_sub_elements returns all of them
 as one AdjacentCones table. Every step works in the rays' span coordinates.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZeroMatrixError, BudgetExceededError, DegenerateConeError
-from .linalg import TOL_GEOM, block_size, gram_schmidt, row_dots, row_norms
+from .linalg import TOL_GEOM, _runs, block_size, gram_schmidt, row_dots, row_norms
 from .nnls import nnls  # noqa: F401
 
 # Margin below which a point counts as inside a cone.
@@ -135,10 +135,10 @@ def _unit_dedup(columns: np.ndarray):
     wherever neighbouring keys lie further apart, plus 1% for roundoff;
     every twin then shares its representative's run, and the greedy pass
     runs within each run, in column order. Identical units next to each
-    other in the sort form one class, decided by its first column. All runs
-    of two classes take one vectorized dot, and a longer run compares each
-    class with its earlier ones, so no Gram matrix and no list of twin pairs
-    is formed.
+    other in the sort form one class, decided by its first column. One step
+    per rank i serves every run at once, comparing the class of rank i, in
+    first-column order, with its run's lower-rank representatives only, so
+    no Gram matrix and no list of twin pairs is formed.
     Returns (units, origins): units is a (k, m) array of unit rows, origins
     the 0-based column indices behind each one.
     """
@@ -169,23 +169,25 @@ def _unit_dedup(columns: np.ndarray):
     runs = np.flatnonzero(np.append(True, ~near[start[1:] - 1]))
     sizes = np.diff(np.append(runs, len(start)))
     rep = np.arange(len(start))  # each class's representative class
-    # runs of two classes: the one of the later first column joins the other
-    # if they are twins
-    a = runs[sizes == 2]
-    lo = np.where(first[a] < first[a + 1], a, a + 1)
-    hi = 2 * a + 1 - lo
-    twin = row_dots(units[first[lo]], units[first[hi]]) > DEDUP_DOT
-    rep[hi[twin]] = lo[twin]
-    # a longer run: each class, in first-column order, joins the first
-    # earlier representative class it is a twin of
-    for s, z in zip(runs[sizes > 2].tolist(), sizes[sizes > 2].tolist()):
-        classes = s + np.argsort(first[s:s + z])
-        rows = units[first[classes]]
-        for i in range(1, z):
-            hits = np.flatnonzero(row_dots(rows[:i], rows[i:i + 1]) > DEDUP_DOT)
-            hits = hits[rep[classes[hits]] == classes[hits]]
-            if hits.size:
-                rep[classes[i]] = classes[hits[0]]
+    # run j of two or more classes lists them in first-column order in
+    # classes[begin[j]:][:sizes[j]], and the positions there of its
+    # representatives in held[begin[j]:][:count[j]]; the class of rank i
+    # joins the first of these it is a twin of, or becomes one itself
+    runs, sizes = runs[sizes > 1], sizes[sizes > 1]
+    classes, run = _runs(runs, sizes)
+    classes = classes[np.lexsort((first[classes], run))]
+    rows, begin = units[first[classes]], sizes.cumsum() - sizes
+    held, count, live = np.arange(len(classes)), np.ones_like(sizes), np.arange(len(sizes))
+    for i in range(1, sizes.max(initial=1)):
+        live = live[sizes[live] > i]
+        at = begin[live] + i
+        slot, owner = _runs(begin[live], count[live])
+        hit = np.flatnonzero(row_dots(rows[held[slot]], rows[at[owner]]) > DEDUP_DOT)
+        hit = hit[owner[hit] != np.append(-1, owner[hit][:-1])]  # each run's first twin
+        rep[classes[at[owner[hit]]]] = classes[held[slot[hit]]]
+        fresh = np.delete(live, owner[hit])
+        held[begin[fresh] + count[fresh]] = begin[fresh] + i
+        count[fresh] += 1
     label = np.empty(k, dtype=np.intp)  # each unit's representative unit
     label[order] = first[rep[np.cumsum(new) - 1]]
     is_rep = label == np.arange(k)
@@ -359,8 +361,8 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     normalized at once; each element's come from its faces below, then
     above, each in lattice order.
 
-    No step runs per element: one gram_schmidt per ray count gives every
-    face's basis and dimension, and one containment product the Hasse edges.
+    No step runs per element: one stacked gram_schmidt gives every face's
+    basis and dimension, and one containment product the Hasse edges.
 
     At rank r < m the lattice is that of the cone within its span L, and
     every row lies in L, so each adjacent cone also holds L's orthogonal
@@ -373,13 +375,10 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     rays, facets, normals, m, r = cone.rays, cone.facets, cone.normals, cone.dim, cone.cone_rank
     k = len(rays)
     member = _closure(facets)
-    # each face's rays in ascending order, padded with -1
+    # each face's rays in ascending order, then -1s, which pick a zero ray: it adds no column
     count = member.sum(axis=1)
     index = np.where(np.arange(k) < count[:, None], (~member).argsort(axis=1, kind="stable"), -1)
-    bases = np.empty((len(member), m, m))
-    for c in np.bincount(count).nonzero()[0].tolist():
-        group = count == c
-        bases[group] = gram_schmidt(rays[index[group, :c]])
+    bases = gram_schmidt(np.vstack([rays, np.zeros(m)])[index[:, :count.max()]])
     dims = (bases != 0.0).any(axis=1).sum(axis=1)
     # by dimension, then by ray indices as tuples compare: a prefix first
     order = np.lexsort((*index.T[::-1], dims))

@@ -4,8 +4,8 @@ Everything here operates on plain float arrays. Vectors are rows unless a
 function says otherwise; orthonormal bases are returned as column matrices
 so that ``basis.T @ point`` gives coordinates in the basis.
 
-The quadrature's solve blocks, the walk's chunks and the integral's blocks
-are all sized by block_size from one bound, BLOCK_WORDS.
+Solve blocks, walk chunks and integral blocks are sized by block_size from one
+bound, BLOCK_WORDS; _runs lists the index runs of the cone and region stages.
 """
 from __future__ import annotations
 
@@ -29,6 +29,12 @@ def block_size(words_per_item: int) -> int:
     Reads BLOCK_WORDS at call time, so one patch of it reaches every blocked loop.
     """
     return max(1, BLOCK_WORDS // max(1, words_per_item))
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray):
+    """Indices starts[j] .. starts[j] + counts[j] - 1 for each j, and the j of each."""
+    run = np.arange(len(counts)).repeat(counts)
+    return (starts + counts - counts.cumsum())[run] + np.arange(len(run)), run
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

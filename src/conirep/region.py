@@ -31,7 +31,7 @@ import numpy as np
 from .cone import TOL_MEMBER, AdjacentCones
 from .errors import BudgetExceededError, DegenerateConeError
 # gram_schmidt is not used here; bench/tracer.py counts calls through this name
-from .linalg import block_size, gram_schmidt, simplex_volumes  # noqa: F401
+from .linalg import _runs, block_size, gram_schmidt, simplex_volumes  # noqa: F401
 # not used here; bench/tracer.py wraps conirep.region.nnls
 from .nnls import nnls  # noqa: F401
 
@@ -87,12 +87,6 @@ def _lowest_bit(masks: np.ndarray):
     bit = w & -w
     # bit - 1 sets exactly the bits below the lowest, so their count is its index
     return np.bitwise_count(bit - np.uint64(1)) + 64 * word, word, bit
-
-
-def _runs(starts: np.ndarray, counts: np.ndarray):
-    """Indices starts[j] .. starts[j] + counts[j] - 1 for each j, and the j of each."""
-    run = np.arange(len(counts)).repeat(counts)
-    return (starts + counts - counts.cumsum())[run] + np.arange(len(run)), run
 
 
 def _blocks(weights: np.ndarray, words: int):

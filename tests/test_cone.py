@@ -304,6 +304,10 @@ ROWS_CASES = [pytest.param(random_activity(np.random.default_rng([71, m, i]), m,
     pytest.param(np.array([[0.0, 1.0, 2.0, 1.0],
                            [1.0, 0.0, 1.0, 2.0],
                            [2.0, 1.5, 0.0, 0.0]]), id="zeroed"),
+    # a pyramid over a 12-gon: faces of 1, 2, 3 and 12 rays in one basis stack
+    pytest.param(np.hstack([np.vstack([np.zeros(12), 2.0 + np.cos(np.arange(12) * np.pi / 6),
+                                       2.0 + np.sin(np.arange(12) * np.pi / 6), np.full(12, 2.0)]),
+                            np.ones((4, 1))]), id="pyramid-12gon"),
 ]
 
 
@@ -551,6 +555,49 @@ def test_unit_dedup_twins_far_apart_and_within_one_run():
     b = _equal_key_twin(a, rng)
     C = np.stack([a, b, 2.0 * a, 0.5 * b, a], axis=1)
     assert _same_as_loop(C) == [[0, 2, 4], [1, 3]]
+
+
+def _chain(u, angles):
+    """Units at `angles` (rad) from unit u, along one great circle through it."""
+    w = np.array([u[1], -u[0], 0.0]) / math.hypot(u[0], u[1])
+    return np.stack([_rotated(u, w, a) for a in angles], axis=1)
+
+
+def test_unit_dedup_runs_of_every_length():
+    # runs of 2, 3 and 12 classes of possible twins, far apart in key, in one
+    # matrix with exact duplicates and its columns shuffled; then a chain 0,
+    # 2e-6, 1e-6 rad in both orders of its far units: 2e-6 is no twin of 0,
+    # and the middle unit joins whichever far unit comes first
+    rng = np.random.default_rng(97)
+    two = _chain(np.array([0.2, 0.5, 0.8]), [0.0, 1.0e-6])
+    three = _chain(np.array([0.9, 0.3, 0.4]), [0.0, 1.0e-6, 2.0e-6])
+    twelve = _chain(np.array([0.4, 0.8, 0.2]), 0.7e-6 * np.arange(12))
+    C = np.hstack([two, three, twelve, 2.0 * three, 0.5 * twelve[:, ::2]])
+    _same_as_loop(C[:, rng.permutation(C.shape[1])])
+    u = np.array([0.3, 0.6, 0.7])
+    assert _same_as_loop(_chain(u, [0.0, 2.0e-6, 1.0e-6])) == [[0, 2], [1]]
+    assert _same_as_loop(_chain(u, [2.0e-6, 0.0, 1.0e-6])) == [[0, 2], [1]]
+    # twin of a twin, in column order: 2e-6 matches only 1e-6, which joined 0
+    assert _same_as_loop(_chain(u, [0.0, 1.0e-6, 2.0e-6])) == [[0, 1], [2]]
+
+
+def test_unit_dedup_near_twin_run_in_bounded_memory():
+    # 10,000 columns of 5 directions 0.5e-6 rad apart, each entry moved by up
+    # to 1e-9: one run of 10,000 classes. The merge compares each class with
+    # its run's representatives only, so it forms no array over all pairs of
+    # the run; it peaks at about 2 MB here
+    u = np.ones(3) / math.sqrt(3)
+    rng = np.random.default_rng(37)
+    C = _chain(u, 0.5e-6 * np.arange(5))[:, rng.integers(0, 5, size=10_000)]
+    C = C + 1e-9 * rng.uniform(0.0, 1.0, C.shape)
+    tracemalloc.start()
+    try:
+        _unit_dedup(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert len(_same_as_loop(C)) == 2
 
 
 @st.composite

@@ -199,7 +199,7 @@ def test_dimension_and_element_budgets(tilted, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr("conirep.cone.MAX_ELEMENTS", 1)
-        # _face_bases forms every face's basis through this one name
+        # cone_sub_elements forms every face's basis through this one name
         mp.setattr("conirep.cone.gram_schmidt", recording_gram_schmidt)
         with pytest.raises(BudgetExceededError, match="6 cone elements exceed the limit of 1"):
             evaluate(tilted)

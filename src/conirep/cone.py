@@ -84,15 +84,15 @@ class AdjacentCones:
     """cone_sub_elements' table: every element's adjacent cone (see AdjacentCone).
 
     Row i is element i, by dimension, then sorted rays: members (E, k) ray masks,
-    dims, bases (E, m, m) zero-padded after dims[i] columns, and facet_normals
-    rows[row_start[i]:row_start[i+1]].
+    dims, bases (E, m, m) zero-padded after dims[i] columns, and rows (E, w, m):
+    its adjacent cone's unit facet normals, then zero rows, w the largest
+    count. Both region routes read the rows as stored: a zero row cuts nothing.
     """
 
     members: np.ndarray
     dims: np.ndarray
     bases: np.ndarray
     rows: np.ndarray
-    row_start: np.ndarray
 
     @property
     def elements(self) -> dict[int, tuple[frozenset[int], ...]]:
@@ -118,10 +118,6 @@ class AdjacentCone:
     normals: np.ndarray
     basis: np.ndarray
     facet_normals: np.ndarray
-
-    @property
-    def generators(self) -> np.ndarray:
-        return np.vstack([self.element_rays, self.normals])
 
 
 def _unit_dedup(columns: np.ndarray):
@@ -413,14 +409,17 @@ def cone_sub_elements(cone: Cone) -> AdjacentCones:
     rows = np.concatenate([_project(leaving, bases[hi[up]]),
                            outer - _project(outer, bases[lo[down]])])
     owner = np.concatenate([hi[up], lo[down]])
-    rows = rows[owner.argsort(kind="stable")]
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    row_start = np.concatenate([[0], np.bincount(owner, minlength=apex).cumsum()])
     if r < m:
         member, dims, bases = (np.vstack([member, nodes[-1]]), np.append(dims, r),
                                np.concatenate([bases, gram_schmidt(rays[None])]))
-        rows, row_start = np.vstack([rows, normals]), np.append(row_start, len(rows) + len(normals))
-    return AdjacentCones(member, dims, bases, rows, row_start)
+        rows, owner = np.vstack([rows, normals]), np.append(owner, [apex] * len(normals))
+    # each element's rows in their order above, then zero rows
+    count = np.bincount(owner, minlength=len(member))
+    slot, element = _runs(np.zeros_like(count), count)
+    padded = np.zeros((len(member), count.max(), m))
+    padded[element, slot] = rows[owner.argsort(kind="stable")]
+    return AdjacentCones(member, dims, bases, padded)
 
 
 def adjacent_cone(element: frozenset, cone: Cone, table: AdjacentCones) -> AdjacentCone:
@@ -435,4 +434,4 @@ def adjacent_cone(element: frozenset, cone: Cone, table: AdjacentCones) -> Adjac
         element=element, element_rays=cone.rays[mask],
         normals=cone.normals[(cone.facets | ~mask).all(axis=1)],
         basis=np.ascontiguousarray(table.bases[i, :, :table.dims[i]]),
-        facet_normals=table.rows[table.row_start[i]:table.row_start[i + 1]])
+        facet_normals=table.rows[i][table.rows[i].any(axis=1)])

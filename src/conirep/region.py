@@ -105,7 +105,8 @@ class Clip:
     Region i owns vertices[vertex_start[i]:vertex_start[i+1]], origin first,
     and their columns of masks, (n_words, k) uint64: a vertex's bits j, m + j
     and 2m + r are set when it lies on x_j = 0, on x_j = 1 and on the
-    region's row r. facets: each region's 2m + rows facet bits. len() is k.
+    region's row r. facets: each region's 2m + (nonzero rows) facet bits.
+    len() is k.
     """
 
     vertices: np.ndarray
@@ -115,15 +116,6 @@ class Clip:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-def _padded_rows(table: AdjacentCones) -> np.ndarray:
-    """Each region's table rows, (n, rows, m), a region with fewer padded with zero rows."""
-    rows, start = table.rows, table.row_start
-    n, count = len(start) - 1, np.diff(start)
-    padded = np.zeros((n, int(count.max(initial=0)), rows.shape[1]))
-    padded[np.arange(n).repeat(count), np.arange(len(rows)) - start[:-1].repeat(count)] = rows
-    return padded
 
 
 def _cut(vertices: np.ndarray, masks: np.ndarray, size: np.ndarray, normals: np.ndarray,
@@ -183,29 +175,29 @@ def hypercube_intersect(table: AdjacentCones) -> Clip:
     """Every region of the table clipped out of the unit cube, one _cut per row index.
 
     Each region starts as the cube's 2^m vertices, origin first, and row j
-    of every region cuts all of them at once, a region with fewer rows
-    padded with zero rows. Every row passes through the origin, which is
-    never cut. A region with m vertices or fewer, or whose vertices share a
-    facet, is flat or empty and keeps none. Each region's vertices then go
-    by descending count of row facets, which keeps the origin, on every row,
+    of every region cuts all of them at once, the rows read as the table
+    stores them: a region with fewer rows is padded with zero rows, which
+    cut nothing. Every row passes through the origin, which is never cut. A
+    region with m vertices or fewer, or whose vertices share a facet, is
+    flat or empty and keeps none. Each region's vertices then go by
+    descending count of row facets, which keeps the origin, on every row,
     first.
     """
-    padded = _padded_rows(table)
-    n, k, m = padded.shape
+    n, k, m = table.rows.shape
     corner = (np.arange(2 ** m)[:, None] >> np.arange(m) & 1).astype(bool)
     on = np.zeros((2 ** m, 64 * -(-(2 * m + k) // 64)), dtype=bool)
     on[:, :m], on[:, m:2 * m] = ~corner, corner
     vertices, size = np.tile(corner.astype(float), (n, 1)), np.full(n, 2 ** m)
     masks = np.tile(_packed(on), n)
     for j in range(k):
-        vertices, masks, size = _cut(vertices, masks, size, padded[:, j], 2 * m + j)
+        vertices, masks, size = _cut(vertices, masks, size, table.rows[:, j], 2 * m + j)
     first = size.cumsum() - size
     size[np.bitwise_and.reduceat(masks, first, axis=1).any(axis=0) | (size <= m)] = 0
     index, run = _runs(first, size)
     row_bits = _bit_counts(masks.take(index, axis=1) & ~_packed(on[:1] | on[-1:]))
     index = index[np.lexsort((-row_bits, run))]
     return Clip(vertices[index], masks.take(index, axis=1), np.concatenate([[0], size.cumsum()]),
-                2 * m + np.diff(table.row_start))
+                2 * m + table.rows.any(axis=2).sum(axis=1))
 
 
 def polytope_facets(clip: Clip):
@@ -434,17 +426,17 @@ def fan_regions(table: AdjacentCones) -> Regions:
     the pyramids from the origin over its sections R & {x_j = 1}: the cube
     faces through the origin bound no pyramid. Each section is the unit
     square on that face clipped by R's rows, one Sutherland-Hodgman step
-    (_clip) per row index over every (region, face) pair at once, a region
-    with fewer rows padded with zero rows. Each polygon is fanned from its
-    first corner into triangles, each joined to the origin; the tetrahedra
-    are counted against MAX_SIMPLICES before any is built. Region i's vertices
+    (_clip) per row index over every (region, face) pair at once, the rows
+    read as the table stores them: a region with fewer rows is padded with
+    zero rows, which clip nothing. Each polygon is fanned from its first
+    corner into triangles, each joined to the origin; the tetrahedra are
+    counted against MAX_SIMPLICES before any is built. Region i's vertices
     are its origin, then its polygons' corners, face by face.
     """
-    padded = _padded_rows(table)
-    n = len(padded)
-    normals = padded.repeat(3, axis=0)
+    n, k, _ = table.rows.shape
+    normals = table.rows.repeat(3, axis=0)
     polygons, size = np.tile(_FAR_SQUARES, (n, 1, 1)), np.full(3 * n, 4)
-    for j in range(padded.shape[1]):
+    for j in range(k):
         polygons, size = _clip(polygons, size, normals[:, j])
     tets = np.maximum(size - 2, 0)
     if tets.sum() > MAX_SIMPLICES:

@@ -125,6 +125,11 @@ def cone_contains(point, generators, tol_member: float = TOL_MEMBER) -> bool:
     return rnorm < tol_member
 
 
+def generators(adj: AdjacentCone) -> np.ndarray:
+    """Rows that generate the adjacent cone: its element's rays, then the normals of N(E)."""
+    return np.vstack([adj.element_rays, adj.normals])
+
+
 def facet_masks(vertices) -> list[int]:
     """One vertex bitmask per facet of the convex hull of `vertices`.
 

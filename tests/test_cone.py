@@ -28,8 +28,9 @@ from conirep.nnls import nnls
 
 from conftest import JUMP, SQUARE_PYRAMID, TILTED, WEDGE, perturbed, random_activity
 from reference import (adjacent_cone_by_element, cone_contains, facet_normal_outward,
-                       facet_sets, lattice_by_element_scan, origins_by_fitting_every_unit,
-                       simplicial_halfspaces_by_hull, unit_dedup_by_loop)
+                       facet_sets, generators, lattice_by_element_scan,
+                       origins_by_fitting_every_unit, simplicial_halfspaces_by_hull,
+                       unit_dedup_by_loop)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -294,7 +295,7 @@ def test_orthant_edge_adjacent_cone():
     np.testing.assert_allclose(adj.element_rays, [[0.0, 0.0, 1.0]], atol=1e-12)
     gens = sorted(tuple(np.round(g, 9)) for g in adj.normals)
     assert gens == [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    assert adj.generators.shape == (3, 3)
+    assert generators(adj).shape == (3, 3)
 
 
 ROWS_CASES = [pytest.param(random_activity(np.random.default_rng([71, m, i]), m, m + 2),
@@ -321,8 +322,9 @@ def test_adjacent_cone_rows_match_its_hull(C):
         for e in elems:
             adj = adjacent_cone(e, cone, table)
             rows = adj.facet_normals
-            extreme, _, hull = cone_halfspaces(adj.generators)
-            assert extreme == list(range(len(adj.generators)))
+            gens = generators(adj)
+            extreme, _, hull = cone_halfspaces(gens)
+            assert extreme == list(range(len(gens)))
             assert rows.shape == hull.shape
             gap = np.abs(rows[:, None, :] - hull[None, :, :]).max(axis=2)
             assert gap.min(axis=1).max() < 1e-9
@@ -341,11 +343,14 @@ def _check_against_element_scan(C):
         [adj.element for adj in ref]
     assert [e for elems in table.elements.values() for e in elems] == [adj.element for adj in ref]
     assert table.dims.tolist() == [adj.basis.shape[1] for adj in ref]
-    assert table.row_start[-1] == len(table.rows)
+    # each element's rows, then exact zeros up to the largest row count
+    count = [len(adj.facet_normals) for adj in ref]
+    w, m = max(count), cone.dim
+    assert table.rows.shape == (len(ref), w, m)
     for i, adj in enumerate(ref):
         d = adj.basis.shape[1]
-        assert _same_bits(table.rows[table.row_start[i]:table.row_start[i + 1]],
-                          adj.facet_normals)
+        assert _same_bits(table.rows[i, :count[i]], adj.facet_normals)
+        assert _same_bits(table.rows[i, count[i]:], np.zeros((w - count[i], m)))
         assert _same_bits(np.ascontiguousarray(table.bases[i, :, :d]), adj.basis)
         assert not table.bases[i, :, d:].any()
     for elems in table.elements.values():
@@ -376,7 +381,7 @@ def test_table_does_not_depend_on_the_element_limit(C, monkeypatch):
     assert len(bare.facets) >= 2
     monkeypatch.setattr("conirep.cone.MAX_ELEMENTS", len(table.dims))
     small = cone_sub_elements(bare)
-    for name in ("members", "dims", "bases", "rows", "row_start"):
+    for name in ("members", "dims", "bases", "rows"):
         assert _same_bits(getattr(small, name), getattr(table, name)), name
 
 
@@ -463,7 +468,7 @@ def test_adjacent_cones_tile_the_complement():
                 for elems in table.elements.values() for e in elems]
         pts = rng.uniform(0.0, 1.0, size=(200, cone.dim))
         for p in pts:
-            hits = sum(cone_contains(p, a.generators) for a in adjs)
+            hits = sum(cone_contains(p, generators(a)) for a in adjs)
             if cone_contains(p, cone.rays):
                 assert hits == 0
             else:

@@ -21,7 +21,7 @@ from conirep.region import (
 )
 
 from conftest import JUMP, TILTED, WEDGE, random_activity
-from reference import (cone_contains, facet_masks, packed_facets, stack_vertices,
+from reference import (cone_contains, facet_masks, generators, packed_facets, stack_vertices,
                        triangulate_by_recursion)
 
 SQ2 = 1 / math.sqrt(2)
@@ -49,13 +49,13 @@ def stacked(adjs):
     m = adjs[0].facet_normals.shape[1]
     members = np.zeros((len(adjs), 1 + max(max(a.element, default=0) for a in adjs)), dtype=bool)
     bases = np.zeros((len(adjs), m, m))
+    rows = np.zeros((len(adjs), max(len(a.facet_normals) for a in adjs), m))
     for i, a in enumerate(adjs):
         members[i, sorted(a.element)] = True
         bases[i, :, :a.basis.shape[1]] = a.basis
-    return AdjacentCones(
-        members=members, dims=np.array([a.basis.shape[1] for a in adjs]), bases=bases,
-        rows=np.vstack([a.facet_normals for a in adjs]),
-        row_start=np.cumsum([0] + [len(a.facet_normals) for a in adjs]))
+        rows[i, :len(a.facet_normals)] = a.facet_normals
+    return AdjacentCones(members=members, dims=np.array([a.basis.shape[1] for a in adjs]),
+                         bases=bases, rows=rows)
 
 
 def mask_vertices(mask):
@@ -168,12 +168,9 @@ def test_masks_past_one_word():
     # 74, in the second word, and the regions are those of the rows alone
     table = cone_sub_elements(coni_facets(JUMP))
     rng = np.random.default_rng(5)
-    count = np.diff(table.row_start)
-    pad = -rng.uniform(0.5, 1.0, (len(count), 66, 4))
-    rows = np.concatenate([np.concatenate([p, table.rows[a:a + c]])
-                           for p, a, c in zip(pad, table.row_start, count)])
-    padded = AdjacentCones(table.members, table.dims, table.bases, rows,
-                           np.concatenate([[0], (count + 66).cumsum()]))
+    pad = -rng.uniform(0.5, 1.0, (len(table.rows), 66, 4))
+    padded = AdjacentCones(table.members, table.dims, table.bases,
+                           np.concatenate([pad, table.rows], axis=1))
     wide, narrow = hypercube_intersect(padded), hypercube_intersect(table)
     assert wide.masks.shape[0] == 2 and narrow.masks.shape[0] == 1
     assert wide.vertex_start.tolist() == narrow.vertex_start.tolist()
@@ -236,7 +233,7 @@ def test_region_vertices_stay_in_cube_and_cone():
         for i, adj in enumerate(adjs):
             for v in clip.vertices[clip.vertex_start[i]:clip.vertex_start[i + 1]]:
                 assert v.min() > -1e-9 and v.max() < 1 + 1e-9
-                assert cone_contains(v, adj.generators, tol_member=1e-7)
+                assert cone_contains(v, generators(adj), tol_member=1e-7)
 
 
 def test_polytope_facets_square_triangle_cube():
